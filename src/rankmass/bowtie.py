@@ -2,6 +2,14 @@
 the extended component induced by dangling-node uniform rows, and the
 recurrent/transient block split.
 
+All structure comes from two linear walks over CSR arrays, turned into
+plain lists once per call: an iterative Tarjan SCC routine
+(:func:`scc_labels`) and a reachability closure (:func:`closure`).  The
+transition-matrix graph gives every dangling node a uniform row, i.e. an edge
+to every node.  Those rows are modelled as one edge each to a virtual hub
+node that links to every node of the view, so the walk costs O(n + m)
+instead of O(|dangling| * n).
+
 Components are numbered deterministically by their smallest member, and
 every returned node collection is sorted, so downstream CSV output is
 reproducible byte for byte.
@@ -11,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,66 +33,117 @@ class Label(IntEnum):
     OTHER = 3
 
 
-def tarjan_components(neighbors: Callable[[int], Sequence[int]], n: int) -> list[list[int]]:
-    """Strongly connected components of an n-node digraph, iteratively.
+def scc_labels(indptr, indices, hub_rows=()) -> np.ndarray:
+    """Strongly connected component of every node of a CSR digraph.
 
-    ``neighbors(v)`` returns the successor ids of ``v``.  Components come out
-    sorted internally and ordered by smallest member.
+    Iterative Tarjan over plain lists, O(n + m).  Components are numbered in
+    the order the walk completes them, which is reverse topological: an edge
+    between two components runs from the higher number to the lower.  The
+    graph is strongly connected exactly when every label is 0.
+
+    ``hub_rows`` are rows that link to every node (dangling rows under the
+    uniform convention).  Each gets one edge to a virtual hub node that links
+    to every node, so they cost O(n) in total instead of O(|hub_rows| * n).
     """
-    index = np.full(n, -1, dtype=np.int64)
-    lowlink = np.zeros(n, dtype=np.int64)
-    on_stack = np.zeros(n, dtype=bool)
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
+    indptr = np.asarray(indptr, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    n = indptr.size - 1
+    hub_rows = np.asarray(hub_rows, dtype=np.int64)
+    if hub_rows.size:
+        shift = np.zeros(n + 1, dtype=np.int64)
+        shift[hub_rows + 1] = 1
+        indices = np.concatenate((np.insert(indices, indptr[hub_rows + 1], n), np.arange(n)))
+        indptr = indptr + np.cumsum(shift)
+        indptr = np.append(indptr, indptr[-1] + n)
+    return np.asarray(_tarjan(indptr.tolist(), indices.tolist())[:n], dtype=np.int64)
 
+
+def _tarjan(indptr: list, indices: list) -> list:
+    """Tarjan's algorithm with an explicit DFS path in place of recursion."""
+    n = len(indptr) - 1
+    index = [0] * n          # preorder number; 0 = not visited yet
+    low = [0] * n
+    comp = [-1] * n          # -1 while the node is on the stack or unvisited
+    nxt = indptr[:-1]        # next edge to scan, per node
+    stack: list[int] = []
+    counter = count = 0
     for root in range(n):
-        if index[root] != -1:
+        if index[root]:
             continue
-        # frame: (node, iterator over successors)
-        work = [(root, iter(neighbors(root)))]
-        index[root] = lowlink[root] = counter
         counter += 1
+        index[root] = low[root] = counter
         stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                w = int(w)
-                if index[w] == -1:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(neighbors(w))))
-                    advanced = True
+        path = [root]
+        while path:
+            v = path[-1]
+            p, end = nxt[v], indptr[v + 1]
+            while p < end:
+                w = indices[p]
+                p += 1
+                if not index[w]:
                     break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
+                if comp[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                path.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = count
+                        if w == v:
+                            break
+                    count += 1
+                elif low[v] < low[path[-1]]:
+                    low[path[-1]] = low[v]
                 continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comp.sort()
-                components.append(comp)
-    components.sort(key=lambda c: c[0])
-    return components
+            nxt[v] = p
+            counter += 1
+            index[w] = low[w] = counter
+            stack.append(w)
+            path.append(w)
+    return comp
+
+
+def by_smallest_member(labels: np.ndarray) -> np.ndarray:
+    """Renumber arbitrary component labels to ids 0..k-1 that increase with
+    each component's smallest member."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse.reshape(-1)]
+
+
+def component_lists(labels: np.ndarray) -> list[list[int]]:
+    """Members of each component, sorted, ordered by smallest member."""
+    ids = by_smallest_member(labels)
+    members = np.argsort(ids, kind="stable").tolist()
+    bounds = np.cumsum(np.bincount(ids)).tolist()
+    return [members[a:b] for a, b in zip([0] + bounds[:-1], bounds)]
+
+
+def closure(indptr, indices, seeds) -> np.ndarray:
+    """Boolean mask of the nodes reachable from ``seeds`` along CSR edges
+    (seeds included).  Pass the reverse adjacency for nodes that reach them."""
+    indptr = np.asarray(indptr).tolist()
+    indices = np.asarray(indices).tolist()
+    seen = [False] * (len(indptr) - 1)
+    frontier = []
+    for s in np.asarray(seeds, dtype=np.int64).tolist():
+        if not seen[s]:
+            seen[s] = True
+            frontier.append(s)
+    while frontier:
+        v = frontier.pop()
+        for w in indices[indptr[v]:indptr[v + 1]]:
+            if not seen[w]:
+                seen[w] = True
+                frontier.append(w)
+    return np.array(seen, dtype=bool)
 
 
 def strongly_connected_components(g: GraphHandle) -> list[list[int]]:
     """SCCs of the raw link graph (no dangling-row augmentation)."""
-    return tarjan_components(g.out_neighbors, g.n)
+    return component_lists(scc_labels(g.out_indptr, g.out_indices))
 
 
 def w_components(g: GraphHandle) -> list[list[int]]:
@@ -93,52 +151,10 @@ def w_components(g: GraphHandle) -> list[list[int]]:
 
     Under row semantics a dangling node links to every node, so all nodes
     with a path to any dangling node collapse into one component; the rest
-    decompose exactly as in the raw graph.  The uniform rows are never
-    materialized.
+    decompose exactly as in the raw graph.  The uniform rows go through the
+    hub node of :func:`scc_labels` and are never materialized.
     """
-    if g.dangling.size == 0:
-        return strongly_connected_components(g)
-    reach_dangling = _reverse_closure(g, g.dangling)
-    merged = sorted(int(i) for i in np.flatnonzero(reach_dangling))
-    components = [merged]
-    for comp in strongly_connected_components(g):
-        if not reach_dangling[comp[0]]:
-            components.append(comp)
-    components.sort(key=lambda c: c[0])
-    return components
-
-
-def _reverse_closure(g: GraphHandle, seeds: np.ndarray) -> np.ndarray:
-    """Boolean mask of nodes with a raw path into ``seeds`` (seeds included)."""
-    mask = np.zeros(g.n, dtype=bool)
-    mask[seeds] = True
-    frontier = list(int(s) for s in seeds)
-    while frontier:
-        v = frontier.pop()
-        for u in g.in_neighbors(v):
-            u = int(u)
-            if not mask[u]:
-                mask[u] = True
-                frontier.append(u)
-    return mask
-
-
-def _forward_closure(g: GraphHandle, seeds) -> np.ndarray:
-    mask = np.zeros(g.n, dtype=bool)
-    frontier = []
-    for s in seeds:
-        s = int(s)
-        if not mask[s]:
-            mask[s] = True
-            frontier.append(s)
-    while frontier:
-        v = frontier.pop()
-        for u in g.out_neighbors(v):
-            u = int(u)
-            if not mask[u]:
-                mask[u] = True
-                frontier.append(u)
-    return mask
+    return component_lists(scc_labels(g.out_indptr, g.out_indices, g.dangling))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,6 +165,7 @@ class BowtieLabeling:
     labels: np.ndarray
     giant_scc_id: int
     components: tuple[tuple[int, ...], ...]
+    component_of: np.ndarray      # node -> index into ``components``
 
     @property
     def giant_scc(self) -> frozenset:
@@ -181,21 +198,23 @@ def bowtie_labeling(g: GraphHandle) -> BowtieLabeling:
     """Classify every node as IN, SCC, OUT, or OTHER relative to the giant SCC."""
     if g.n == 0:
         raise StructureError("empty graph has no components")
-    comps = strongly_connected_components(g)
-    sizes = [len(c) for c in comps]
-    giant_id = max(range(len(comps)), key=lambda i: (sizes[i], -comps[i][0]))
+    component_of = by_smallest_member(scc_labels(g.out_indptr, g.out_indices))
+    comps = component_lists(component_of)
+    giant_id = int(np.argmax(np.bincount(component_of)))  # first maximum: smallest member
     giant = comps[giant_id]
 
-    from_scc = _forward_closure(g, giant)
-    to_scc = _reverse_closure(g, np.asarray(giant, dtype=np.int64))
+    from_scc = closure(g.out_indptr, g.out_indices, giant)
+    to_scc = closure(g.in_indptr, g.in_indices, giant)
 
     labels = np.full(g.n, int(Label.OTHER), dtype=np.int8)
     labels[to_scc] = int(Label.IN)
     labels[from_scc] = int(Label.OUT)
     labels[giant] = int(Label.SCC)
     labels.setflags(write=False)
+    component_of.setflags(write=False)
     return BowtieLabeling(labels=labels, giant_scc_id=giant_id,
-                          components=tuple(tuple(c) for c in comps))
+                          components=tuple(tuple(c) for c in comps),
+                          component_of=component_of)
 
 
 def extended_scc(g: GraphHandle, labels: BowtieLabeling) -> frozenset:
@@ -227,6 +246,7 @@ class BlockDecomposition:
     escc: frozenset
     dangling: frozenset
     permutation: np.ndarray
+    block_index: np.ndarray       # node -> recurrent block index, -1 if transient
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
@@ -238,48 +258,43 @@ class BlockDecomposition:
 
     def block_of(self, node: int) -> int:
         """Index of the recurrent block holding ``node``, or -1 if transient."""
-        for k, block in enumerate(self.recurrent_blocks):
-            if node in block:
-                return k
-        return -1
-
-
-def _component_is_closed(g: GraphHandle, comp: Sequence[int]) -> bool:
-    members = set(comp)
-    for v in comp:
-        if g.dangling_mask[v]:
-            if len(members) != g.n:  # uniform row leaves unless the block is everything
-                return False
-            continue
-        for w in g.out_neighbors(v):
-            if int(w) not in members:
-                return False
-    return True
+        return int(self.block_index[node])
 
 
 def block_decomposition(g: GraphHandle, labels: BowtieLabeling) -> BlockDecomposition:
-    """Split nodes into closed recurrent blocks and the transient remainder."""
-    comps = w_components(g)
-    blocks = [tuple(c) for c in comps if _component_is_closed(g, c)]
-    recurrent = set()
-    for b in blocks:
-        recurrent.update(b)
-    transient = frozenset(range(g.n)) - frozenset(recurrent)
+    """Split nodes into closed recurrent blocks and the transient remainder.
 
-    member = min(labels.giant_scc)
-    escc = next(frozenset(c) for c in comps if member in c)
+    The transition-matrix components are the raw ones with every node that
+    reaches a dangling node merged into one.  A component is closed unless an
+    edge leaves it or it holds a dangling row and is not the whole graph.
+    """
+    comp_of = labels.component_of
+    if g.dangling.size:
+        comp_of = np.where(closure(g.in_indptr, g.in_indices, g.dangling), -1, comp_of)
+    comp_of = by_smallest_member(comp_of)
+    comps = component_lists(comp_of)
 
-    order: list[int] = []
-    for b in blocks:
-        order.extend(b)
-    order.extend(sorted(transient))
-    permutation = np.asarray(order, dtype=np.int64)
-    permutation.setflags(write=False)
-    return BlockDecomposition(recurrent_blocks=tuple(blocks),
-                              transient_set=transient,
-                              escc=escc,
-                              dangling=g.dangling_set,
-                              permutation=permutation)
+    sources = np.repeat(np.arange(g.n), g.out_degree)
+    opened = np.zeros(len(comps), dtype=bool)
+    opened[comp_of[sources[comp_of[sources] != comp_of[g.out_indices]]]] = True
+    if g.dangling.size and len(comps) > 1:
+        opened[comp_of[g.dangling[0]]] = True
+
+    closed = ~opened
+    block_ids = np.where(closed, np.cumsum(closed) - 1, -1)
+    block_index = block_ids[comp_of]
+    num_blocks = int(closed.sum())
+    permutation = np.argsort(np.where(block_index < 0, num_blocks, block_index),
+                             kind="stable")
+    for arr in (block_index, permutation):
+        arr.setflags(write=False)
+    return BlockDecomposition(
+        recurrent_blocks=tuple(tuple(c) for c, shut in zip(comps, closed) if shut),
+        transient_set=frozenset(np.flatnonzero(block_index < 0).tolist()),
+        escc=frozenset(comps[comp_of[labels.components[labels.giant_scc_id][0]]]),
+        dangling=g.dangling_set,
+        permutation=permutation,
+        block_index=block_index)
 
 
 def pure_out_nodes(labels: BowtieLabeling, blocks: BlockDecomposition) -> frozenset:
@@ -292,12 +307,7 @@ def dual_path_out_nodes(g: GraphHandle, labels: BowtieLabeling,
     """Non-dangling OUT nodes whose raw links lead both to a dangling node and
     into a recurrent block.  These sit on the fence between the extended
     component and the dead-ends; flagged for inspection in CSV output."""
-    reach_dangling = _reverse_closure(g, g.dangling) if g.dangling.size else np.zeros(g.n, bool)
-    block_members = np.asarray(sorted({v for b in blocks.recurrent_blocks for v in b}),
-                               dtype=np.int64)
-    reach_block = (_reverse_closure(g, block_members) if block_members.size
-                   else np.zeros(g.n, bool))
-    out = np.zeros(g.n, dtype=bool)
-    out[np.flatnonzero(labels.labels == Label.OUT)] = True
-    flagged = out & ~g.dangling_mask & reach_dangling & reach_block
-    return frozenset(int(i) for i in np.flatnonzero(flagged))
+    reach_dangling = closure(g.in_indptr, g.in_indices, g.dangling)
+    reach_block = closure(g.in_indptr, g.in_indices, np.flatnonzero(blocks.block_index >= 0))
+    flagged = (labels.labels == Label.OUT) & ~g.dangling_mask & reach_dangling & reach_block
+    return frozenset(np.flatnonzero(flagged).tolist())

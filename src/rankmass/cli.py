@@ -20,8 +20,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bowtie import (block_decomposition, bowtie_labeling, dual_path_out_nodes,
-                     pure_out_nodes, strongly_connected_components)
+from .bowtie import (Label, block_decomposition, bowtie_labeling, dual_path_out_nodes,
+                     pure_out_nodes)
 from .errors import ConvergenceError
 from .escc import V_MODES, cstar_solve, prop3_bounds
 from .experiment import click_rank, run_link_experiment
@@ -133,15 +133,23 @@ def _structures(graph_path: str):
 # subcommands
 # --------------------------------------------------------------------------
 
+def _components_within(labels, mask: np.ndarray) -> int:
+    """Number of raw SCCs whose every member lies in ``mask``."""
+    inside = np.ones(len(labels.components), dtype=bool)
+    inside[labels.component_of[~mask]] = False
+    return int(inside.sum())
+
+
 def cmd_decompose(args) -> int:
     g, labels, blocks = _structures(args.graph)
     escc = blocks.escc
     pure = pure_out_nodes(labels, blocks)
     flagged = dual_path_out_nodes(g, labels, blocks)
-    comps = strongly_connected_components(g)
-    out_label_nodes = labels.out_nodes
-    sccs_in_out = sum(1 for comp in comps if set(comp) <= out_label_nodes)
-    sccs_in_pure = sum(1 for comp in comps if set(comp) <= pure)
+    out_mask = labels.labels == Label.OUT
+    pure_mask = np.zeros(g.n, dtype=bool)
+    pure_mask[list(pure)] = True
+    sccs_in_out = _components_within(labels, out_mask)
+    sccs_in_pure = _components_within(labels, pure_mask)
 
     report = CsvReport(args.graph, {"command": "decompose"})
     report.comment(f"total_nodes={g.n}")

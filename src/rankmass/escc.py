@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bowtie import BlockDecomposition, BowtieLabeling, pure_out_nodes, tarjan_components
+from .bowtie import (BlockDecomposition, BowtieLabeling, component_lists, pure_out_nodes,
+                     scc_labels)
 from .errors import ConvergenceError, StructureError
 from .graph import GraphHandle
 from .operators import SubstochasticBlock, block_view, perron_irreducible, solve_left
@@ -64,13 +65,15 @@ class SpectralSummary:
     nodes: np.ndarray
 
 
-def _local_adjacency(view: SubstochasticBlock) -> list[list[int]]:
-    m = view.matrix
-    adj = [list(map(int, m.indices[m.indptr[i]:m.indptr[i + 1]])) for i in range(m.shape[0])]
-    everyone = list(range(m.shape[0]))
-    for d in view.dangling_local:
-        adj[int(d)] = everyone
-    return adj
+def _classes(view: SubstochasticBlock) -> tuple[list[list[int]], list[int]]:
+    """Communicating classes of a square block, its dangling rows linking to
+    the whole block, ordered by smallest member; plus the class indices in a
+    topological order (every class before the classes it feeds)."""
+    finish = scc_labels(view.matrix.indptr, view.matrix.indices, view.dangling_local)
+    classes = component_lists(finish)
+    # Tarjan completes sink classes first, so decreasing finish number is topological
+    order = sorted(range(len(classes)), key=lambda k: -finish[classes[k][0]])
+    return classes, order
 
 
 def _perron_left(g: GraphHandle, view: SubstochasticBlock,
@@ -82,8 +85,7 @@ def _perron_left(g: GraphHandle, view: SubstochasticBlock,
     (smallest member on ties) with everything it feeds downstream.
     """
     size = view.rows.size
-    adj = _local_adjacency(view)
-    classes = tarjan_components(lambda v: adj[v], size)
+    classes, order = _classes(view)
     if len(classes) == 1:
         lam, vec = perron_irreducible(view, tol=tol)
         return lam, vec / vec.sum()
@@ -96,16 +98,6 @@ def _perron_left(g: GraphHandle, view: SubstochasticBlock,
     winner = max(range(len(classes)),
                  key=lambda i: (per_class[i][0], -classes[i][0]))
     lam = per_class[winner][0]
-
-    class_of = np.empty(size, dtype=np.int64)
-    for k, cls in enumerate(classes):
-        class_of[cls] = k
-    class_succ: list[set] = [set() for _ in classes]
-    for v in range(size):
-        for w in adj[v]:
-            if class_of[v] != class_of[w]:
-                class_succ[class_of[v]].add(int(class_of[w]))
-    order = _topological(class_succ)
 
     x = np.zeros(size)
     started = False
@@ -127,23 +119,6 @@ def _perron_left(g: GraphHandle, view: SubstochasticBlock,
         x[cls] = solve_left(lambda y: sub.mul_left(y) / lam, inflow / lam, tol=tol)
     x /= x.sum()
     return lam, x
-
-
-def _topological(succ: list[set]) -> list[int]:
-    indeg = [0] * len(succ)
-    for outs in succ:
-        for w in outs:
-            indeg[w] += 1
-    ready = sorted(k for k, d in enumerate(indeg) if d == 0)
-    order: list[int] = []
-    while ready:
-        k = ready.pop(0)
-        order.append(k)
-        for w in sorted(succ[k]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-    return order
 
 
 def spectral_summary(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecomposition,

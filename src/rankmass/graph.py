@@ -91,20 +91,19 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> GraphHandle:
 
     out_degree = np.bincount(u, minlength=n).astype(np.int64)
     out_indptr = np.concatenate(([0], np.cumsum(out_degree)))
-    out_indices = v.copy()
-
-    in_counts = np.bincount(v, minlength=n).astype(np.int64)
-    in_indptr = np.concatenate(([0], np.cumsum(in_counts)))
+    in_indptr = np.concatenate(([0], np.cumsum(np.bincount(v, minlength=n))))
     order = np.argsort(v, kind="stable")  # keeps sources ascending within a target
-    in_indices = u[order]
+    return _handle(n, out_indptr, v.copy(), in_indptr, u[order], out_degree)
 
+
+def _handle(n: int, out_indptr: np.ndarray, out_indices: np.ndarray,
+            in_indptr: np.ndarray, in_indices: np.ndarray,
+            out_degree: np.ndarray) -> GraphHandle:
+    """Freeze sorted CSR arrays into a handle, deriving dangling nodes and weights."""
     dangling_mask = out_degree == 0
     dangling = np.flatnonzero(dangling_mask)
-
-    weights = np.empty(u.size, dtype=np.float64)
-    if u.size:
-        weights[:] = 1.0 / out_degree[u]
-    w = sparse.csr_matrix((weights, v, out_indptr), shape=(n, n))
+    weights = 1.0 / np.repeat(out_degree, out_degree)
+    w = sparse.csr_matrix((weights, out_indices, out_indptr), shape=(n, n))
 
     for arr in (out_indptr, out_indices, in_indptr, in_indices, out_degree,
                 dangling, dangling_mask):
@@ -197,15 +196,24 @@ def with_edge(g: GraphHandle, u: int, v: int) -> GraphHandle:
     """Return a new graph with edge ``u -> v`` added.
 
     The only mutation entry point; used to splice an escape link out of a
-    dead-end.  Raises if the edge already exists.
+    dead-end.  The edge is inserted into the sorted CSR arrays in O(n + m)
+    array operations.  Raises if the edge already exists.
     """
     if u < 0 or u >= g.n or v < 0 or v >= g.n:
         raise GraphRangeError(f"edge ({u}, {v}) outside [0, {g.n})")
-    if v in g.out_neighbors(u):
+    out_row = g.out_neighbors(u)
+    if v in out_row:
         raise ValueError(f"edge ({u}, {v}) already present")
-    edges = list(g.edges())
-    edges.append((u, v))
-    return build_graph(g.n, edges)
+    out_pos = int(g.out_indptr[u]) + int(np.searchsorted(out_row, v))
+    in_pos = int(g.in_indptr[v]) + int(np.searchsorted(g.in_neighbors(v), u))
+    out_indptr = g.out_indptr.copy()
+    out_indptr[u + 1:] += 1
+    in_indptr = g.in_indptr.copy()
+    in_indptr[v + 1:] += 1
+    out_degree = g.out_degree.copy()
+    out_degree[u] += 1
+    return _handle(g.n, out_indptr, np.insert(g.out_indices, out_pos, v),
+                   in_indptr, np.insert(g.in_indices, in_pos, u), out_degree)
 
 
 def dense_hyperlink_matrix(g: GraphHandle) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bowtie import BowtieLabeling, Label, tarjan_components
+from .bowtie import BowtieLabeling, Label, scc_labels
 from .errors import AssumptionViolationError, StructureError
 from .graph import GraphHandle
 from .operators import SubstochasticBlock, block_view, solve_left, solve_right, stationary_left
@@ -230,8 +230,7 @@ def _internal_stationary(view: ThreeBlockView, tol: float = SOLVE_TOL) -> np.nda
         dead = view.inscc_nodes[np.flatnonzero(sums <= 0.0)].tolist()
         raise StructureError(
             f"IN+SCC nodes {dead} have no internal links; the internal walk is reducible")
-    adj = [list(map(int, p.indices[p.indptr[i]:p.indptr[i + 1]])) for i in range(p.shape[0])]
-    if len(tarjan_components(lambda v: adj[v], p.shape[0])) != 1:
+    if scc_labels(p.indptr, p.indices).any():
         raise StructureError("internal IN+SCC walk is reducible")
     scale = 1.0 / sums
 

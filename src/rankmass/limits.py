@@ -15,12 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
-from .bowtie import BlockDecomposition, tarjan_components
+from .bowtie import BlockDecomposition, component_lists, scc_labels
 from .errors import StructureError
 from .graph import GraphHandle
-from .operators import (SubstochasticBlock, block_view, dense_stationary,
-                        solve_left, stationary_left)
+from .operators import block_view, dense_stationary, solve_left, stationary_left
 
 LAURENT_MAX_SIZE = 20
 AGGREGATED_MAX_SIZE = 30
@@ -38,20 +38,9 @@ def block_stationary(g: GraphHandle, block, tol: float = 1e-14) -> np.ndarray:
     if np.any(np.abs(sums - 1.0) > 1e-12):
         leaky = [int(view.rows[i]) for i in np.flatnonzero(np.abs(sums - 1.0) > 1e-12)]
         raise StructureError(f"block is not closed: nodes {leaky} leak mass")
-    local_adj = _local_adjacency(view)
-    if len(tarjan_components(lambda v: local_adj[v], view.rows.size)) != 1:
+    if scc_labels(view.matrix.indptr, view.matrix.indices, view.dangling_local).any():
         raise StructureError("block is not strongly connected")
     return stationary_left(view.mul_left, view.rows.size, tol=tol)
-
-
-def _local_adjacency(view: SubstochasticBlock) -> list[list[int]]:
-    m = view.matrix
-    adj = [list(map(int, m.indices[m.indptr[i]:m.indptr[i + 1]]))
-           for i in range(m.shape[0])]
-    everyone = list(range(m.shape[0]))
-    for d in view.dangling_local:
-        adj[int(d)] = everyone
-    return adj
 
 
 def absorption_weights(g: GraphHandle, blocks: BlockDecomposition,
@@ -112,8 +101,8 @@ def _check_square(a: np.ndarray, cap: int, what: str) -> np.ndarray:
 
 
 def _dense_components(a: np.ndarray) -> list[list[int]]:
-    pattern = [list(np.flatnonzero(row > 0.0)) for row in a]
-    return tarjan_components(lambda v: pattern[v], a.shape[0])
+    pattern = sparse.csr_matrix(a > 0.0)
+    return component_lists(scc_labels(pattern.indptr, pattern.indices))
 
 
 @dataclass(frozen=True, eq=False)

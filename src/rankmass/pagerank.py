@@ -88,7 +88,12 @@ def _effective_tol(tolerance: float, c: float) -> float:
 
 def pagerank(g: GraphHandle, cfg: PageRankConfig,
              start: np.ndarray | None = None) -> RankVector:
-    """Stationary vector of the damped surfer chain by power iteration."""
+    """Stationary vector of the damped surfer chain by power iteration.
+
+    ``start`` is an optional nonnegative, finite, length-n initial vector with
+    a positive sum; it is rescaled to a probability vector.  Anything else
+    raises :class:`ValueError` before the first iteration.
+    """
     if g.n == 0:
         raise ValueError("empty graph")
     c = cfg.damping
@@ -96,7 +101,18 @@ def pagerank(g: GraphHandle, cfg: PageRankConfig,
     max_iter = cfg.resolved_max_iterations()
     stop = _effective_tol(cfg.tolerance, c)
 
-    x = np.full(n, 1.0 / n) if start is None else np.asarray(start, dtype=np.float64).copy()
+    if start is None:
+        x = np.full(n, 1.0 / n)
+    else:
+        x = np.array(start, dtype=np.float64)
+        if x.shape != (n,):
+            raise ValueError(f"start vector has shape {x.shape}; expected ({n},)")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("start vector has non-finite entries")
+        if np.any(x < 0.0):
+            raise ValueError("start vector has negative entries")
+        if x.sum() == 0.0:
+            raise ValueError("start vector sums to zero")
     x /= x.sum()
     delta = np.inf
     deltas: list[float] = []

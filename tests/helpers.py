@@ -127,3 +127,36 @@ def random_digraph(rng, n: int, p: float) -> rm.GraphHandle:
     np.fill_diagonal(mask, False)
     edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(mask))]
     return rm.build_graph(n, edges)
+
+
+def dense_reach(adj: np.ndarray) -> np.ndarray:
+    """Reflexive transitive closure of a boolean adjacency matrix (Warshall)."""
+    reach = np.asarray(adj, dtype=bool) | np.eye(len(adj), dtype=bool)
+    for k in range(len(reach)):
+        reach |= np.outer(reach[:, k], reach[k, :])
+    return reach
+
+
+def dense_link_pattern(g, uniform_dangling: bool) -> np.ndarray:
+    """Boolean adjacency of g; with ``uniform_dangling`` a dangling row is all
+    ones, as in the transition matrix."""
+    adj = np.zeros((g.n, g.n), dtype=bool)
+    for u in range(g.n):
+        adj[u, g.out_neighbors(u)] = True
+        if uniform_dangling and g.is_dangling(u):
+            adj[u, :] = True
+    return adj
+
+
+def dense_reach_components(adj: np.ndarray) -> list[list[int]]:
+    """SCCs from the transitive closure: i and j share a component exactly
+    when each reaches the other.  Sorted, ordered by smallest member."""
+    reach = dense_reach(adj)
+    mutual = reach & reach.T
+    comps, seen = [], np.zeros(len(adj), dtype=bool)
+    for i in range(len(adj)):
+        if not seen[i]:
+            comp = np.flatnonzero(mutual[i])
+            seen[comp] = True
+            comps.append(comp.tolist())
+    return comps

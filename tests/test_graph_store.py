@@ -149,5 +149,33 @@ def test_with_edge_adds_and_validates(bowtie):
         rm.with_edge(bowtie, 0, 99)
 
 
+def _arrays(g):
+    return (g.out_indptr, g.out_indices, g.in_indptr, g.in_indices, g.out_degree,
+            g.dangling, g.dangling_mask, g.w.data, g.w.indices, g.w.indptr)
+
+
+def test_with_edge_splice_equals_rebuild(bowtie):
+    rng = np.random.default_rng(11)
+    cases = [(bowtie, 8, 1), (bowtie, 5, 0), (bowtie, 11, 11), (bowtie, 0, 11),
+             (rm.build_graph(3, []), 2, 0)]
+    g = helpers.random_digraph(rng, 15, 0.15)
+    for _ in range(10):
+        u, v = (int(x) for x in rng.integers(0, g.n, size=2))
+        if v not in g.out_neighbors(u):
+            cases.append((g, u, v))
+    for g, u, v in cases:
+        spliced = rm.with_edge(g, u, v)
+        rebuilt = rm.build_graph(g.n, list(g.edges()) + [(u, v)])
+        assert spliced.n == rebuilt.n and spliced.w.shape == rebuilt.w.shape
+        for a, b in zip(_arrays(spliced), _arrays(rebuilt)):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+    with pytest.raises(ValueError, match=r"^edge \(0, 1\) already present$"):
+        rm.with_edge(bowtie, 0, 1)
+    for u, v in ((0, 12), (-1, 0), (12, 0)):
+        with pytest.raises(rm.GraphRangeError, match=rf"edge \({u}, {v}\) outside \[0, 12\)"):
+            rm.with_edge(bowtie, u, v)
+
+
 def test_build_graph_matches_edge_constant(bowtie):
     assert set(bowtie.edges()) == set(BOWTIE_EDGES)

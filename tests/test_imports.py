@@ -1,0 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import rankmass
+
+HEAVY = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
+
+
+def test_import_loads_no_heavy_scipy_submodules():
+    """``import rankmass`` must not pull in scipy's graph or linear-algebra
+    submodules.  Importing ``scipy.sparse.csgraph`` also loads
+    ``scipy.sparse.linalg`` and ``scipy.linalg``, which adds about 10 MB to
+    every process, 13-17% of the benchmark's ``peak_rss_mb`` on each
+    workload, against a regression bound of 10%."""
+    env = dict(os.environ)
+    src = str(Path(rankmass.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = f"import sys, rankmass; print([m for m in {HEAVY!r} if m in sys.modules])"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "[]"

@@ -80,6 +80,17 @@ def test_nonconvergence_raises_with_residual(bowtie):
     assert err.value.residual > 0.0
 
 
+def test_bad_start_vector_rejected_before_iterating(bowtie):
+    cfg = rm.PageRankConfig(damping=0.85)
+    bad = {"zero": np.zeros(12), "nan": np.full(12, np.nan),
+           "negative": np.r_[-1.0, np.ones(11)], "wrong length": np.ones(11)}
+    for name, start in bad.items():
+        with pytest.raises(ValueError, match="^start vector"):
+            rm.pagerank(bowtie, cfg, start=start)
+    scaled = rm.pagerank(bowtie, cfg, start=np.arange(1.0, 13.0))
+    assert np.abs(scaled.values - rm.pagerank(bowtie, cfg).values).sum() <= 2e-12
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         rm.PageRankConfig(damping=1.0)

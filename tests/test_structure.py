@@ -1,0 +1,132 @@
+"""The SCC and closure layer against the dense reachability oracle in
+helpers.py, on small seeded graphs of every awkward shape, plus long paths
+and cycles that a recursive or quadratic walk could not finish."""
+
+import numpy as np
+import pytest
+
+import rankmass as rm
+from rankmass.bowtie import Label, w_components
+from rankmass.escc import _classes, transient_view
+from rankmass.operators import block_view
+
+import helpers
+
+
+def _shaped_graphs():
+    rng = np.random.default_rng(20261017)
+    graphs = [rm.build_graph(1, []), rm.build_graph(1, [(0, 0)]), rm.build_graph(5, [])]
+    for _ in range(6):   # dangling-heavy: most rows empty
+        n = int(rng.integers(2, 16))
+        graphs.append(helpers.random_digraph(rng, n, 0.08))
+    for _ in range(6):   # denser, self-loops allowed
+        n = int(rng.integers(2, 16))
+        mask = rng.random((n, n)) < 0.2
+        graphs.append(rm.build_graph(n, [(int(u), int(v)) for u, v in zip(*np.nonzero(mask))]))
+    # isolated cycles next to a chain into a dangling node
+    graphs.append(rm.build_graph(9, [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2), (5, 6), (6, 7)]))
+    graphs.extend(helpers.random_suite(count=6))
+    return graphs
+
+
+SHAPED = _shaped_graphs()
+
+
+@pytest.mark.parametrize("g", SHAPED, ids=lambda g: f"n{g.n}m{g.num_edges}")
+def test_components_match_dense_oracle(g):
+    raw = helpers.dense_link_pattern(g, uniform_dangling=False)
+    full = helpers.dense_link_pattern(g, uniform_dangling=True)
+    assert rm.strongly_connected_components(g) == helpers.dense_reach_components(raw)
+    assert w_components(g) == helpers.dense_reach_components(full)
+
+
+@pytest.mark.parametrize("g", SHAPED, ids=lambda g: f"n{g.n}m{g.num_edges}")
+def test_labels_and_blocks_match_dense_oracle(g):
+    raw = helpers.dense_link_pattern(g, uniform_dangling=False)
+    full = helpers.dense_link_pattern(g, uniform_dangling=True)
+    comps = helpers.dense_reach_components(raw)
+    giant = max(comps, key=lambda c: (len(c), -c[0]))
+    reach = helpers.dense_reach(raw)
+    expected = np.full(g.n, int(Label.OTHER))
+    expected[reach[:, giant].any(axis=1)] = int(Label.IN)
+    expected[reach[giant, :].any(axis=0)] = int(Label.OUT)
+    expected[giant] = int(Label.SCC)
+
+    labels = rm.bowtie_labeling(g)
+    assert labels.labels.tolist() == expected.tolist()
+    assert [list(c) for c in labels.components] == comps
+    for k, comp in enumerate(comps):
+        assert labels.component_of[comp].tolist() == [k] * len(comp)
+
+    w_comps = helpers.dense_reach_components(full)
+    inside = np.zeros((len(w_comps), g.n), dtype=bool)
+    for k, comp in enumerate(w_comps):
+        inside[k, comp] = True
+    closed = [comp for k, comp in enumerate(w_comps) if not full[inside[k]][:, ~inside[k]].any()]
+    blocks = rm.block_decomposition(g, labels)
+    assert [list(b) for b in blocks.recurrent_blocks] == closed
+    block_nodes = {v for b in closed for v in b}
+    assert blocks.transient_set == set(range(g.n)) - block_nodes
+    assert blocks.escc == set(next(c for c in w_comps if giant[0] in c))
+    for v in range(g.n):
+        expect = next((k for k, b in enumerate(closed) if v in b), -1)
+        assert blocks.block_of(v) == expect
+    assert blocks.permutation.tolist() == \
+        [v for b in closed for v in b] + sorted(blocks.transient_set)
+
+
+def _views(g):
+    """The whole graph and, when there is one, its transient block."""
+    blocks = rm.block_decomposition(g, rm.bowtie_labeling(g))
+    views = [block_view(g, range(g.n), range(g.n))]
+    if blocks.transient_set:
+        views.append(transient_view(g, blocks))
+    return views
+
+
+@pytest.mark.parametrize("g", SHAPED, ids=lambda g: f"n{g.n}m{g.num_edges}")
+def test_block_classes_match_dense_oracle(g):
+    for view in _views(g):
+        adj = view.matrix.toarray() > 0.0
+        adj[view.dangling_local, :] = True
+        classes, order = _classes(view)
+        assert classes == helpers.dense_reach_components(adj)
+        assert sorted(order) == list(range(len(classes)))
+        position = np.empty(len(classes), dtype=np.int64)
+        position[order] = np.arange(len(classes))
+        class_of = np.empty(view.rows.size, dtype=np.int64)
+        for k, cls in enumerate(classes):
+            class_of[cls] = k
+        for a, b in zip(*np.nonzero(adj)):
+            assert position[class_of[a]] <= position[class_of[b]]
+
+
+LONG = 100_000
+
+
+def test_long_path_has_no_recursion_limit():
+    g = rm.build_graph(LONG, [(i, i + 1) for i in range(LONG - 1)])
+    comps = rm.strongly_connected_components(g)
+    assert len(comps) == LONG and comps[-1] == [LONG - 1]
+    # the last node dangles and every node reaches it: one transition component
+    assert w_components(g) == [list(range(LONG))]
+    labels = rm.bowtie_labeling(g)
+    assert labels.giant_scc == {0}
+    assert labels.out_nodes == set(range(1, LONG))
+    blocks = rm.block_decomposition(g, labels)
+    assert blocks.num_blocks == 1 and not blocks.transient_set
+
+
+def test_long_cycle_is_one_component():
+    g = rm.build_graph(LONG, [(i, (i + 1) % LONG) for i in range(LONG)])
+    assert rm.strongly_connected_components(g) == [list(range(LONG))]
+    labels = rm.bowtie_labeling(g)
+    assert len(labels.scc_nodes) == LONG
+    assert rm.block_decomposition(g, labels).block_sizes == (LONG,)
+
+
+def test_many_dangling_rows_stay_linear():
+    # a star whose leaves all dangle: |dangling| x n would be 10^10 entries
+    g = rm.build_graph(LONG, [(0, i) for i in range(1, LONG)])
+    assert w_components(g) == [list(range(LONG))]
+    assert len(rm.strongly_connected_components(g)) == LONG
