@@ -14,7 +14,6 @@ import argparse
 import csv
 import hashlib
 import io
-import os
 import sys
 
 import numpy as np
@@ -309,23 +308,23 @@ def cmd_link_experiment(args) -> int:
         raise ValueError("damping-list is empty")
     result = run_link_experiment(g, labels, blocks, args.source, args.target,
                                  damping_values, tolerance=args.tol)
-    clicks = None
+    click_position = None
     if args.clicks:
-        clicks = _read_clicks(args.clicks)
+        click_position = click_rank(_read_clicks(args.clicks), result.source, g.n)
 
     report = CsvReport(args.graph, {
         "command": "link-experiment", "source": args.source, "target": args.target,
         "damping_list": args.damping_list})
     report.comment(f"block_nodes={list(result.block_nodes)}")
     header = ["c", "rank_without_link", "rank_with_link"]
-    if clicks is not None:
+    if click_position is not None:
         header.append("rank_by_clicks")
     header += ["block_mass_without", "block_mass_with"]
     report.row(header)
     for row in result.rows:
         cells = [row.damping, row.rank_without_link, row.rank_with_link]
-        if clicks is not None:
-            cells.append(click_rank(clicks, result.source, g.n))
+        if click_position is not None:
+            cells.append(click_position)
         cells += [row.block_mass_without, row.block_mass_with]
         report.row(cells)
     report.save(args.out)

@@ -13,6 +13,9 @@ retention under the quasi-stationary law) yield the envelope
     gamma (1-c) / (1 - c p1)  <  mass(c)  <  gamma (1-c) / (1 - c lambda1)
 
 under the two testable conditions reported alongside.
+
+Every mass on a grid, the expected visits and the ``c*`` bisection read the
+moments ``u T^k 1`` of one walk of T (see :func:`operators.resolvent_moments`).
 """
 
 from __future__ import annotations
@@ -25,14 +28,19 @@ from .bowtie import (BlockDecomposition, BowtieLabeling, component_lists, pure_o
                      scc_labels)
 from .errors import ConvergenceError, StructureError
 from .graph import GraphHandle
-from .operators import SubstochasticBlock, block_view, perron_irreducible, solve_left
-from .pagerank import RankVector
+from .operators import (SubstochasticBlock, block_view, perron_irreducible,
+                        resolvent_moments, series_at, solve_left)
+from .pagerank import mass_breakdown
 
 EIG_TOL = 1e-13
 SOLVE_TOL = 1e-14
 
 
-def _transient_nodes(blocks: BlockDecomposition, escc_only: bool) -> list[int]:
+def transient_view(g: GraphHandle, blocks: BlockDecomposition,
+                   escc_only: bool = False) -> SubstochasticBlock:
+    """The square substochastic block T.  By default this is the whole
+    transient set (extended component plus transient pure-OUT states);
+    ``escc_only`` restricts to the extended component proper."""
     if escc_only:
         if not blocks.escc <= blocks.transient_set:
             raise StructureError("the extended component is closed; nothing is transient")
@@ -41,15 +49,6 @@ def _transient_nodes(blocks: BlockDecomposition, escc_only: bool) -> list[int]:
         nodes = sorted(blocks.transient_set)
     if not nodes:
         raise StructureError("transient block is empty")
-    return nodes
-
-
-def transient_view(g: GraphHandle, blocks: BlockDecomposition,
-                   escc_only: bool = False) -> SubstochasticBlock:
-    """The square substochastic block T.  By default this is the whole
-    transient set (extended component plus transient pure-OUT states);
-    ``escc_only`` restricts to the extended component proper."""
-    nodes = _transient_nodes(blocks, escc_only)
     return block_view(g, nodes, nodes)
 
 
@@ -124,53 +123,48 @@ def _perron_left(g: GraphHandle, view: SubstochasticBlock,
 def spectral_summary(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecomposition,
                      escc_only: bool = False, tol: float = EIG_TOL) -> SpectralSummary:
     """Compute p1, lambda1, and the quasi-stationary vector of T."""
-    nodes = _transient_nodes(blocks, escc_only)
-    view = block_view(g, nodes, nodes)
+    view = transient_view(g, blocks, escc_only)
     lam, quasi = _perron_left(g, view, tol=tol)
     p1 = float(view.row_sums().mean())
     delta = len(pure_out_nodes(labels, blocks)) / g.n
     quasi.setflags(write=False)
     return SpectralSummary(p1=p1, lambda1=lam, quasi_stationary=quasi,
-                           gamma=len(nodes) / g.n, delta=delta,
+                           gamma=view.rows.size / g.n, delta=delta,
                            nodes=view.rows)
 
 
-def escc_mass(g: GraphHandle, blocks: BlockDecomposition, c: float,
-              escc_only: bool = False, tol: float = SOLVE_TOL,
-              _state: dict | None = None) -> float:
-    """Mass held by the transient block at damping ``c`` (0 at c = 1 exactly).
+def _transient_moments(g: GraphHandle, blocks: BlockDecomposition, escc_only: bool,
+                       c_max: float, tol: float) -> tuple[np.ndarray, float]:
+    """Moments ``u T^k 1`` of the transient block to ``c_max``, and gamma."""
+    view = transient_view(g, blocks, escc_only)
+    size = view.rows.size
+    moments = resolvent_moments(view.mul_left, np.full(size, 1.0 / size), np.ones(size),
+                                c_max, tol=tol)
+    return moments, size / g.n
 
-    ``_state`` lets repeated evaluations reuse the block and warm-start the
-    solve from the previous damping value.
-    """
+
+def _damping(c: float) -> float:
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"damping must lie in [0, 1]; got {c}")
-    if c == 1.0:
+    return c
+
+
+def _mass_at(moments: np.ndarray, gamma: float, c: float) -> float:
+    return (1.0 - c) * gamma * float(series_at(moments, [_damping(c)])[0])
+
+
+def escc_mass(g: GraphHandle, blocks: BlockDecomposition, c: float,
+              escc_only: bool = False, tol: float = SOLVE_TOL) -> float:
+    """Mass held by the transient block at damping ``c`` (0 at c = 1 exactly)."""
+    if _damping(c) == 1.0:
         return 0.0
-    if _state is not None and "view" in _state:
-        view = _state["view"]
-    else:
-        view = transient_view(g, blocks, escc_only)
-        if _state is not None:
-            _state["view"] = view
-    size = view.rows.size
-    u = np.full(size, 1.0 / size)
-    x0 = _state.get("y") if _state is not None else None
-    y = solve_left(lambda v: c * view.mul_left(v), u, tol=tol, x0=x0)
-    if _state is not None:
-        _state["y"] = y
-    gamma = size / g.n
-    return (1.0 - c) * gamma * float(y.sum())
+    return _mass_at(*_transient_moments(g, blocks, escc_only, c, tol), c)
 
 
 def expected_visits(g: GraphHandle, blocks: BlockDecomposition,
                     escc_only: bool = False, tol: float = SOLVE_TOL) -> float:
     """u [I - T]^{-1} 1: mean number of in-block steps from a uniform start."""
-    view = transient_view(g, blocks, escc_only)
-    size = view.rows.size
-    u = np.full(size, 1.0 / size)
-    y = solve_left(view.mul_left, u, tol=tol)
-    return float(y.sum())
+    return float(_transient_moments(g, blocks, escc_only, 1.0, tol)[0].sum())
 
 
 @dataclass(frozen=True)
@@ -200,15 +194,15 @@ def prop3_bounds(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecomposit
     """Evaluate the envelope on a grid and report where each side binds."""
     summary = spectral_summary(g, labels, blocks, escc_only=escc_only)
     p1, lam, gamma = summary.p1, summary.lambda1, summary.gamma
-    visits = expected_visits(g, blocks, escc_only=escc_only, tol=tol)
+    moments, _ = _transient_moments(g, blocks, escc_only, 1.0, tol)
+    visits = float(moments.sum())
     cond_i = p1 < lam
     cond_ii = 1.0 / (1.0 - p1) < visits
 
-    state: dict = {}
     rows = []
     violations = []
     for c in (float(v) for v in grid):
-        mass = escc_mass(g, blocks, c, escc_only=escc_only, tol=tol, _state=state)
+        mass = _mass_at(moments, gamma, c)
         lower = gamma * (1.0 - c) / (1.0 - c * p1)
         upper = gamma * (1.0 - c) / (1.0 - c * lam)
         interior = 0.0 < c < 1.0   # the strict envelope only claims the open interval
@@ -282,11 +276,6 @@ def cstar_solve(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecompositi
     if summary is None:
         summary = spectral_summary(g, labels, blocks, escc_only=escc_only)
     gamma = summary.gamma
-    state: dict = {}
-
-    def mass(c: float) -> float:
-        return escc_mass(g, blocks, c, escc_only=escc_only, _state=state)
-
     if v_mode == "self":
         lo, hi = 0.5, 1.0 - 1e-9
         target = lambda c: _r_curve(gamma, c)
@@ -297,44 +286,38 @@ def cstar_solve(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecompositi
         lo, hi = 0.0, 1.0 - 1e-12
         target = lambda c: gamma * w
 
+    moments, _ = _transient_moments(g, blocks, escc_only, hi, SOLVE_TOL)
+    mass = lambda c: _mass_at(moments, gamma, c)
     c1, c2 = cstar_interval_closed_form(summary.p1, summary.lambda1, v_mode)
     sample_grid = np.arange(0.0, 0.991, 0.05)
     samples = tuple((float(c), mass(float(c)), target(float(c))) for c in sample_grid)
 
     f_lo = mass(lo) - target(lo)
     f_hi = mass(hi) - target(hi)
+    no_crossing = not (f_lo > 0.0 > f_hi or f_lo < 0.0 < f_hi)
+    c_star = residual = float("nan")
+    if not no_crossing:
+        width_goal = max(tolerance * 1e-4, 1e-12)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            f_mid = mass(mid) - target(mid)
+            if (f_mid > 0.0) == (f_lo > 0.0):
+                lo, f_lo = mid, f_mid
+            else:
+                hi = mid
+            if hi - lo <= width_goal:
+                break
+        c_star = 0.5 * (lo + hi)
+        residual = abs(mass(c_star) - target(c_star))
     vt_norm = summary.lambda1 if v_mode == "quasi" else summary.p1
-    if not (f_lo > 0.0 > f_hi or f_lo < 0.0 < f_hi):
-        return CStarReport(v_mode=v_mode, vt_norm=float("nan") if v_mode == "self" else vt_norm,
-                           c1=c1, c2=c2, c_star=float("nan"), residual=float("nan"),
-                           no_crossing=True, samples=samples,
-                           p1=summary.p1, lambda1=summary.lambda1, gamma=gamma)
-
-    width_goal = max(tolerance * 1e-4, 1e-12)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = mass(mid) - target(mid)
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-        if hi - lo <= width_goal:
-            break
-    c_star = 0.5 * (lo + hi)
-    residual = abs(mass(c_star) - target(c_star))
-    if v_mode == "self":
+    if v_mode == "self":   # the target at c*; nan without a crossing
         vt_norm = target(c_star) / gamma
     return CStarReport(v_mode=v_mode, vt_norm=vt_norm, c1=c1, c2=c2, c_star=c_star,
-                       residual=residual, no_crossing=False, samples=samples,
+                       residual=residual, no_crossing=no_crossing, samples=samples,
                        p1=summary.p1, lambda1=summary.lambda1, gamma=gamma)
 
 
 def pure_out_unfairness(pi, labels: BowtieLabeling, blocks: BlockDecomposition) -> float:
     """Pure-OUT mass over its fair share; nan when there is no pure OUT."""
-    values = pi.values if isinstance(pi, RankVector) else np.asarray(pi, dtype=np.float64)
-    nodes = sorted(pure_out_nodes(labels, blocks))
-    delta = len(nodes) / values.size
-    if delta == 0.0:
-        return float("nan")
-    mass = float(values[np.asarray(nodes, dtype=np.int64)].sum())
-    return mass / delta
+    delta = len(pure_out_nodes(labels, blocks)) / labels.labels.size
+    return mass_breakdown(pi, labels, blocks).pure_out / delta if delta else float("nan")

@@ -40,6 +40,8 @@ def run_link_experiment(g: GraphHandle, labels: BowtieLabeling,
     Rank positions are 1-based with ties broken toward the smaller node id;
     block masses sum the original block's nodes under both vectors.
     """
+    if not 0 <= source < g.n:
+        raise ValueError(f"node {source} outside [0, {g.n})")
     block_id = blocks.block_of(source)
     if block_id < 0:
         raise ValueError(f"node {source} is not in a recurrent block")
@@ -68,9 +70,11 @@ def run_link_experiment(g: GraphHandle, labels: BowtieLabeling,
 
 def click_rank(clicks: dict[int, float], node: int, n: int) -> int:
     """Rank of ``node`` by click count over all n nodes (missing count as 0),
-    same tie rule as score ranks."""
+    same tie rule as score ranks; a node id outside [0, n) is a ValueError."""
     counts = np.zeros(n)
     for k, v in clicks.items():
+        if not 0 <= int(k) < n:
+            raise ValueError(f"clicks name node {k}, outside [0, {n})")
         counts[int(k)] = float(v)
     better = int(np.count_nonzero(counts > counts[node]))
     better += int(np.count_nonzero((counts == counts[node])[:node]))

@@ -169,13 +169,12 @@ def load_path(path) -> GraphHandle:
 
 
 def dump_edge_list(g: GraphHandle, stream: IO[str]) -> None:
-    """Write the graph back out: header line, then edges sorted by (u, v)."""
-    stream.write(f"n {g.n}\n")
-    for u, v in g.edges():
-        stream.write(f"{u} {v}\n")
+    """Write :func:`dumps` of the graph to ``stream``."""
+    stream.write(dumps(g))
 
 
 def dumps(g: GraphHandle) -> str:
+    """The edge-list text: header line, then edges sorted by (u, v)."""
     lines = [f"n {g.n}"]
     lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"

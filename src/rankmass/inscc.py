@@ -8,8 +8,9 @@ equation into three coupled linear blocks.  Eliminating OUT and DN leaves
 
 with alpha, beta the IN+SCC and DN node fractions, u the uniform row over
 IN+SCC, P the internal block and S1 the per-node weight toward DN.  The
-rank-one term is applied through two dot products; solves are fixed-point
-iterations against the sparse block.
+rank-one term is applied through two dot products.  Vectors come from
+fixed-point solves, masses on a grid from one walk ``u P^k`` probed with
+``[1, S1]`` and stopped by the solves' own step test (``operators``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import numpy as np
 from .bowtie import BowtieLabeling, Label, scc_labels
 from .errors import AssumptionViolationError, StructureError
 from .graph import GraphHandle
-from .operators import SubstochasticBlock, block_view, solve_left, solve_right, stationary_left
+from .operators import (SubstochasticBlock, block_view, resolvent_moments, series_at,
+                        solve_left, solve_right, stationary_left)
 
 SOLVE_TOL = 1e-14
 FD_STEP_AT_ZERO = 1e-5     # central difference step at c = 0
@@ -116,11 +118,15 @@ def _restart_coeff(view: ThreeBlockView, c: float) -> float:
     return (1.0 - c) * view.alpha / (1.0 - c * view.beta)
 
 
-def inscc_vector(view: ThreeBlockView, c: float, tol: float = SOLVE_TOL) -> np.ndarray:
-    """Evaluate the closed form at damping ``c``; indexed like inscc_nodes."""
+def _damping(c: float) -> float:
     if not 0.0 <= c < 1.0:
         raise ValueError(f"damping must lie in [0, 1); got {c}")
-    return _inscc_at(view, c, tol)
+    return c
+
+
+def inscc_vector(view: ThreeBlockView, c: float, tol: float = SOLVE_TOL) -> np.ndarray:
+    """Evaluate the closed form at damping ``c``; indexed like inscc_nodes."""
+    return _inscc_at(view, _damping(c), tol)
 
 
 def _inscc_at(view: ThreeBlockView, c: float, tol: float = SOLVE_TOL) -> np.ndarray:
@@ -252,27 +258,21 @@ class InsccCurvePoint:
     d2_estimate: float | None = None
 
 
+def _moments(view: ThreeBlockView, c_max: float, tol: float) -> np.ndarray:
+    """Rows ``(u P^k 1, u P^k S1)`` of the walk of P from u, to ``c_max``."""
+    probes = np.column_stack([np.ones(view.size), view.s_leak()])
+    return resolvent_moments(view.p.mul_left, view.uniform(), probes, c_max, tol=tol)
+
+
 def sherman_morrison_split(view: ThreeBlockView, c: float,
                            tol: float = SOLVE_TOL) -> InsccCurvePoint:
     """Split the closed form into its dangling-free main term and the
     rank-one correction; the two recompose the full mass exactly."""
-    if not 0.0 <= c < 1.0:
-        raise ValueError(f"damping must lie in [0, 1); got {c}")
-    u = view.uniform()
-    y = solve_left(lambda v: c * view.p.mul_left(v), u, tol=tol)
-    main = _restart_coeff(view, c) * float(y.sum())
-    q = _rank_one_coeff(view, c) * float(y @ view.s_leak())
-    if q >= 1.0:
-        raise StructureError("rank-one correction is not contractive")
-    correction = q / (1.0 - q) * main
-    return InsccCurvePoint(c=c, mass=main + correction, main_term=main,
-                           correction=correction)
+    return inscc_curve(view, [c], tol=tol)[0]
 
 
 def main_term_mass(view: ThreeBlockView, c: float, tol: float = SOLVE_TOL) -> float:
-    u = view.uniform()
-    y = solve_left(lambda v: c * view.p.mul_left(v), u, tol=tol)
-    return _restart_coeff(view, c) * float(y.sum())
+    return sherman_morrison_split(view, c, tol=tol).main_term
 
 
 def curvature_form(view: ThreeBlockView, c: float, tol: float = SOLVE_TOL) -> float:
@@ -297,12 +297,10 @@ def unimodality_scan(view: ThreeBlockView, grid=None,
     """Scan the main-term mass over a dense grid and report any departure
     from the rise-once-then-decay shape (at most one sign change of the
     first difference, concave tail, positive a(c))."""
-    if grid is None:
-        grid = np.arange(0.0, 0.991, 0.01)
-    grid = np.asarray([float(c) for c in grid])
+    grid = np.arange(0.0, 0.991, 0.01) if grid is None else np.asarray(grid, dtype=float)
     if grid.size < 3:
         raise ValueError("grid too coarse for a shape scan")
-    masses = np.array([main_term_mass(view, c, tol=tol) for c in grid])
+    masses = _restart_coeff(view, grid) * series_at(_moments(view, grid.max(), tol)[:, 0], grid)
 
     violations: list[str] = []
     diffs = np.diff(masses)
@@ -328,24 +326,34 @@ def unimodality_scan(view: ThreeBlockView, grid=None,
                              violations=tuple(violations))
 
 
+def _three_point(grid, values) -> tuple[list, list]:
+    """First and second derivative estimates at each interior grid point,
+    from the parabola through the point and its two neighbours; exact for
+    quadratics on any spacing.  None at the two ends."""
+    d1, d2 = [None] * len(values), [None] * len(values)
+    for i in range(1, len(values) - 1):
+        h0, h1 = grid[i] - grid[i - 1], grid[i + 1] - grid[i]
+        s0, s1 = (values[i] - values[i - 1]) / h0, (values[i + 1] - values[i]) / h1
+        d1[i] = float((h1 * s0 + h0 * s1) / (h0 + h1))
+        d2[i] = float(2.0 * (s1 - s0) / (h0 + h1))
+    return d1, d2
+
+
 def inscc_curve(view: ThreeBlockView, grid, tol: float = SOLVE_TOL) -> list[InsccCurvePoint]:
     """Mass split per grid point, with grid-based difference estimates filled in."""
-    grid = [float(c) for c in grid]
-    points = [sherman_morrison_split(view, c, tol=tol) for c in grid]
-    masses = np.array([p.mass for p in points])
-    out: list[InsccCurvePoint] = []
-    for i, p in enumerate(points):
-        d1 = d2 = None
-        if 0 < i < len(points) - 1:
-            h_prev = grid[i] - grid[i - 1]
-            h_next = grid[i + 1] - grid[i]
-            d1 = float((masses[i + 1] - masses[i - 1]) / (h_prev + h_next))
-            d2 = float((masses[i + 1] - 2 * masses[i] + masses[i - 1])
-                       / (0.5 * (h_prev + h_next)) ** 2)
-        out.append(InsccCurvePoint(c=p.c, mass=p.mass, main_term=p.main_term,
-                                   correction=p.correction,
-                                   d1_estimate=d1, d2_estimate=d2))
-    return out
+    grid = np.array([_damping(float(c)) for c in grid])
+    if not grid.size:
+        return []
+    visits, leak = series_at(_moments(view, grid.max(), tol), grid).T
+    main = _restart_coeff(view, grid) * visits
+    q = _rank_one_coeff(view, grid) * leak
+    if np.any(q >= 1.0):
+        raise StructureError("rank-one correction is not contractive")
+    correction = q / (1.0 - q) * main
+    mass = main + correction
+    d1, d2 = _three_point(grid, mass)
+    return [InsccCurvePoint(*map(float, point), d1_estimate=a, d2_estimate=b)
+            for point, a, b in zip(zip(grid, mass, main, correction), d1, d2)]
 
 
 def mass_derivative_fd_at_zero(view: ThreeBlockView, h: float = FD_STEP_AT_ZERO,

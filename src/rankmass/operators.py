@@ -1,8 +1,10 @@
 """Sub-blocks of the transition matrix and the iterative solves built on them.
 
 A block never materializes dangling rows: their uniform ``1/n`` spread is
-applied as one scalar per product.  Solvers are plain fixed-point iterations;
-the matrices involved are substochastic, so the iterations contract.
+applied as one scalar per product.  Solves are fixed-point iterations; the
+matrices involved are substochastic, so they contract.  Across damping values
+one walk serves instead: :func:`resolvent_moments` probes ``x0 A^k`` until the
+solves' step test holds at ``c_max``, and :func:`series_at` weights it by ``c^k``.
 """
 
 from __future__ import annotations
@@ -72,36 +74,53 @@ def block_view(g: GraphHandle, rows, cols) -> SubstochasticBlock:
 
 
 def solve_left(apply_a: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
-               tol: float = 1e-14, max_iter: int = DEFAULT_MAX_ITER,
-               x0: np.ndarray | None = None) -> np.ndarray:
-    """Solve ``y (I - A) = b`` by the fixed point ``y <- b + y A``.
+               tol: float = 1e-14, max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
+    """Solve ``y (I - A) = b`` by the fixed point ``y <- b + y A``; with
+    ``apply_a(x) = A x`` the same iteration solves ``(I - A) x = b``.
 
     Requires the spectral radius of A below one; raises
     :class:`ConvergenceError` with the last L1 step size otherwise.
-    ``x0`` warm-starts the iteration.
     """
-    y = np.array(b if x0 is None else x0, dtype=np.float64, copy=True)
+    y = np.array(b, dtype=np.float64, copy=True)
     for it in range(1, max_iter + 1):
         y_next = b + apply_a(y)
         delta = float(np.abs(y_next - y).sum())
         y = y_next
         if delta <= tol:
             return y
-    raise ConvergenceError("left solve stagnated", delta, max_iter)
+    raise ConvergenceError("fixed-point solve stagnated", delta, max_iter)
 
 
-def solve_right(apply_a: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
-                tol: float = 1e-14, max_iter: int = DEFAULT_MAX_ITER,
-                x0: np.ndarray | None = None) -> np.ndarray:
-    """Solve ``(I - A) x = b`` by the fixed point ``x <- b + A x``."""
-    x = np.array(b if x0 is None else x0, dtype=np.float64, copy=True)
-    for it in range(1, max_iter + 1):
-        x_next = b + apply_a(x)
-        delta = float(np.abs(x_next - x).sum())
-        x = x_next
-        if delta <= tol:
-            return x
-    raise ConvergenceError("right solve stagnated", delta, max_iter)
+solve_right = solve_left   # the iteration is the same whichever side A acts from
+
+
+def resolvent_moments(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
+                      probes, c_max: float, tol: float = 1e-14,
+                      max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
+    """Rows ``x_k @ probes`` of the walk ``x_k = x0 A^k``, for k = 0..K.
+
+    K is the first k >= 1 with ``c_max^k ||x_k||_1 <= tol``, the step test of
+    :func:`solve_left` on ``c_max A``: for any ``c <= c_max``,
+    ``series_at(moments, [c])[0]`` is ``solve_left(c A, x0) @ probes`` up to
+    rounding.  Raises :class:`ConvergenceError` past ``max_iter`` steps.
+    """
+    x = np.asarray(x0, dtype=np.float64)
+    rows = [x @ probes]
+    for k in range(1, max_iter + 1):
+        x = apply(x)
+        rows.append(x @ probes)
+        term = c_max ** k * float(np.abs(x).sum())
+        if term <= tol:
+            return np.array(rows)
+    raise ConvergenceError(f"resolvent series to c={c_max} did not converge", term, max_iter)
+
+
+def series_at(moments: np.ndarray, grid) -> np.ndarray:
+    """``sum_k c^k moments[k]``, the probes of ``x0 [I - cA]^{-1}``, for each
+    ``c`` in ``grid``.  One vector product per value: a matrix product would
+    make BLAS allocate its Level-3 buffers, about 3 MB of peak memory."""
+    powers = np.arange(len(moments))
+    return np.array([c ** powers @ moments for c in grid])
 
 
 def stationary_left(apply_p: Callable[[np.ndarray], np.ndarray], size: int,

@@ -13,17 +13,15 @@ agree to within twice the tolerance.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .bowtie import BlockDecomposition, BowtieLabeling, Label, pure_out_nodes
 from .errors import ConvergenceError
 from .graph import GraphHandle
-
-THREADS_ENV_VAR = "BOWTIE_THREADS"
+from .operators import resolvent_moments, series_at
 
 
 @dataclass(frozen=True)
@@ -155,9 +153,7 @@ def pagerank_via_resolvent(g: GraphHandle, damping: float, tolerance: float = 1e
     max_iter = cfg.resolved_max_iterations()
     terms_used = 1
     for _ in range(max_iter):
-        linked = np.asarray(term @ g.w).ravel()
-        dangling_mass = float(term[g.dangling].sum()) if g.dangling.size else 0.0
-        term = c * (linked + dangling_mass / n)
+        term = c * _walk_step(g, term)
         total += term
         terms_used += 1
         term_l1 = float(term.sum())  # nonnegative throughout
@@ -170,11 +166,15 @@ def pagerank_via_resolvent(g: GraphHandle, damping: float, tolerance: float = 1e
                            float(term.sum()), max_iter)
 
 
-def _fixed_point_residual(g: GraphHandle, x: np.ndarray, c: float) -> float:
+def _walk_step(g: GraphHandle, x: np.ndarray) -> np.ndarray:
+    """One step ``x W`` of the undamped chain, dangling rows spread uniformly."""
     linked = np.asarray(x @ g.w).ravel()
     dangling_mass = float(x[g.dangling].sum()) if g.dangling.size else 0.0
-    gx = c * linked + (c * dangling_mass + (1.0 - c)) / g.n
-    return float(np.abs(gx - x).sum())
+    return linked + dangling_mass / g.n
+
+
+def _fixed_point_residual(g: GraphHandle, x: np.ndarray, c: float) -> float:
+    return float(np.abs(c * _walk_step(g, x) + (1.0 - c) / g.n - x).sum())
 
 
 @dataclass(frozen=True)
@@ -194,49 +194,49 @@ class MassBreakdown:
         return float(sum(self.by_label.values()))
 
 
+def _component_probes(labels: BowtieLabeling, blocks: BlockDecomposition):
+    """Sparse indicator matrix, one column per node set of a breakdown: the
+    four labels, the extended component, pure OUT, DN, the transient set, and
+    each recurrent block, in :class:`MassBreakdown` field order."""
+    sets = [np.flatnonzero(labels.labels == label) for label in Label]
+    sets += [np.fromiter(s, np.int64, len(s)) for s in (
+        blocks.escc, pure_out_nodes(labels, blocks), blocks.dangling, blocks.transient_set,
+        *blocks.recurrent_blocks)]
+    cols = np.repeat(np.arange(len(sets)), [s.size for s in sets])
+    return sparse.csr_matrix((np.ones(cols.size), (np.concatenate(sets), cols)),
+                             shape=(labels.labels.size, len(sets)))
+
+
+def _breakdown(masses: np.ndarray) -> MassBreakdown:
+    by_label = {label.name: float(masses[label]) for label in Label}
+    return MassBreakdown(by_label, by_label["IN"] + by_label["SCC"], *map(float, masses[4:8]),
+                         tuple(map(float, masses[8:])))
+
+
 def mass_breakdown(pi, labels: BowtieLabeling,
                    blocks: BlockDecomposition) -> MassBreakdown:
     """Sum a rank vector over each component of interest."""
     values = pi.values if isinstance(pi, RankVector) else np.asarray(pi, dtype=np.float64)
-    lab = labels.labels
-
-    def mass_of(nodes) -> float:
-        if not nodes:
-            return 0.0
-        return float(values[np.asarray(sorted(nodes), dtype=np.int64)].sum())
-
-    by_label = {name: float(values[lab == member].sum())
-                for name, member in (("IN", Label.IN), ("SCC", Label.SCC),
-                                     ("OUT", Label.OUT), ("OTHER", Label.OTHER))}
-    return MassBreakdown(
-        by_label=by_label,
-        in_scc=by_label["IN"] + by_label["SCC"],
-        escc=mass_of(blocks.escc),
-        pure_out=mass_of(pure_out_nodes(labels, blocks)),
-        dn=mass_of(blocks.dangling),
-        transient=mass_of(blocks.transient_set),
-        recurrent_blocks=tuple(mass_of(b) for b in blocks.recurrent_blocks),
-    )
+    return _breakdown(values @ _component_probes(labels, blocks))
 
 
 def damping_sweep(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecomposition,
-                  grid, tolerance: float = 1e-12,
-                  workers: int | None = None) -> list[tuple[float, MassBreakdown]]:
+                  grid, tolerance: float = 1e-12) -> list[tuple[float, MassBreakdown]]:
     """One mass breakdown per grid value, in grid order.
 
-    Grid points are independent solves; ``workers`` (default: the
-    BOWTIE_THREADS environment variable, else 1) caps the thread fan-out.
+    The PageRank vector at ``c`` is ``(1-c) sum_k c^k u W^k``, so every point
+    reads the component masses of one walk ``u W^k`` from the uniform vector,
+    taken to the largest grid value, normalised by their label total as
+    :func:`pagerank` normalises its iterate.
     """
     grid = [float(c) for c in grid]
-    if workers is None:
-        workers = int(os.environ.get(THREADS_ENV_VAR, "1") or "1")
-    workers = max(1, min(workers, len(grid) or 1))
-
-    def point(c: float) -> tuple[float, MassBreakdown]:
-        pi = pagerank(g, PageRankConfig(damping=c, tolerance=tolerance))
-        return c, mass_breakdown(pi, labels, blocks)
-
-    if workers == 1:
-        return [point(c) for c in grid]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(point, grid))
+    if not grid:
+        return []
+    top = max((PageRankConfig(damping=c, tolerance=tolerance) for c in grid),
+              key=lambda cfg: cfg.damping)
+    moments = resolvent_moments(lambda x: _walk_step(g, x), np.full(g.n, 1.0 / g.n),
+                                _component_probes(labels, blocks), top.damping,
+                                tol=tolerance, max_iter=top.resolved_max_iterations())
+    masses = series_at(moments, grid)
+    masses /= masses[:, :4].sum(axis=1, keepdims=True)
+    return [(c, _breakdown(m)) for c, m in zip(grid, masses)]

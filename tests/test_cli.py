@@ -220,6 +220,21 @@ def test_link_experiment_without_clicks_omits_column(graph_files, tmp_path, caps
     assert "rank_by_clicks" not in rows[0]
 
 
+def test_link_experiment_rejects_node_ids_outside_graph(graph_files, tmp_path, capsys):
+    base = ["link-experiment", "--graph", graph_files["bowtie"], "--target", "1",
+            "--damping-list", "0.85"]
+    clicks = tmp_path / "clicks.csv"
+    for node in (-1, 12):
+        clicks.write_text(f"node_id,clicks\n8,3\n{node},100\n")
+        code, out, err = run_cli(base + ["--source", "8", "--clicks", str(clicks)], capsys)
+        assert code == 1
+        assert f"clicks name node {node}, outside [0, 12)" in err
+        assert out == ""
+    code, _, err = run_cli(base + ["--source", "999"], capsys)
+    assert code == 1
+    assert "node 999 outside [0, 12)" in err
+
+
 def test_console_entry_point(graph_files):
     proc = subprocess.run([sys.executable, "-m", "rankmass.cli", "decompose",
                            "--graph", graph_files["bowtie"]],

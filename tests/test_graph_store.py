@@ -98,6 +98,13 @@ def test_writer_format(threeblock):
     assert pairs == sorted(pairs)
 
 
+def test_stream_writer_is_dumps(bowtie, threeblock):
+    for g in (bowtie, threeblock, rm.build_graph(3, [])):
+        buf = io.StringIO()
+        rm.dump_edge_list(g, buf)
+        assert buf.getvalue() == rm.dumps(g)
+
+
 def test_hyperlink_row_two_successors(bowtie):
     row = rm.hyperlink_row(bowtie, 7)
     assert not row.uniform

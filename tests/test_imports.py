@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -21,3 +22,18 @@ def test_import_loads_no_heavy_scipy_submodules():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
     assert done.stdout.strip() == "[]"
+
+
+def test_no_module_reads_the_environment():
+    """Results depend on arguments alone: no module of the package reads
+    ``os.environ`` or ``os.getenv``."""
+    reads = []
+    for path in sorted(Path(rankmass.__file__).resolve().parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                reads.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and node.module == "os" and any(
+                    alias.name in ("environ", "getenv") for alias in node.names):
+                reads.append(f"{path.name}:{node.lineno}")
+    assert reads == []

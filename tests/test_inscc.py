@@ -236,6 +236,25 @@ def test_inscc_curve_difference_estimates(threeblock_view):
     assert all(p.d1_estimate < 0 for p in points[1:-1])
 
 
+def test_difference_estimates_exact_for_quadratic_on_uneven_grid():
+    grid = [0.0, 0.1, 0.15, 0.4, 0.45, 0.9]
+    values = [3.0 * c * c - 2.0 * c + 0.5 for c in grid]
+    d1, d2 = inscc._three_point(grid, values)
+    assert d1[0] is d1[-1] is d2[0] is d2[-1] is None
+    for c, slope, curvature in zip(grid[1:-1], d1[1:-1], d2[1:-1]):
+        assert slope == pytest.approx(6.0 * c - 2.0, abs=1e-12)
+        assert curvature == pytest.approx(6.0, abs=1e-11)
+
+
+def test_inscc_curve_difference_estimates_uneven_grid(threeblock_view):
+    # the estimates at c = 0.5 from a lopsided stencil stay close to those of a
+    # fine symmetric one: the three-point error is first order in the spacing
+    fine = rm.inscc_curve(threeblock_view, [0.49, 0.5, 0.51])[1]
+    lopsided = rm.inscc_curve(threeblock_view, [0.49, 0.5, 0.7])[1]
+    assert lopsided.d1_estimate == pytest.approx(fine.d1_estimate, abs=0.01)
+    assert lopsided.d2_estimate == pytest.approx(fine.d2_estimate, abs=0.5)
+
+
 def test_view_rejects_stray_components(threeblock):
     edges = list(threeblock.edges()) + [(9, 10), (10, 9)]
     g = rm.build_graph(11, edges)

@@ -168,10 +168,10 @@ def test_sweep_pure_out_nondecreasing_canonical(threeblock, threeblock_labels,
 
 def test_sweep_order_and_workers(threeblock, threeblock_labels, threeblock_blocks):
     grid = [0.1, 0.3, 0.5]
-    seq = rm.damping_sweep(threeblock, threeblock_labels, threeblock_blocks, grid, workers=1)
-    par = rm.damping_sweep(threeblock, threeblock_labels, threeblock_blocks, grid, workers=3)
-    assert [c for c, _ in seq] == grid == [c for c, _ in par]
-    for (_, a), (_, b) in zip(seq, par):
+    seq = rm.damping_sweep(threeblock, threeblock_labels, threeblock_blocks, grid)
+    rev = rm.damping_sweep(threeblock, threeblock_labels, threeblock_blocks, grid[::-1])
+    assert [c for c, _ in seq] == grid == [c for c, _ in rev][::-1]
+    for (_, a), (_, b) in zip(seq, rev[::-1]):
         assert a.escc == b.escc
 
 
