@@ -89,11 +89,8 @@ def _perron_left(g: GraphHandle, view: SubstochasticBlock,
         lam, vec = perron_irreducible(view, tol=tol)
         return lam, vec / vec.sum()
 
-    per_class = []
-    for cls in classes:
-        sub = block_view(g, view.rows[cls], view.rows[cls])
-        lam_cls, vec_cls = perron_irreducible(sub, tol=tol)
-        per_class.append((lam_cls, vec_cls))
+    subs = [block_view(g, view.rows[cls], view.rows[cls]) for cls in classes]
+    per_class = [perron_irreducible(sub, tol=tol) for sub in subs]
     winner = max(range(len(classes)),
                  key=lambda i: (per_class[i][0], -classes[i][0]))
     lam = per_class[winner][0]
@@ -111,11 +108,10 @@ def _perron_left(g: GraphHandle, view: SubstochasticBlock,
         inflow = view.mul_left(x)[cls]
         if float(np.abs(inflow).sum()) == 0.0:
             continue
-        sub = block_view(g, view.rows[cls], view.rows[cls])
         if per_class[k][0] >= lam - 1e-14:
             raise ConvergenceError(
                 "tied dominant classes along a feeding path", per_class[k][0], 0)
-        x[cls] = solve_left(lambda y: sub.mul_left(y) / lam, inflow / lam, tol=tol)
+        x[cls] = solve_left(lambda y: subs[k].mul_left(y) / lam, inflow / lam, tol=tol)
     x /= x.sum()
     return lam, x
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .bowtie import BlockDecomposition, BowtieLabeling
 from .graph import GraphHandle, with_edge
-from .pagerank import PageRankConfig, pagerank
+from .pagerank import PageRankConfig, pagerank, rank_of
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,4 @@ def click_rank(clicks: dict[int, float], node: int, n: int) -> int:
         if not 0 <= int(k) < n:
             raise ValueError(f"clicks name node {k}, outside [0, {n})")
         counts[int(k)] = float(v)
-    better = int(np.count_nonzero(counts > counts[node]))
-    better += int(np.count_nonzero((counts == counts[node])[:node]))
-    return better + 1
+    return rank_of(counts, node)

@@ -8,15 +8,15 @@ equation into three coupled linear blocks.  Eliminating OUT and DN leaves
 
 with alpha, beta the IN+SCC and DN node fractions, u the uniform row over
 IN+SCC, P the internal block and S1 the per-node weight toward DN.  The
-rank-one term is applied through two dot products.  Vectors come from
-fixed-point solves, masses on a grid from one walk ``u P^k`` probed with
-``[1, S1]`` and stopped by the solves' own step test (``operators``).
+rank-one term is applied through two dot products.  Vectors are sums of
+walks, masses on a grid come from one walk ``u P^k`` probed with ``[1, S1]``
+(``operators``).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -24,8 +24,8 @@ import numpy as np
 from .bowtie import BowtieLabeling, Label, scc_labels
 from .errors import AssumptionViolationError, StructureError
 from .graph import GraphHandle
-from .operators import (SubstochasticBlock, block_view, resolvent_moments, series_at,
-                        solve_left, solve_right, stationary_left)
+from .operators import (SubstochasticBlock, block_view, perron_irreducible, resolvent_moments,
+                        series_at, solve_left)
 
 SOLVE_TOL = 1e-14
 FD_STEP_AT_ZERO = 1e-5     # central difference step at c = 0
@@ -238,12 +238,8 @@ def _internal_stationary(view: ThreeBlockView, tol: float = SOLVE_TOL) -> np.nda
             f"IN+SCC nodes {dead} have no internal links; the internal walk is reducible")
     if scc_labels(p.indptr, p.indices).any():
         raise StructureError("internal IN+SCC walk is reducible")
-    scale = 1.0 / sums
-
-    def apply(y: np.ndarray) -> np.ndarray:
-        return np.asarray((y * scale) @ p).ravel()
-
-    return stationary_left(apply, p.shape[0], tol=tol)
+    internal = p.multiply(1.0 / sums[:, None]).tocsr()
+    return perron_irreducible(replace(view.p, matrix=internal), tol=tol)[1]
 
 
 @dataclass(frozen=True)
@@ -280,7 +276,7 @@ def curvature_form(view: ThreeBlockView, c: float, tol: float = SOLVE_TOL) -> fl
     because the internal block only loses mass."""
     u = view.uniform()
     y = solve_left(lambda v: c * view.p.mul_left(v), u, tol=tol)
-    z = solve_right(lambda v: c * view.p.mul_right(v), np.ones(view.size), tol=tol)
+    z = solve_left(lambda v: c * view.p.mul_right(v), np.ones(view.size), tol=tol)
     return view.alpha / (1.0 - c * view.beta) * float(y @ (z - view.p.mul_right(z)))
 
 

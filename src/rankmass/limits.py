@@ -20,7 +20,7 @@ from scipy import sparse
 from .bowtie import BlockDecomposition, component_lists, scc_labels
 from .errors import StructureError
 from .graph import GraphHandle
-from .operators import block_view, dense_stationary, solve_left, stationary_left
+from .operators import block_view, dense_stationary, perron_irreducible, solve_left
 
 LAURENT_MAX_SIZE = 20
 AGGREGATED_MAX_SIZE = 30
@@ -40,7 +40,7 @@ def block_stationary(g: GraphHandle, block, tol: float = 1e-14) -> np.ndarray:
         raise StructureError(f"block is not closed: nodes {leaky} leak mass")
     if scc_labels(view.matrix.indptr, view.matrix.indices, view.dangling_local).any():
         raise StructureError("block is not strongly connected")
-    return stationary_left(view.mul_left, view.rows.size, tol=tol)
+    return perron_irreducible(view, tol=tol)[1]
 
 
 def absorption_weights(g: GraphHandle, blocks: BlockDecomposition,

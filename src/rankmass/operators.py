@@ -1,16 +1,20 @@
-"""Sub-blocks of the transition matrix and the iterative solves built on them.
+"""Sub-blocks of the transition matrix and the iterative routines built on them.
 
 A block never materializes dangling rows: their uniform ``1/n`` spread is
-applied as one scalar per product.  Solves are fixed-point iterations; the
-matrices involved are substochastic, so they contract.  Across damping values
-one walk serves instead: :func:`resolvent_moments` probes ``x0 A^k`` until the
-solves' step test holds at ``c_max``, and :func:`series_at` weights it by ``c^k``.
+applied as one scalar per product; :func:`chain_view` is the whole graph as
+one such block.  Every series ``x0 sum_k c^k A^k`` is read off one walk
+(:func:`walk`), which yields ``x0 A^k`` until ``c_max^k ||x0 A^k||_1`` falls
+below the tolerance: :func:`solve_left` sums it at ``c = 1`` and
+:func:`resolvent_moments` probes it for :func:`series_at` to weight by
+``c^k``.  Dominant and stationary vectors come from
+:func:`perron_irreducible`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy import sparse
@@ -42,9 +46,14 @@ class SubstochasticBlock:
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
 
+    @cached_property
+    def _transposed(self) -> sparse.csc_matrix:
+        # shares the CSR arrays; ``y @ matrix`` would build this on every call
+        return self.matrix.T
+
     def mul_left(self, y: np.ndarray) -> np.ndarray:
         """Row-vector product ``y @ B``."""
-        out = np.asarray(y @ self.matrix).ravel()
+        out = self._transposed @ y
         if self.dangling_local.size:
             out = out + float(y[self.dangling_local].sum()) / self.n_total
         return out
@@ -73,46 +82,56 @@ def block_view(g: GraphHandle, rows, cols) -> SubstochasticBlock:
                               n_total=g.n, rows=rows, cols=cols)
 
 
+def chain_view(g: GraphHandle) -> SubstochasticBlock:
+    """The whole transition matrix as one block over ``g.w``, not copied."""
+    every = np.arange(g.n)
+    return SubstochasticBlock(matrix=g.w, dangling_local=g.dangling, n_total=g.n,
+                              rows=every, cols=every)
+
+
+def walk(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, c_max: float = 1.0,
+         tol: float = 1e-14, max_iter: int = DEFAULT_MAX_ITER) -> Iterator[np.ndarray]:
+    """Yield ``x_k = x0 A^k``, with ``apply(x) = x A``, for k = 0..K.
+
+    K is the first k >= 1 with ``c_max^k ||x_k||_1 <= tol``.  Raises
+    :class:`ConvergenceError` at the first non-finite term, and past
+    ``max_iter`` steps with the last ``c_max^k ||x_k||_1``.
+    """
+    x = np.asarray(x0, dtype=np.float64)
+    yield x
+    for k in range(1, max_iter + 1):
+        x = apply(x)
+        term = c_max ** k * float(np.abs(x).sum())
+        if not np.isfinite(term):
+            raise ConvergenceError("walk reached a non-finite term", term, k)
+        yield x
+        if term <= tol:
+            return
+    raise ConvergenceError(f"series to c={c_max} did not converge", term, max_iter)
+
+
 def solve_left(apply_a: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
                tol: float = 1e-14, max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
-    """Solve ``y (I - A) = b`` by the fixed point ``y <- b + y A``; with
-    ``apply_a(x) = A x`` the same iteration solves ``(I - A) x = b``.
+    """Solve ``y (I - A) = b`` as the sum of the walk ``b A^k`` (:func:`walk`);
+    with ``apply_a(x) = A x`` the same sum solves ``(I - A) x = b``.
 
-    Requires the spectral radius of A below one; raises
-    :class:`ConvergenceError` with the last L1 step size otherwise.
+    The sum stops after the first term of L1 norm at most ``tol``.  Requires
+    the spectral radius of A below one; raises :class:`ConvergenceError`
+    otherwise.
     """
-    y = np.array(b, dtype=np.float64, copy=True)
-    for it in range(1, max_iter + 1):
-        y_next = b + apply_a(y)
-        delta = float(np.abs(y_next - y).sum())
-        y = y_next
-        if delta <= tol:
-            return y
-    raise ConvergenceError("fixed-point solve stagnated", delta, max_iter)
-
-
-solve_right = solve_left   # the iteration is the same whichever side A acts from
+    return sum(walk(apply_a, b, tol=tol, max_iter=max_iter))
 
 
 def resolvent_moments(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
                       probes, c_max: float, tol: float = 1e-14,
                       max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
-    """Rows ``x_k @ probes`` of the walk ``x_k = x0 A^k``, for k = 0..K.
+    """Rows ``x_k @ probes`` of the walk ``x_k = x0 A^k`` (:func:`walk`), k = 0..K.
 
-    K is the first k >= 1 with ``c_max^k ||x_k||_1 <= tol``, the step test of
-    :func:`solve_left` on ``c_max A``: for any ``c <= c_max``,
-    ``series_at(moments, [c])[0]`` is ``solve_left(c A, x0) @ probes`` up to
-    rounding.  Raises :class:`ConvergenceError` past ``max_iter`` steps.
+    The walk stops where :func:`solve_left` on ``c_max A`` stops: for any
+    ``c <= c_max``, ``series_at(moments, [c])[0]`` is
+    ``solve_left(c A, x0) @ probes`` up to rounding.
     """
-    x = np.asarray(x0, dtype=np.float64)
-    rows = [x @ probes]
-    for k in range(1, max_iter + 1):
-        x = apply(x)
-        rows.append(x @ probes)
-        term = c_max ** k * float(np.abs(x).sum())
-        if term <= tol:
-            return np.array(rows)
-    raise ConvergenceError(f"resolvent series to c={c_max} did not converge", term, max_iter)
+    return np.array([x @ probes for x in walk(apply, x0, c_max, tol, max_iter)])
 
 
 def series_at(moments: np.ndarray, grid) -> np.ndarray:
@@ -121,24 +140,6 @@ def series_at(moments: np.ndarray, grid) -> np.ndarray:
     make BLAS allocate its Level-3 buffers, about 3 MB of peak memory."""
     powers = np.arange(len(moments))
     return np.array([c ** powers @ moments for c in grid])
-
-
-def stationary_left(apply_p: Callable[[np.ndarray], np.ndarray], size: int,
-                    tol: float = 1e-14, max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
-    """Stationary row vector of a row-stochastic operator.
-
-    Iterates the half-step blend ``y <- (y + y P) / 2``, which shares the
-    fixed point but is immune to periodic cycling.
-    """
-    y = np.full(size, 1.0 / size)
-    for it in range(1, max_iter + 1):
-        y_next = 0.5 * (y + apply_p(y))
-        y_next /= y_next.sum()
-        delta = float(np.abs(y_next - y).sum())
-        y = y_next
-        if delta <= tol:
-            return y
-    raise ConvergenceError("stationary iteration stagnated", delta, max_iter)
 
 
 def dense_stationary(p: np.ndarray) -> np.ndarray:
@@ -157,23 +158,32 @@ def dense_stationary(p: np.ndarray) -> np.ndarray:
 
 def perron_irreducible(block: SubstochasticBlock, tol: float = 1e-13,
                        max_iter: int = DEFAULT_MAX_ITER) -> tuple[float, np.ndarray]:
-    """Dominant eigenvalue and left eigenvector of an irreducible nonnegative
-    block, via the same half-step blend (handles periodic blocks)."""
+    """Dominant eigenvalue and probability-normed left eigenvector of an
+    irreducible nonnegative block; for a stochastic block, its stationary
+    vector.
+
+    Iterates the half-step blend ``y <- (y + y B) / 2``, normalised, which
+    shares the eigenvector but is immune to periodic cycling, until the
+    residual ``||y B - lam y||_1`` is at most ``tol``.  Raises
+    :class:`ConvergenceError` at the first non-finite residual.
+    """
     size = block.shape[0]
     if size == 1:
         # single node: the eigenvalue is its self-transition weight
         return float(block.mul_left(np.ones(1))[0]), np.ones(1)
     y = np.full(size, 1.0 / size)
-    lam = 0.0
     for it in range(1, max_iter + 1):
         z = block.mul_left(y)
         lam = float(z.sum())
+        residual = float(np.abs(z - lam * y).sum())
+        if not np.isfinite(residual):
+            raise ConvergenceError("eigenvector iteration reached a non-finite value",
+                                   residual, it)
         y_next = 0.5 * (y + z)
         s = y_next.sum()
         if s <= 0.0:
             return 0.0, np.full(size, 1.0 / size)
         y_next /= s
-        residual = float(np.abs(z - lam * y).sum())
         y = y_next
         if residual <= tol:
             return lam, y

@@ -21,7 +21,7 @@ from scipy import sparse
 from .bowtie import BlockDecomposition, BowtieLabeling, Label, pure_out_nodes
 from .errors import ConvergenceError
 from .graph import GraphHandle
-from .operators import resolvent_moments, series_at
+from .operators import chain_view, resolvent_moments, series_at, walk
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,16 @@ class RankVector:
         self.values.setflags(write=False)
 
     def rank_position(self, node: int) -> int:
-        """1-based rank of ``node``; higher score ranks first, ties go to the
-        smaller node id."""
-        v = self.values
-        better = int(np.count_nonzero(v > v[node]))
-        better += int(np.count_nonzero((v == v[node])[:node]))
-        return better + 1
+        """1-based rank of ``node`` (:func:`rank_of`)."""
+        return rank_of(self.values, node)
+
+
+def rank_of(values: np.ndarray, node: int) -> int:
+    """1-based rank of ``node`` by ``values``; higher ranks first, ties go to
+    the smaller node id."""
+    better = int(np.count_nonzero(values > values[node]))
+    better += int(np.count_nonzero((values == values[node])[:node]))
+    return better + 1
 
 
 def _effective_tol(tolerance: float, c: float) -> float:
@@ -98,6 +102,7 @@ def pagerank(g: GraphHandle, cfg: PageRankConfig,
     n = g.n
     max_iter = cfg.resolved_max_iterations()
     stop = _effective_tol(cfg.tolerance, c)
+    chain = chain_view(g)
 
     if start is None:
         x = np.full(n, 1.0 / n)
@@ -115,9 +120,7 @@ def pagerank(g: GraphHandle, cfg: PageRankConfig,
     delta = np.inf
     deltas: list[float] = []
     for it in range(1, max_iter + 1):
-        linked = np.asarray(x @ g.w).ravel()
-        dangling_mass = float(x[g.dangling].sum()) if g.dangling.size else 0.0
-        x_next = c * linked + (c * dangling_mass + (1.0 - c)) / n
+        x_next = c * chain.mul_left(x) + (1.0 - c) / n
         x_next /= x_next.sum()
         delta = float(np.abs(x_next - x).sum())
         x = x_next
@@ -138,8 +141,8 @@ def pagerank_via_resolvent(g: GraphHandle, damping: float, tolerance: float = 1e
                            max_iterations: int | None = None) -> RankVector:
     """Same vector through the restart-weighted sum of walk distributions.
 
-    Accumulates ((1-c)/n) 1^T sum_k (c W)^k, stopping once the geometric
-    tail falls below the tolerance.  Cross-validates the power iteration.
+    Sums the walk ((1-c)/n) 1^T (c W)^k, stopping once a term falls below the
+    tolerance.  Cross-validates the power iteration.
     """
     cfg = PageRankConfig(damping=damping, tolerance=tolerance,
                          max_iterations=max_iterations)
@@ -147,34 +150,16 @@ def pagerank_via_resolvent(g: GraphHandle, damping: float, tolerance: float = 1e
     n = g.n
     if n == 0:
         raise ValueError("empty graph")
-    term = np.full(n, (1.0 - c) / n)
-    total = term.copy()
-    stop = _effective_tol(cfg.tolerance, c)
-    max_iter = cfg.resolved_max_iterations()
-    terms_used = 1
-    for _ in range(max_iter):
-        term = c * _walk_step(g, term)
+    chain = chain_view(g)
+    total = np.zeros(n)
+    terms = walk(lambda x: c * chain.mul_left(x), np.full(n, (1.0 - c) / n),
+                 tol=_effective_tol(cfg.tolerance, c), max_iter=cfg.resolved_max_iterations())
+    for terms_used, term in enumerate(terms, start=1):
         total += term
-        terms_used += 1
-        term_l1 = float(term.sum())  # nonnegative throughout
-        if term_l1 <= stop:
-            total /= total.sum()
-            residual = _fixed_point_residual(g, total, c)
-            return RankVector(values=total, damping=c, iterations_used=terms_used,
-                              residual=residual)
-    raise ConvergenceError(f"resolvent series at c={c} did not converge",
-                           float(term.sum()), max_iter)
-
-
-def _walk_step(g: GraphHandle, x: np.ndarray) -> np.ndarray:
-    """One step ``x W`` of the undamped chain, dangling rows spread uniformly."""
-    linked = np.asarray(x @ g.w).ravel()
-    dangling_mass = float(x[g.dangling].sum()) if g.dangling.size else 0.0
-    return linked + dangling_mass / g.n
-
-
-def _fixed_point_residual(g: GraphHandle, x: np.ndarray, c: float) -> float:
-    return float(np.abs(c * _walk_step(g, x) + (1.0 - c) / g.n - x).sum())
+    total /= total.sum()
+    residual = float(np.abs(c * chain.mul_left(total) + (1.0 - c) / n - total).sum())
+    return RankVector(values=total, damping=c, iterations_used=terms_used,
+                      residual=residual)
 
 
 @dataclass(frozen=True)
@@ -234,7 +219,7 @@ def damping_sweep(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecomposi
         return []
     top = max((PageRankConfig(damping=c, tolerance=tolerance) for c in grid),
               key=lambda cfg: cfg.damping)
-    moments = resolvent_moments(lambda x: _walk_step(g, x), np.full(g.n, 1.0 / g.n),
+    moments = resolvent_moments(chain_view(g).mul_left, np.full(g.n, 1.0 / g.n),
                                 _component_probes(labels, blocks), top.damping,
                                 tol=tolerance, max_iter=top.resolved_max_iterations())
     masses = series_at(moments, grid)

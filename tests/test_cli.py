@@ -1,7 +1,9 @@
 import csv
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -236,8 +238,11 @@ def test_link_experiment_rejects_node_ids_outside_graph(graph_files, tmp_path, c
 
 
 def test_console_entry_point(graph_files):
+    # the child imports the package from where this process found it
+    path = [str(Path(rm.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run([sys.executable, "-m", "rankmass.cli", "decompose",
                            "--graph", graph_files["bowtie"]],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
     assert proc.returncode == 0
     assert "node_id,bowtie_label" in proc.stdout
