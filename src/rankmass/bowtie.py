@@ -10,9 +10,11 @@ to every node.  Those rows are modelled as one edge each to a virtual hub
 node that links to every node of the view, so the walk costs O(n + m)
 instead of O(|dangling| * n).
 
-Components are numbered deterministically by their smallest member, and
-every returned node collection is sorted, so downstream CSV output is
-reproducible byte for byte.
+Components are numbered deterministically by their smallest member and
+every node collection is sorted, so downstream CSV output is reproducible
+byte for byte.  Node sets are stored only here, as per-node arrays (labels,
+component and block ids, masks) that the analyses index with; the tuples
+and frozensets of the public API are derived from them on each access.
 """
 
 from __future__ import annotations
@@ -121,6 +123,10 @@ def component_lists(labels: np.ndarray) -> list[list[int]]:
     return [members[a:b] for a, b in zip([0] + bounds[:-1], bounds)]
 
 
+def _node_set(mask: np.ndarray) -> frozenset:
+    return frozenset(np.flatnonzero(mask).tolist())
+
+
 def closure(indptr, indices, seeds) -> np.ndarray:
     """Boolean mask of the nodes reachable from ``seeds`` along CSR edges
     (seeds included).  Pass the reverse adjacency for nodes that reach them."""
@@ -162,17 +168,20 @@ class BowtieLabeling:
     """Per-node IN/SCC/OUT/OTHER labels around the giant strongly connected
     component (largest; ties broken by smallest member id)."""
 
-    labels: np.ndarray
+    labels: np.ndarray            # node -> Label code
+    component_of: np.ndarray      # node -> raw SCC id, numbered by smallest member
     giant_scc_id: int
-    components: tuple[tuple[int, ...], ...]
-    component_of: np.ndarray      # node -> index into ``components``
+
+    @property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, component_lists(self.component_of)))
 
     @property
     def giant_scc(self) -> frozenset:
-        return frozenset(self.components[self.giant_scc_id])
+        return _node_set(self.component_of == self.giant_scc_id)
 
     def nodes_with(self, label: Label) -> frozenset:
-        return frozenset(int(i) for i in np.flatnonzero(self.labels == label))
+        return _node_set(self.labels == label)
 
     @property
     def in_nodes(self) -> frozenset:
@@ -199,9 +208,8 @@ def bowtie_labeling(g: GraphHandle) -> BowtieLabeling:
     if g.n == 0:
         raise StructureError("empty graph has no components")
     component_of = by_smallest_member(scc_labels(g.out_indptr, g.out_indices))
-    comps = component_lists(component_of)
     giant_id = int(np.argmax(np.bincount(component_of)))  # first maximum: smallest member
-    giant = comps[giant_id]
+    giant = np.flatnonzero(component_of == giant_id)
 
     from_scc = closure(g.out_indptr, g.out_indices, giant)
     to_scc = closure(g.in_indptr, g.in_indices, giant)
@@ -210,11 +218,9 @@ def bowtie_labeling(g: GraphHandle) -> BowtieLabeling:
     labels[to_scc] = int(Label.IN)
     labels[from_scc] = int(Label.OUT)
     labels[giant] = int(Label.SCC)
-    labels.setflags(write=False)
-    component_of.setflags(write=False)
-    return BowtieLabeling(labels=labels, giant_scc_id=giant_id,
-                          components=tuple(tuple(c) for c in comps),
-                          component_of=component_of)
+    for arr in (labels, component_of):
+        arr.setflags(write=False)
+    return BowtieLabeling(labels=labels, component_of=component_of, giant_scc_id=giant_id)
 
 
 def extended_scc(g: GraphHandle, labels: BowtieLabeling) -> frozenset:
@@ -223,11 +229,9 @@ def extended_scc(g: GraphHandle, labels: BowtieLabeling) -> frozenset:
     With dangling nodes present this swallows IN, the dangling nodes, and any
     of their predecessors on the OUT side.
     """
-    member = min(labels.giant_scc)
-    for comp in w_components(g):
-        if member in comp:
-            return frozenset(comp)
-    raise AssertionError("giant SCC member missing from component cover")
+    component = scc_labels(g.out_indptr, g.out_indices, g.dangling)
+    member = np.argmax(labels.component_of == labels.giant_scc_id)
+    return _node_set(component == component[member])
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,20 +245,37 @@ class BlockDecomposition:
     nodes, realizing the block-triangular matrix layout.
     """
 
-    recurrent_blocks: tuple[tuple[int, ...], ...]
-    transient_set: frozenset
-    escc: frozenset
-    dangling: frozenset
-    permutation: np.ndarray
     block_index: np.ndarray       # node -> recurrent block index, -1 if transient
+    num_blocks: int
+    escc_mask: np.ndarray         # node lies in the extended component
+    pure_out_mask: np.ndarray     # OUT-labeled node outside the extended component
+    dangling_ids: np.ndarray      # the graph's dangling nodes, sorted
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.recurrent_blocks)
+        return tuple(np.bincount(self.block_index[self.block_index >= 0]).tolist())
 
     @property
-    def num_blocks(self) -> int:
-        return len(self.recurrent_blocks)
+    def permutation(self) -> np.ndarray:
+        return np.argsort(np.where(self.block_index < 0, self.num_blocks, self.block_index),
+                          kind="stable")
+
+    @property
+    def recurrent_blocks(self) -> tuple[tuple[int, ...], ...]:
+        ends = np.cumsum(self.block_sizes, dtype=np.int64)
+        return tuple(tuple(b.tolist()) for b in np.split(self.permutation, ends)[:-1])
+
+    @property
+    def transient_set(self) -> frozenset:
+        return _node_set(self.block_index < 0)
+
+    @property
+    def escc(self) -> frozenset:
+        return _node_set(self.escc_mask)
+
+    @property
+    def dangling(self) -> frozenset:
+        return frozenset(self.dangling_ids.tolist())
 
     def block_of(self, node: int) -> int:
         """Index of the recurrent block holding ``node``, or -1 if transient."""
@@ -272,42 +293,41 @@ def block_decomposition(g: GraphHandle, labels: BowtieLabeling) -> BlockDecompos
     if g.dangling.size:
         comp_of = np.where(closure(g.in_indptr, g.in_indices, g.dangling), -1, comp_of)
     comp_of = by_smallest_member(comp_of)
-    comps = component_lists(comp_of)
+    count = int(comp_of.max()) + 1
 
-    sources = np.repeat(np.arange(g.n), g.out_degree)
-    opened = np.zeros(len(comps), dtype=bool)
-    opened[comp_of[sources[comp_of[sources] != comp_of[g.out_indices]]]] = True
-    if g.dangling.size and len(comps) > 1:
+    source_comp = np.repeat(comp_of, g.out_degree)
+    opened = np.zeros(count, dtype=bool)
+    opened[source_comp[source_comp != comp_of[g.out_indices]]] = True
+    if g.dangling.size and count > 1:
         opened[comp_of[g.dangling[0]]] = True
 
     closed = ~opened
-    block_ids = np.where(closed, np.cumsum(closed) - 1, -1)
-    block_index = block_ids[comp_of]
-    num_blocks = int(closed.sum())
-    permutation = np.argsort(np.where(block_index < 0, num_blocks, block_index),
-                             kind="stable")
-    for arr in (block_index, permutation):
+    block_index = np.where(closed, np.cumsum(closed) - 1, -1)[comp_of]
+    escc_mask = comp_of == comp_of[np.argmax(labels.component_of == labels.giant_scc_id)]
+    pure_out_mask = (labels.labels == Label.OUT) & ~escc_mask
+    for arr in (block_index, escc_mask, pure_out_mask):
         arr.setflags(write=False)
-    return BlockDecomposition(
-        recurrent_blocks=tuple(tuple(c) for c, shut in zip(comps, closed) if shut),
-        transient_set=frozenset(np.flatnonzero(block_index < 0).tolist()),
-        escc=frozenset(comps[comp_of[labels.components[labels.giant_scc_id][0]]]),
-        dangling=g.dangling_set,
-        permutation=permutation,
-        block_index=block_index)
+    return BlockDecomposition(block_index=block_index, num_blocks=int(closed.sum()),
+                              escc_mask=escc_mask, pure_out_mask=pure_out_mask,
+                              dangling_ids=g.dangling)
 
 
 def pure_out_nodes(labels: BowtieLabeling, blocks: BlockDecomposition) -> frozenset:
-    """OUT-labeled nodes outside the extended component."""
-    return labels.out_nodes - blocks.escc
+    """OUT-labeled nodes outside the extended component (``blocks.pure_out_mask``)."""
+    return _node_set(blocks.pure_out_mask)
 
 
-def dual_path_out_nodes(g: GraphHandle, labels: BowtieLabeling,
-                        blocks: BlockDecomposition) -> frozenset:
+def dual_path_mask(g: GraphHandle, labels: BowtieLabeling,
+                   blocks: BlockDecomposition) -> np.ndarray:
     """Non-dangling OUT nodes whose raw links lead both to a dangling node and
     into a recurrent block.  These sit on the fence between the extended
     component and the dead-ends; flagged for inspection in CSV output."""
     reach_dangling = closure(g.in_indptr, g.in_indices, g.dangling)
     reach_block = closure(g.in_indptr, g.in_indices, np.flatnonzero(blocks.block_index >= 0))
-    flagged = (labels.labels == Label.OUT) & ~g.dangling_mask & reach_dangling & reach_block
-    return frozenset(np.flatnonzero(flagged).tolist())
+    return (labels.labels == Label.OUT) & ~g.dangling_mask & reach_dangling & reach_block
+
+
+def dual_path_out_nodes(g: GraphHandle, labels: BowtieLabeling,
+                        blocks: BlockDecomposition) -> frozenset:
+    """The nodes of :func:`dual_path_mask`."""
+    return _node_set(dual_path_mask(g, labels, blocks))

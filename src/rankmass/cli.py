@@ -19,8 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bowtie import (Label, block_decomposition, bowtie_labeling, dual_path_out_nodes,
-                     pure_out_nodes)
+from .bowtie import Label, block_decomposition, bowtie_labeling, dual_path_mask
 from .errors import ConvergenceError
 from .escc import V_MODES, cstar_solve, prop3_bounds
 from .experiment import click_rank, run_link_experiment
@@ -134,42 +133,35 @@ def _structures(graph_path: str):
 
 def _components_within(labels, mask: np.ndarray) -> int:
     """Number of raw SCCs whose every member lies in ``mask``."""
-    inside = np.ones(len(labels.components), dtype=bool)
+    inside = np.ones(int(labels.component_of.max()) + 1, dtype=bool)
     inside[labels.component_of[~mask]] = False
     return int(inside.sum())
 
 
 def cmd_decompose(args) -> int:
     g, labels, blocks = _structures(args.graph)
-    escc = blocks.escc
-    pure = pure_out_nodes(labels, blocks)
-    flagged = dual_path_out_nodes(g, labels, blocks)
-    out_mask = labels.labels == Label.OUT
-    pure_mask = np.zeros(g.n, dtype=bool)
-    pure_mask[list(pure)] = True
-    sccs_in_out = _components_within(labels, out_mask)
-    sccs_in_pure = _components_within(labels, pure_mask)
-
     report = CsvReport(args.graph, {"command": "decompose"})
     report.comment(f"total_nodes={g.n}")
-    report.comment(f"nodes_in_scc={len(labels.scc_nodes)}")
-    report.comment(f"nodes_in_in={len(labels.in_nodes)}")
-    report.comment(f"nodes_in_out={len(labels.out_nodes)}")
-    report.comment(f"nodes_in_escc={len(escc)}")
-    report.comment(f"nodes_in_pure_out={len(pure)}")
-    report.comment(f"sccs_in_out={sccs_in_out}")
-    report.comment(f"sccs_in_pure_out={sccs_in_pure}")
+    report.comment(f"nodes_in_scc={np.count_nonzero(labels.labels == Label.SCC)}")
+    report.comment(f"nodes_in_in={np.count_nonzero(labels.labels == Label.IN)}")
+    report.comment(f"nodes_in_out={np.count_nonzero(labels.labels == Label.OUT)}")
+    report.comment(f"nodes_in_escc={np.count_nonzero(blocks.escc_mask)}")
+    report.comment(f"nodes_in_pure_out={np.count_nonzero(blocks.pure_out_mask)}")
+    report.comment(f"sccs_in_out={_components_within(labels, labels.labels == Label.OUT)}")
+    report.comment(f"sccs_in_pure_out={_components_within(labels, blocks.pure_out_mask)}")
     report.row(["node_id", "bowtie_label", "in_escc", "in_pure_out",
                 "recurrent_block_id", "feeds_dangling_and_deadend"])
-    for v in range(g.n):
-        report.row([v, labels.name_of(v), v in escc, v in pure,
-                    blocks.block_of(v), v in flagged])
+    names = [label.name for label in Label]
+    columns = (labels.labels, blocks.escc_mask, blocks.pure_out_mask, blocks.block_index,
+               dual_path_mask(g, labels, blocks))
+    for v, (label, *cells) in enumerate(zip(*(column.tolist() for column in columns))):
+        report.row([v, names[label], *cells])
     report.save(args.out)
     return 0
 
 
 def cmd_pagerank(args) -> int:
-    g, _, _ = _structures(args.graph)
+    g = load_path(args.graph)
     cfg = PageRankConfig(damping=args.damping, tolerance=args.tol,
                          max_iterations=args.max_iter)
     result = pagerank(g, cfg)
@@ -217,7 +209,8 @@ def cmd_limit(args) -> int:
 
 
 def cmd_inscc_curve(args) -> int:
-    g, labels, _ = _structures(args.graph)
+    g = load_path(args.graph)
+    labels = bowtie_labeling(g)
     view = three_block_view(g, labels, fold_other=args.fold_other,
                             force_dn_merge=args.force_dn_merge)
     grid = _parse_grid(args.grid)
@@ -235,7 +228,8 @@ def cmd_inscc_curve(args) -> int:
 
 
 def cmd_inscc_derivatives(args) -> int:
-    g, labels, _ = _structures(args.graph)
+    g = load_path(args.graph)
+    labels = bowtie_labeling(g)
     view = three_block_view(g, labels, fold_other=args.fold_other,
                             force_dn_merge=args.force_dn_merge)
     at_zero = derivative_at_zero(view)
@@ -306,11 +300,11 @@ def cmd_link_experiment(args) -> int:
     damping_values = [_damping_arg(tok) for tok in args.damping_list.split(",") if tok]
     if not damping_values:
         raise ValueError("damping-list is empty")
+    click_position = None
+    if args.clicks:   # a bad clicks file fails before the power iterations
+        click_position = click_rank(_read_clicks(args.clicks), args.source, g.n)
     result = run_link_experiment(g, labels, blocks, args.source, args.target,
                                  damping_values, tolerance=args.tol)
-    click_position = None
-    if args.clicks:
-        click_position = click_rank(_read_clicks(args.clicks), result.source, g.n)
 
     report = CsvReport(args.graph, {
         "command": "link-experiment", "source": args.source, "target": args.target,
@@ -334,10 +328,15 @@ def cmd_link_experiment(args) -> int:
 def _read_clicks(path: str) -> dict[int, float]:
     clicks: dict[int, float] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].startswith("#") or row[0] == "node_id":
                 continue
-            clicks[int(row[0])] = float(row[1])
+            try:
+                clicks[int(row[0])] = float(row[1])
+            except (IndexError, ValueError):
+                raise ValueError(f"{path}: line {reader.line_num}: expected node_id,clicks; "
+                                 f"got {row}") from None
     return clicks
 
 

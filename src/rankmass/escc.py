@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bowtie import (BlockDecomposition, BowtieLabeling, component_lists, pure_out_nodes,
-                     scc_labels)
+from .bowtie import BlockDecomposition, BowtieLabeling, component_lists, scc_labels
 from .errors import ConvergenceError, StructureError
 from .graph import GraphHandle
 from .operators import (SubstochasticBlock, block_view, perron_irreducible,
@@ -42,12 +41,12 @@ def transient_view(g: GraphHandle, blocks: BlockDecomposition,
     transient set (extended component plus transient pure-OUT states);
     ``escc_only`` restricts to the extended component proper."""
     if escc_only:
-        if not blocks.escc <= blocks.transient_set:
+        if np.any(blocks.escc_mask & (blocks.block_index >= 0)):
             raise StructureError("the extended component is closed; nothing is transient")
-        nodes = sorted(blocks.escc)
+        nodes = np.flatnonzero(blocks.escc_mask)
     else:
-        nodes = sorted(blocks.transient_set)
-    if not nodes:
+        nodes = np.flatnonzero(blocks.block_index < 0)
+    if not nodes.size:
         raise StructureError("transient block is empty")
     return block_view(g, nodes, nodes)
 
@@ -122,7 +121,7 @@ def spectral_summary(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecomp
     view = transient_view(g, blocks, escc_only)
     lam, quasi = _perron_left(g, view, tol=tol)
     p1 = float(view.row_sums().mean())
-    delta = len(pure_out_nodes(labels, blocks)) / g.n
+    delta = np.count_nonzero(blocks.pure_out_mask) / g.n
     quasi.setflags(write=False)
     return SpectralSummary(p1=p1, lambda1=lam, quasi_stationary=quasi,
                            gamma=view.rows.size / g.n, delta=delta,
@@ -315,5 +314,5 @@ def cstar_solve(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecompositi
 
 def pure_out_unfairness(pi, labels: BowtieLabeling, blocks: BlockDecomposition) -> float:
     """Pure-OUT mass over its fair share; nan when there is no pure OUT."""
-    delta = len(pure_out_nodes(labels, blocks)) / labels.labels.size
+    delta = np.count_nonzero(blocks.pure_out_mask) / labels.labels.size
     return mass_breakdown(pi, labels, blocks).pure_out / delta if delta else float("nan")

@@ -45,10 +45,10 @@ def run_link_experiment(g: GraphHandle, labels: BowtieLabeling,
     block_id = blocks.block_of(source)
     if block_id < 0:
         raise ValueError(f"node {source} is not in a recurrent block")
-    if target not in labels.giant_scc:
+    if not (0 <= target < g.n and labels.component_of[target] == labels.giant_scc_id):
         raise ValueError(f"node {target} is not in the giant SCC")
 
-    block = np.asarray(sorted(blocks.recurrent_blocks[block_id]), dtype=np.int64)
+    block = np.flatnonzero(blocks.block_index == block_id)
     g_linked = with_edge(g, source, target)
 
     rows = []
@@ -64,13 +64,15 @@ def run_link_experiment(g: GraphHandle, labels: BowtieLabeling,
             block_mass_with=float(after.values[block].sum()),
         ))
     return ExperimentReport(source=source, target=target,
-                            block_nodes=tuple(int(v) for v in block),
+                            block_nodes=tuple(block.tolist()),
                             rows=tuple(rows))
 
 
 def click_rank(clicks: dict[int, float], node: int, n: int) -> int:
     """Rank of ``node`` by click count over all n nodes (missing count as 0),
     same tie rule as score ranks; a node id outside [0, n) is a ValueError."""
+    if not 0 <= node < n:
+        raise ValueError(f"node {node} outside [0, {n})")
     counts = np.zeros(n)
     for k, v in clicks.items():
         if not 0 <= int(k) < n:

@@ -81,32 +81,28 @@ def three_block_view(g: GraphHandle, labels: BowtieLabeling, *,
         raise StructureError(
             f"nodes {other.tolist()} are outside the bow-tie; "
             "pass fold_other=True to treat them as OUT")
-    dn = g.dangling.copy()
     inscc_mask = ((lab == Label.IN) | (lab == Label.SCC)) & ~g.dangling_mask
+    out_mask = ~inscc_mask & ~g.dangling_mask
     inscc = np.flatnonzero(inscc_mask)
-    rest = np.ones(g.n, dtype=bool)
-    rest[dn] = False
-    rest[inscc] = False
-    out = np.flatnonzero(rest)
+    out = np.flatnonzero(out_mask)
 
     if inscc.size == 0:
         raise StructureError("IN+SCC is empty")
 
-    if dn.size and out.size:
-        dn_set = set(int(i) for i in dn)
-        hit = sorted({int(v) for u in out for v in g.out_neighbors(u) if int(v) in dn_set})
-        if hit:
-            if not force_dn_merge:
-                raise AssumptionViolationError(hit)
-            warnings.warn(
-                f"OUT links into dangling node(s) {hit}; block split kept, "
-                "closed-form results are approximate", stacklevel=2)
+    into_dn = np.repeat(out_mask, g.out_degree) & g.dangling_mask[g.out_indices]
+    hit = np.unique(g.out_indices[into_dn]).tolist()
+    if hit:
+        if not force_dn_merge:
+            raise AssumptionViolationError(hit)
+        warnings.warn(
+            f"OUT links into dangling node(s) {hit}; block split kept, "
+            "closed-form results are approximate", stacklevel=2)
 
     return ThreeBlockView(
-        out_nodes=out, inscc_nodes=inscc, dn_nodes=dn,
-        alpha=inscc.size / g.n, beta=dn.size / g.n,
+        out_nodes=out, inscc_nodes=inscc, dn_nodes=g.dangling,
+        alpha=inscc.size / g.n, beta=g.dangling.size / g.n,
         q=block_view(g, out, out), r=block_view(g, inscc, out),
-        p=block_view(g, inscc, inscc), s=block_view(g, inscc, dn),
+        p=block_view(g, inscc, inscc), s=block_view(g, inscc, g.dangling),
         n=g.n)
 
 

@@ -20,7 +20,7 @@ from scipy import sparse
 from .bowtie import BlockDecomposition, component_lists, scc_labels
 from .errors import StructureError
 from .graph import GraphHandle
-from .operators import block_view, dense_stationary, perron_irreducible, solve_left
+from .operators import block_view, chain_view, dense_stationary, perron_irreducible, solve_left
 
 LAURENT_MAX_SIZE = 20
 AGGREGATED_MAX_SIZE = 30
@@ -29,7 +29,7 @@ AGGREGATED_MAX_SIZE = 30
 def block_stationary(g: GraphHandle, block, tol: float = 1e-14) -> np.ndarray:
     """Stationary distribution of one closed recurrent block.
 
-    Index order follows the sorted block node ids.  Raises
+    Index order follows the sorted ids of the array-like ``block``.  Raises
     :class:`StructureError` if the block leaks mass or is not strongly
     connected.
     """
@@ -45,18 +45,15 @@ def block_stationary(g: GraphHandle, block, tol: float = 1e-14) -> np.ndarray:
 
 def absorption_weights(g: GraphHandle, blocks: BlockDecomposition,
                        tol: float = 1e-14) -> np.ndarray:
-    """Per-block drain terms (1/n) 1^T [I - T]^{-1} R_i 1."""
-    transient = sorted(blocks.transient_set)
-    m = blocks.num_blocks
-    if not transient:
-        return np.zeros(m)
+    """Per-block drain terms (1/n) 1^T [I - T]^{-1} R_i 1: the visits x solving
+    x (I - T) = 1/n, carried into the blocks by one product ``x W``."""
+    transient = np.flatnonzero(blocks.block_index < 0)
     t_view = block_view(g, transient, transient)
-    x = solve_left(t_view.mul_left, np.full(len(transient), 1.0 / g.n), tol=tol)
-    weights = np.empty(m)
-    for i, block in enumerate(blocks.recurrent_blocks):
-        r_view = block_view(g, transient, block)
-        weights[i] = float(x @ r_view.row_sums())
-    return weights
+    visits = np.zeros(g.n)
+    visits[transient] = solve_left(t_view.mul_left, np.full(transient.size, 1.0 / g.n), tol=tol)
+    inside = np.flatnonzero(blocks.block_index >= 0)
+    inflow = chain_view(g).mul_left(visits)[inside]
+    return np.bincount(blocks.block_index[inside], weights=inflow, minlength=blocks.num_blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,16 +69,21 @@ class LimitReport:
 
 def limit_vector(g: GraphHandle, blocks: BlockDecomposition,
                  tol: float = 1e-14) -> LimitReport:
-    """Assemble the limiting rank vector from block masses and stationaries."""
+    """Assemble the limiting rank vector from block masses and stationaries,
+    cutting every block from one view of all block nodes."""
     if blocks.num_blocks == 0:
         raise StructureError("no recurrent blocks: the limit is undefined")
-    fair = np.array([len(b) / g.n for b in blocks.recurrent_blocks])
+    inside = np.flatnonzero(blocks.block_index >= 0)
+    sizes = np.bincount(blocks.block_index[inside])
+    fair = sizes / g.n
     drain = absorption_weights(g, blocks, tol=tol)
     masses = fair + drain
-    stationaries = tuple(block_stationary(g, b, tol=tol) for b in blocks.recurrent_blocks)
+    view = block_view(g, inside, inside)
+    order = np.argsort(blocks.block_index[inside], kind="stable")   # view positions by block
+    stationaries = tuple(perron_irreducible(view.cut(pos, pos), tol=tol)[1]
+                         for pos in np.split(order, np.cumsum(sizes)[:-1]))
     vector = np.zeros(g.n)
-    for mass, block, pi_bar in zip(masses, blocks.recurrent_blocks, stationaries):
-        vector[np.asarray(sorted(block), dtype=np.int64)] = mass * pi_bar
+    vector[inside[order]] = np.repeat(masses, sizes) * np.concatenate(stationaries)
     vector.setflags(write=False)
     return LimitReport(block_masses=masses, fair_shares=fair, drain_weights=drain,
                        block_stationaries=stationaries, vector=vector)

@@ -25,8 +25,14 @@ from .graph import GraphHandle
 DEFAULT_MAX_ITER = 500_000
 
 
+def check_tolerance(tol: float) -> None:
+    """Raise ValueError unless ``0 < tol < inf``."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tolerance must be positive and finite; got {tol}")
+
+
 def _as_index(nodes) -> np.ndarray:
-    idx = np.asarray(sorted(int(v) for v in nodes), dtype=np.int64)
+    idx = np.sort(np.asarray(nodes, dtype=np.int64))
     if idx.size and np.any(np.diff(idx) == 0):
         raise ValueError("duplicate node ids in block selection")
     return idx
@@ -66,6 +72,12 @@ class SubstochasticBlock:
             out[self.dangling_local] += float(x.sum()) / self.n_total
         return out
 
+    def cut(self, rows: np.ndarray, cols: np.ndarray) -> "SubstochasticBlock":
+        """The sub-block on the increasing local positions ``rows`` x ``cols``."""
+        return SubstochasticBlock(matrix=self.matrix[rows][:, cols],
+                                  dangling_local=np.flatnonzero(np.isin(rows, self.dangling_local)),
+                                  n_total=self.n_total, rows=self.rows[rows], cols=self.cols[cols])
+
     def row_sums(self) -> np.ndarray:
         sums = np.asarray(self.matrix.sum(axis=1)).ravel().copy()
         if self.dangling_local.size:
@@ -74,12 +86,8 @@ class SubstochasticBlock:
 
 
 def block_view(g: GraphHandle, rows, cols) -> SubstochasticBlock:
-    rows = _as_index(rows)
-    cols = _as_index(cols)
-    matrix = g.w[rows, :][:, cols].tocsr()
-    dangling_local = np.flatnonzero(g.dangling_mask[rows])
-    return SubstochasticBlock(matrix=matrix, dangling_local=dangling_local,
-                              n_total=g.n, rows=rows, cols=cols)
+    """The sub-block on array-likes of node ids, each taken in increasing order."""
+    return chain_view(g).cut(_as_index(rows), _as_index(cols))
 
 
 def chain_view(g: GraphHandle) -> SubstochasticBlock:
@@ -94,9 +102,11 @@ def walk(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, c_max: float
     """Yield ``x_k = x0 A^k``, with ``apply(x) = x A``, for k = 0..K.
 
     K is the first k >= 1 with ``c_max^k ||x_k||_1 <= tol``.  Raises
+    ValueError before the first product unless ``0 < tol < inf``,
     :class:`ConvergenceError` at the first non-finite term, and past
     ``max_iter`` steps with the last ``c_max^k ||x_k||_1``.
     """
+    check_tolerance(tol)
     x = np.asarray(x0, dtype=np.float64)
     yield x
     for k in range(1, max_iter + 1):
@@ -131,7 +141,8 @@ def resolvent_moments(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
     ``c <= c_max``, ``series_at(moments, [c])[0]`` is
     ``solve_left(c A, x0) @ probes`` up to rounding.
     """
-    return np.array([x @ probes for x in walk(apply, x0, c_max, tol, max_iter)])
+    probes_t = probes.T   # a sparse ``x @ probes`` would transpose on every step
+    return np.array([probes_t @ x for x in walk(apply, x0, c_max, tol, max_iter)])
 
 
 def series_at(moments: np.ndarray, grid) -> np.ndarray:
@@ -164,13 +175,13 @@ def perron_irreducible(block: SubstochasticBlock, tol: float = 1e-13,
 
     Iterates the half-step blend ``y <- (y + y B) / 2``, normalised, which
     shares the eigenvector but is immune to periodic cycling, until the
-    residual ``||y B - lam y||_1`` is at most ``tol``.  Raises
-    :class:`ConvergenceError` at the first non-finite residual.
+    residual ``||y B - lam y||_1`` is at most ``tol``; a single node stops
+    after one step with its self-transition weight.  Raises ValueError
+    unless ``0 < tol < inf`` and :class:`ConvergenceError` at the first
+    non-finite residual.
     """
+    check_tolerance(tol)
     size = block.shape[0]
-    if size == 1:
-        # single node: the eigenvalue is its self-transition weight
-        return float(block.mul_left(np.ones(1))[0]), np.ones(1)
     y = np.full(size, 1.0 / size)
     for it in range(1, max_iter + 1):
         z = block.mul_left(y)

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .bowtie import BlockDecomposition, BowtieLabeling, Label, pure_out_nodes
+from .bowtie import BlockDecomposition, BowtieLabeling, Label
 from .errors import ConvergenceError
 from .graph import GraphHandle
-from .operators import chain_view, resolvent_moments, series_at, walk
+from .operators import check_tolerance, chain_view, resolvent_moments, series_at, walk
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,7 @@ class PageRankConfig:
             raise ValueError(
                 f"damping must lie in [0, 1); got {self.damping} "
                 "(the c -> 1 limit has its own analytic path)")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        check_tolerance(self.tolerance)
         if self.max_iterations is not None and self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
 
@@ -184,12 +183,14 @@ def _component_probes(labels: BowtieLabeling, blocks: BlockDecomposition):
     four labels, the extended component, pure OUT, DN, the transient set, and
     each recurrent block, in :class:`MassBreakdown` field order."""
     sets = [np.flatnonzero(labels.labels == label) for label in Label]
-    sets += [np.fromiter(s, np.int64, len(s)) for s in (
-        blocks.escc, pure_out_nodes(labels, blocks), blocks.dangling, blocks.transient_set,
-        *blocks.recurrent_blocks)]
-    cols = np.repeat(np.arange(len(sets)), [s.size for s in sets])
-    return sparse.csr_matrix((np.ones(cols.size), (np.concatenate(sets), cols)),
-                             shape=(labels.labels.size, len(sets)))
+    sets += [np.flatnonzero(blocks.escc_mask), np.flatnonzero(blocks.pure_out_mask),
+             blocks.dangling_ids, np.flatnonzero(blocks.block_index < 0)]
+    in_block = np.flatnonzero(blocks.block_index >= 0)
+    rows = np.concatenate(sets + [in_block])
+    cols = np.concatenate((np.repeat(np.arange(len(sets)), [s.size for s in sets]),
+                           len(sets) + blocks.block_index[in_block]))
+    return sparse.csr_matrix((np.ones(cols.size), (rows, cols)),
+                             shape=(labels.labels.size, len(sets) + blocks.num_blocks))
 
 
 def _breakdown(masses: np.ndarray) -> MassBreakdown:

@@ -122,6 +122,17 @@ def test_nonconvergence_exit_code(graph_files, capsys):
     assert "non-convergence" in err
 
 
+def test_bad_tolerance_fails_fast(graph_files, capsys):
+    for command, graph in (("limit", "bowtie"), ("inscc-derivatives", "threeblock"),
+                           ("pagerank", "bowtie")):
+        for tol in ("nan", "-1"):
+            code, out, err = run_cli([command, "--graph", graph_files[graph], "--tol", tol],
+                                     capsys)
+            assert code == 1
+            assert f"tolerance must be positive and finite; got {float(tol)}" in err
+            assert out == ""
+
+
 def test_limit_command(graph_files, tmp_path, capsys):
     out = tmp_path / "limit.csv"
     vec = tmp_path / "vec.csv"
@@ -235,6 +246,25 @@ def test_link_experiment_rejects_node_ids_outside_graph(graph_files, tmp_path, c
     code, _, err = run_cli(base + ["--source", "999"], capsys)
     assert code == 1
     assert "node 999 outside [0, 12)" in err
+
+
+def test_bad_clicks_file_fails_before_the_experiment(graph_files, tmp_path, capsys,
+                                                      monkeypatch):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the experiment ran before the clicks file was checked")
+
+    monkeypatch.setattr("rankmass.cli.run_link_experiment", not_reached)
+    clicks = tmp_path / "clicks.csv"
+    for text, message in (("node_id,clicks\n3\n", f"{clicks}: line 2: expected node_id,clicks"),
+                          ("node_id,clicks\n8,3\nx,1\n", f"{clicks}: line 3: expected"),
+                          ("node_id,clicks\n12,1\n", "clicks name node 12, outside [0, 12)")):
+        clicks.write_text(text)
+        code, out, err = run_cli(["link-experiment", "--graph", graph_files["bowtie"],
+                                  "--source", "8", "--target", "1",
+                                  "--clicks", str(clicks)], capsys)
+        assert code == 1
+        assert message in err
+        assert out == ""
 
 
 def test_console_entry_point(graph_files):

@@ -52,6 +52,37 @@ def test_absorption_weights_symmetric_feeds(bowtie, bowtie_blocks):
     assert weights[0] == pytest.approx(weights[1], abs=1e-12)
 
 
+def _core_with_deadends(count: int) -> rm.GraphHandle:
+    """A core 2-cycle feeding ``count`` dead-end 2-cycles and one dangling node."""
+    n = 3 + 2 * count
+    edges = [(0, 1), (1, 0), (1, 2)]
+    for a in range(3, n, 2):
+        edges += [(0, a), (a, a + 1), (a + 1, a)]
+    return rm.build_graph(n, edges)
+
+
+def test_limit_cuts_a_fixed_number_of_block_views(monkeypatch):
+    from rankmass import limits
+    from rankmass.operators import block_view
+    calls = []
+    monkeypatch.setattr(limits, "block_view", lambda *args: calls.append(args) or block_view(*args))
+    per_count = []
+    for count in (3, 300):
+        g = _core_with_deadends(count)
+        blocks = rm.block_decomposition(g, rm.bowtie_labeling(g))
+        assert blocks.num_blocks == count
+        calls.clear()
+        weights = rm.absorption_weights(g, blocks)
+        after_absorption = len(calls)
+        report = rm.limit_vector(g, blocks)
+        per_count.append((after_absorption, len(calls) - after_absorption))
+        # the dead-ends are interchangeable, so each ends with an equal share
+        assert weights == pytest.approx(np.full(count, weights[0]), rel=1e-12)
+        assert report.block_masses == pytest.approx(np.full(count, 1.0 / count), rel=1e-12)
+    assert per_count[0] == per_count[1]
+    assert per_count[0][0] == 1
+
+
 def test_limit_masses_sum_to_one(bowtie, bowtie_blocks, random_graphs):
     report = rm.limit_vector(bowtie, bowtie_blocks)
     assert report.block_masses.sum() == pytest.approx(1.0, abs=1e-10)

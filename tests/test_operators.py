@@ -44,9 +44,11 @@ def test_non_finite_walk_stops_at_first_term():
 
 
 def test_perron_stops_at_non_finite_weight():
-    block = SubstochasticBlock(matrix=sparse.csr_matrix(np.array([[0.0, 0.5], [np.nan, 0.0]])),
-                               dangling_local=np.array([], dtype=np.int64), n_total=2,
-                               rows=np.arange(2), cols=np.arange(2))
-    with pytest.raises(rm.ConvergenceError) as err:
-        perron_irreducible(block)
-    assert err.value.iterations == 1
+    for weights in ([[0.0, 0.5], [np.nan, 0.0]], [[np.nan]]):
+        size = len(weights)
+        block = SubstochasticBlock(matrix=sparse.csr_matrix(np.array(weights)),
+                                   dangling_local=np.array([], dtype=np.int64), n_total=size,
+                                   rows=np.arange(size), cols=np.arange(size))
+        with pytest.raises(rm.ConvergenceError) as err:
+            perron_irreducible(block)
+        assert err.value.iterations == 1

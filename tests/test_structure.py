@@ -63,11 +63,20 @@ def test_labels_and_blocks_match_dense_oracle(g):
     for k, comp in enumerate(w_comps):
         inside[k, comp] = True
     closed = [comp for k, comp in enumerate(w_comps) if not full[inside[k]][:, ~inside[k]].any()]
+    assert labels.components == tuple(map(tuple, comps))
+    assert labels.giant_scc == frozenset(giant)
     blocks = rm.block_decomposition(g, labels)
     assert [list(b) for b in blocks.recurrent_blocks] == closed
     block_nodes = {v for b in closed for v in b}
     assert blocks.transient_set == set(range(g.n)) - block_nodes
     assert blocks.escc == set(next(c for c in w_comps if giant[0] in c))
+    assert blocks.dangling == frozenset(np.flatnonzero(~raw.any(axis=1)).tolist())
+    w_escc = next(c for c in w_comps if giant[0] in c)
+    assert rm.pure_out_nodes(labels, blocks) == \
+        frozenset(np.flatnonzero(expected == int(Label.OUT)).tolist()) - frozenset(w_escc)
+    for node_set in (labels.giant_scc, blocks.transient_set, blocks.escc, blocks.dangling,
+                     rm.pure_out_nodes(labels, blocks)):
+        assert type(node_set) is frozenset
     for v in range(g.n):
         expect = next((k for k, b in enumerate(closed) if v in b), -1)
         assert blocks.block_of(v) == expect
