@@ -92,8 +92,8 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"grid must be START:STOP:STEP, got {text!r}") from None
     if not (0.0 <= start <= stop < 1.0):
         raise ValueError(f"grid must satisfy 0 <= START <= STOP < 1, got {text!r}")
-    if step <= 0.0:
-        raise ValueError("grid STEP must be positive")
+    if not 0.0 < step < np.inf:
+        raise ValueError(f"grid STEP must be positive and finite, got {text!r}")
     values = []
     k = 0
     while True:
@@ -301,7 +301,7 @@ def cmd_link_experiment(args) -> int:
     if not damping_values:
         raise ValueError("damping-list is empty")
     click_position = None
-    if args.clicks:   # a bad clicks file fails before the power iterations
+    if args.clicks:   # a bad clicks file fails before the PageRank solves
         click_position = click_rank(_read_clicks(args.clicks), args.source, g.n)
     result = run_link_experiment(g, labels, blocks, args.source, args.target,
                                  damping_values, tolerance=args.tol)
@@ -333,10 +333,14 @@ def _read_clicks(path: str) -> dict[int, float]:
             if not row or row[0].startswith("#") or row[0] == "node_id":
                 continue
             try:
-                clicks[int(row[0])] = float(row[1])
+                node, count = int(row[0]), float(row[1])
             except (IndexError, ValueError):
                 raise ValueError(f"{path}: line {reader.line_num}: expected node_id,clicks; "
                                  f"got {row}") from None
+            if not 0.0 <= count < np.inf:
+                raise ValueError(f"{path}: line {reader.line_num}: click count must be "
+                                 f"finite and nonnegative; got {row[1]}")
+            clicks[node] = count
     return clicks
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from .bowtie import BlockDecomposition, BowtieLabeling, component_lists, scc_labels
 from .errors import ConvergenceError, StructureError
 from .graph import GraphHandle
-from .operators import (SubstochasticBlock, block_view, perron_irreducible,
+from .operators import (SubstochasticBlock, block_view, check_tolerance, perron_irreducible,
                         resolvent_moments, series_at, solve_left)
 from .pagerank import mass_breakdown
 
@@ -268,6 +268,7 @@ def cstar_solve(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecompositi
     """
     if v_mode not in V_MODES:
         raise ValueError(f"v_mode must be one of {V_MODES}")
+    check_tolerance(tolerance)
     if summary is None:
         summary = spectral_summary(g, labels, blocks, escc_only=escc_only)
     gamma = summary.gamma

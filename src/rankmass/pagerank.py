@@ -1,14 +1,11 @@
-"""PageRank by power iteration and by the resolvent series, plus the
+"""PageRank two ways over the series walk of :mod:`operators`, plus the
 bookkeeping that attributes score mass to structural components.
 
-The iteration never touches dangling rows: their mass is accumulated into a
-scalar and re-injected uniformly together with the restart term,
-
-    x  <-  c * x W_links  +  (c * dangling_mass(x) + 1 - c) / n.
-
-Both solvers push the true L1 error (not just the step size) below the
-requested tolerance, so independently computed vectors at the same ``c``
-agree to within twice the tolerance.
+:func:`pagerank` corrects a start ``x0`` by its residual
+``r0 = c x0 W + (1 - c)/n - x0`` as ``x0 + sum_k r0 (c W)^k``, whose k-th
+term is the k-th power-iteration step; :func:`pagerank_via_resolvent` sums
+``((1 - c)/n) 1^T (c W)^k``.  Both stop once the step-size bound on the L1
+error meets the tolerance, so the two agree to within twice the tolerance.
 """
 
 from __future__ import annotations
@@ -89,19 +86,21 @@ def _effective_tol(tolerance: float, c: float) -> float:
 
 def pagerank(g: GraphHandle, cfg: PageRankConfig,
              start: np.ndarray | None = None) -> RankVector:
-    """Stationary vector of the damped surfer chain by power iteration.
+    """Stationary vector of the damped surfer chain, ``x0 + sum_k r0 (c W)^k``
+    summed over :func:`walk`; the k-th term is the power iteration's k-th step.
 
-    ``start`` is an optional nonnegative, finite, length-n initial vector with
-    a positive sum; it is rescaled to a probability vector.  Anything else
-    raises :class:`ValueError` before the first iteration.
+    ``x0`` is ``start`` rescaled to a probability vector, or the uniform one;
+    a ``start`` that is not nonnegative, finite and length n with a positive
+    sum raises ValueError before any product.  ``residual`` is
+    ``||c x W + (1 - c)/n - x||_1`` of the returned vector; above the
+    tolerance, :class:`ConvergenceError` names ``c``.
     """
     if g.n == 0:
         raise ValueError("empty graph")
     c = cfg.damping
     n = g.n
-    max_iter = cfg.resolved_max_iterations()
-    stop = _effective_tol(cfg.tolerance, c)
     chain = chain_view(g)
+    fixed_point_gap = lambda y: c * chain.mul_left(y) + (1.0 - c) / n - y
 
     if start is None:
         x = np.full(n, 1.0 / n)
@@ -116,24 +115,16 @@ def pagerank(g: GraphHandle, cfg: PageRankConfig,
         if x.sum() == 0.0:
             raise ValueError("start vector sums to zero")
     x /= x.sum()
-    delta = np.inf
-    deltas: list[float] = []
-    for it in range(1, max_iter + 1):
-        x_next = c * chain.mul_left(x) + (1.0 - c) / n
-        x_next /= x_next.sum()
-        delta = float(np.abs(x_next - x).sum())
-        x = x_next
-        deltas.append(delta)
-        # either the error-scaled target is met, or the step size satisfies the
-        # residual tolerance and has hit the double-precision floor (no longer
-        # contracting over a 30-step window)
-        floored = (it > 30 and delta <= cfg.tolerance
-                   and delta > 0.98 * deltas[it - 31])
-        if delta <= stop or floored:
-            # residual of the returned iterate is at most c * delta <= tolerance
-            return RankVector(values=x, damping=c, iterations_used=it,
-                              residual=min(delta, c * delta if c > 0 else delta))
-    raise ConvergenceError(f"power iteration at c={c} did not converge", delta, max_iter)
+    terms = walk(chain.mul_left, fixed_point_gap(x), c_max=c,
+                 tol=_effective_tol(cfg.tolerance, c), max_iter=cfg.resolved_max_iterations())
+    for k, term in enumerate(terms):
+        x += c ** k * term
+    x /= x.sum()
+    residual = float(np.abs(fixed_point_gap(x)).sum())
+    if residual > cfg.tolerance:
+        raise ConvergenceError(f"pagerank at c={c} missed the tolerance {cfg.tolerance}",
+                               residual, k + 1)
+    return RankVector(values=x, damping=c, iterations_used=k + 1, residual=residual)
 
 
 def pagerank_via_resolvent(g: GraphHandle, damping: float, tolerance: float = 1e-12,
@@ -141,7 +132,7 @@ def pagerank_via_resolvent(g: GraphHandle, damping: float, tolerance: float = 1e
     """Same vector through the restart-weighted sum of walk distributions.
 
     Sums the walk ((1-c)/n) 1^T (c W)^k, stopping once a term falls below the
-    tolerance.  Cross-validates the power iteration.
+    tolerance.  Cross-validates :func:`pagerank`.
     """
     cfg = PageRankConfig(damping=damping, tolerance=tolerance,
                          max_iterations=max_iterations)

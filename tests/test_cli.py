@@ -104,10 +104,11 @@ def test_unknown_flag_exits_one(graph_files, capsys):
 
 
 def test_bad_grid_is_validation_error(graph_files, capsys):
-    code, _, err = run_cli(["sweep", "--graph", graph_files["bowtie"],
-                            "--grid", "0:1.2:0.1"], capsys)
-    assert code == 1
-    assert "grid" in err
+    for grid in ("0:1.2:0.1", "0:0.5:nan", "0:0.5:inf"):
+        code, _, err = run_cli(["sweep", "--graph", graph_files["bowtie"],
+                                "--grid", grid], capsys)
+        assert code == 1
+        assert "grid" in err
 
 
 def test_missing_graph_file(capsys):
@@ -124,7 +125,7 @@ def test_nonconvergence_exit_code(graph_files, capsys):
 
 def test_bad_tolerance_fails_fast(graph_files, capsys):
     for command, graph in (("limit", "bowtie"), ("inscc-derivatives", "threeblock"),
-                           ("pagerank", "bowtie")):
+                           ("pagerank", "bowtie"), ("cstar", "threeblock")):
         for tol in ("nan", "-1"):
             code, out, err = run_cli([command, "--graph", graph_files[graph], "--tol", tol],
                                      capsys)
@@ -257,7 +258,9 @@ def test_bad_clicks_file_fails_before_the_experiment(graph_files, tmp_path, caps
     clicks = tmp_path / "clicks.csv"
     for text, message in (("node_id,clicks\n3\n", f"{clicks}: line 2: expected node_id,clicks"),
                           ("node_id,clicks\n8,3\nx,1\n", f"{clicks}: line 3: expected"),
-                          ("node_id,clicks\n12,1\n", "clicks name node 12, outside [0, 12)")):
+                          ("node_id,clicks\n12,1\n", "clicks name node 12, outside [0, 12)"),
+                          ("node_id,clicks\n8,nan\n", f"{clicks}: line 2: click count must be"),
+                          ("node_id,clicks\n3,1\n8,-2\n", f"{clicks}: line 3: click count")):
         clicks.write_text(text)
         code, out, err = run_cli(["link-experiment", "--graph", graph_files["bowtie"],
                                   "--source", "8", "--target", "1",

@@ -71,13 +71,27 @@ def test_properties_sum_residual_nonnegative(bowtie, random_graphs):
             assert pi.residual <= 1e-12
             # recompute the fixed-point residual independently
             gm = helpers.dense_google(g, c)
-            assert np.abs(pi.values @ gm - pi.values).sum() <= 1e-12
+            dense = np.abs(pi.values @ gm - pi.values).sum()
+            assert dense <= 1e-12
+            assert abs(pi.residual - dense) <= 1e-15
+
+
+def test_tight_tolerance_near_one_is_met(bowtie):
+    # the power iteration's step size stalls at the rounding floor here; the
+    # residual walk's terms keep contracting
+    pi = rm.pagerank(bowtie, rm.PageRankConfig(damping=0.999, tolerance=1e-14))
+    dense = np.abs(pi.values @ helpers.dense_google(bowtie, 0.999) - pi.values).sum()
+    assert pi.residual <= 1e-14
+    assert abs(pi.residual - dense) <= 1e-15
 
 
 def test_nonconvergence_raises_with_residual(bowtie):
-    with pytest.raises(rm.ConvergenceError) as err:
-        rm.pagerank(bowtie, rm.PageRankConfig(damping=0.85, max_iterations=2))
-    assert err.value.residual > 0.0
+    # out of iterations, and a residual held above the tolerance by rounding
+    for cfg in (rm.PageRankConfig(damping=0.85, max_iterations=2),
+                rm.PageRankConfig(damping=0.5, tolerance=1e-17)):
+        with pytest.raises(rm.ConvergenceError, match=f"c={cfg.damping}") as err:
+            rm.pagerank(bowtie, cfg)
+        assert err.value.residual > cfg.tolerance
 
 
 def test_bad_start_vector_rejected_before_iterating(bowtie):
