@@ -31,6 +31,7 @@ from .pagerank import PageRankConfig, damping_sweep, pagerank
 
 USAGE_ERROR = 1
 CONVERGENCE_ERROR = 2
+MAX_GRID_POINTS = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,6 +95,8 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"grid must satisfy 0 <= START <= STOP < 1, got {text!r}")
     if not 0.0 < step < np.inf:
         raise ValueError(f"grid STEP must be positive and finite, got {text!r}")
+    if (stop - start + 1e-12) / step >= MAX_GRID_POINTS:
+        raise ValueError(f"grid has more than {MAX_GRID_POINTS} points, got {text!r}")
     values = []
     k = 0
     while True:
@@ -383,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--vector-out", default=None, help="also write the full limit vector")
     p.add_argument("--tol", type=float, default=1e-14,
-                   help="inner solve tolerance (default 1e-14)")
+                   help="L1 residual tolerance of the inner solves (default 1e-14)")
     p.set_defaults(fn=cmd_limit)
 
     p = sub.add_parser("inscc-curve", help="IN+SCC mass split along a damping grid")
@@ -393,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fold-other", action="store_true",
                    help="treat nodes outside the bow-tie as OUT")
     p.add_argument("--tol", type=float, default=1e-14,
-                   help="inner solve tolerance (default 1e-14)")
+                   help="L1 residual tolerance of the inner solves (default 1e-14)")
     p.set_defaults(fn=cmd_inscc_curve)
 
     p = sub.add_parser("inscc-derivatives", help="IN+SCC mass slopes at both ends")
@@ -401,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force-dn-merge", action="store_true")
     p.add_argument("--fold-other", action="store_true")
     p.add_argument("--tol", type=float, default=1e-14,
-                   help="inner solve tolerance (default 1e-14)")
+                   help="L1 residual tolerance of the inner solves (default 1e-14)")
     p.set_defaults(fn=cmd_inscc_derivatives)
 
     p = sub.add_parser("escc-bounds", help="mass of the transient block with envelope bounds")
@@ -409,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exclude-pureout-transients", action="store_true",
                    help="restrict the block to the extended component proper")
     p.add_argument("--tol", type=float, default=1e-14,
-                   help="inner solve tolerance (default 1e-14)")
+                   help="L1 residual tolerance of the inner solves (default 1e-14)")
     p.set_defaults(fn=cmd_escc_bounds)
 
     p = sub.add_parser("cstar", help="damping value balancing mass share and retention")

@@ -14,8 +14,13 @@ retention under the quasi-stationary law) yield the envelope
 
 under the two testable conditions reported alongside.
 
-Every mass on a grid, the expected visits and the ``c*`` bisection read the
-moments ``u T^k 1`` of one walk of T (see :func:`operators.resolvent_moments`).
+Every mass on a grid, and every ``c*`` sample and bisection step up to the
+samples' top value 0.95, reads the moments ``u T^k 1`` of one walk of T taken
+to the largest value needed below 1 (see :func:`operators.resolvent_moments`).
+The walk's length grows like ``1 / (1 - c lambda1)``, so the expected visits
+``u [I - T]^{-1} 1`` and each ``c*`` mass above 0.95 are instead one BiCGSTAB
+solve (:func:`operators.solve_left`): it stops once the true residual is within
+the tolerance and falls back to summing the walk if it breaks down.
 """
 
 from __future__ import annotations
@@ -128,14 +133,18 @@ def spectral_summary(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecomp
                            nodes=view.rows)
 
 
-def _transient_moments(g: GraphHandle, blocks: BlockDecomposition, escc_only: bool,
-                       c_max: float, tol: float) -> tuple[np.ndarray, float]:
-    """Moments ``u T^k 1`` of the transient block to ``c_max``, and gamma."""
-    view = transient_view(g, blocks, escc_only)
+def _transient_moments(view: SubstochasticBlock, c_max: float, tol: float) -> np.ndarray:
+    """Moments ``u T^k 1`` of the transient block to ``c_max``."""
     size = view.rows.size
-    moments = resolvent_moments(view.mul_left, np.full(size, 1.0 / size), np.ones(size),
-                                c_max, tol=tol)
-    return moments, size / g.n
+    return resolvent_moments(view.mul_left, np.full(size, 1.0 / size), np.ones(size),
+                             c_max, tol=tol)
+
+
+def _uniform_visits(view: SubstochasticBlock, c: float, tol: float) -> float:
+    """``u [I - cT]^{-1} 1`` by one solve."""
+    size = view.rows.size
+    return float(solve_left(lambda y: c * view.mul_left(y), np.full(size, 1.0 / size),
+                            tol=tol).sum())
 
 
 def _damping(c: float) -> float:
@@ -153,13 +162,15 @@ def escc_mass(g: GraphHandle, blocks: BlockDecomposition, c: float,
     """Mass held by the transient block at damping ``c`` (0 at c = 1 exactly)."""
     if _damping(c) == 1.0:
         return 0.0
-    return _mass_at(*_transient_moments(g, blocks, escc_only, c, tol), c)
+    view = transient_view(g, blocks, escc_only)
+    return _mass_at(_transient_moments(view, c, tol), view.rows.size / g.n, c)
 
 
 def expected_visits(g: GraphHandle, blocks: BlockDecomposition,
                     escc_only: bool = False, tol: float = SOLVE_TOL) -> float:
-    """u [I - T]^{-1} 1: mean number of in-block steps from a uniform start."""
-    return float(_transient_moments(g, blocks, escc_only, 1.0, tol)[0].sum())
+    """u [I - T]^{-1} 1: mean number of in-block steps from a uniform start,
+    by one solve (:func:`operators.solve_left`)."""
+    return _uniform_visits(transient_view(g, blocks, escc_only), 1.0, tol)
 
 
 @dataclass(frozen=True)
@@ -186,18 +197,24 @@ class Prop3Bounds:
 
 def prop3_bounds(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecomposition,
                  grid, escc_only: bool = False, tol: float = SOLVE_TOL) -> Prop3Bounds:
-    """Evaluate the envelope on a grid and report where each side binds."""
+    """Evaluate the envelope on a grid and report where each side binds.
+
+    The masses come from one walk to the largest grid value below 1 (the
+    mass at c = 1 is 0); the expected visits from one solve.
+    """
+    grid = [_damping(float(v)) for v in grid]
     summary = spectral_summary(g, labels, blocks, escc_only=escc_only)
     p1, lam, gamma = summary.p1, summary.lambda1, summary.gamma
-    moments, _ = _transient_moments(g, blocks, escc_only, 1.0, tol)
-    visits = float(moments.sum())
+    view = transient_view(g, blocks, escc_only)
+    moments = _transient_moments(view, max((c for c in grid if c < 1.0), default=0.0), tol)
+    visits = _uniform_visits(view, 1.0, tol)
     cond_i = p1 < lam
     cond_ii = 1.0 / (1.0 - p1) < visits
 
     rows = []
     violations = []
-    for c in (float(v) for v in grid):
-        mass = _mass_at(moments, gamma, c)
+    for c in grid:
+        mass = _mass_at(moments, gamma, c)   # (1 - c) makes it 0 at c = 1
         lower = gamma * (1.0 - c) / (1.0 - c * p1)
         upper = gamma * (1.0 - c) / (1.0 - c * lam)
         interior = 0.0 < c < 1.0   # the strict envelope only claims the open interval
@@ -282,10 +299,17 @@ def cstar_solve(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecompositi
         lo, hi = 0.0, 1.0 - 1e-12
         target = lambda c: gamma * w
 
-    moments, _ = _transient_moments(g, blocks, escc_only, hi, SOLVE_TOL)
-    mass = lambda c: _mass_at(moments, gamma, c)
-    c1, c2 = cstar_interval_closed_form(summary.p1, summary.lambda1, v_mode)
+    view = transient_view(g, blocks, escc_only)
     sample_grid = np.arange(0.0, 0.991, 0.05)
+    top = float(sample_grid[-1])
+    moments = _transient_moments(view, top, SOLVE_TOL)
+
+    def mass(c: float) -> float:
+        if c <= top:
+            return _mass_at(moments, gamma, c)
+        return (1.0 - c) * gamma * _uniform_visits(view, c, SOLVE_TOL)
+
+    c1, c2 = cstar_interval_closed_form(summary.p1, summary.lambda1, v_mode)
     samples = tuple((float(c), mass(float(c)), target(float(c))) for c in sample_grid)
 
     f_lo = mass(lo) - target(lo)

@@ -2,11 +2,15 @@
 
 A block never materializes dangling rows: their uniform ``1/n`` spread is
 applied as one scalar per product; :func:`chain_view` is the whole graph as
-one such block.  Every series ``x0 sum_k c^k A^k`` is read off one walk
-(:func:`walk`), which yields ``x0 A^k`` until ``c_max^k ||x0 A^k||_1`` falls
-below the tolerance: :func:`solve_left` sums it at ``c = 1`` and
-:func:`resolvent_moments` probes it for :func:`series_at` to weight by
-``c^k``.  Dominant and stationary vectors come from
+one such block.  Every series ``x0 sum_k c^k A^k`` over a damping grid is
+read off one walk (:func:`walk`), which yields ``x0 A^k`` until
+``c_max^k ||x0 A^k||_1`` falls below the tolerance: :func:`resolvent_moments`
+probes it for :func:`series_at` to weight by ``c^k``.  Near ``c = 1`` the walk
+takes about ``1 / (1 - lambda1)`` terms, so a single resolvent vector
+``b [I - A]^{-1}`` is :func:`solve_left`, a BiCGSTAB that stops once the true
+residual ``||b - y (I - A)||_1`` is within the tolerance (or, at the rounding
+floor, once it stops halving) and falls back to summing the walk on a
+breakdown or at its step cap.  Dominant and stationary vectors come from
 :func:`perron_irreducible`.
 """
 
@@ -23,6 +27,7 @@ from .errors import ConvergenceError
 from .graph import GraphHandle
 
 DEFAULT_MAX_ITER = 500_000
+BICGSTAB_MAX_ITER = 500
 
 
 def check_tolerance(tol: float) -> None:
@@ -122,13 +127,55 @@ def walk(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, c_max: float
 
 def solve_left(apply_a: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
                tol: float = 1e-14, max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
-    """Solve ``y (I - A) = b`` as the sum of the walk ``b A^k`` (:func:`walk`);
-    with ``apply_a(x) = A x`` the same sum solves ``(I - A) x = b``.
+    """Solve ``y (I - A) = b`` by BiCGSTAB (van der Vorst, 1992); with
+    ``apply_a(x) = A x`` the same iteration solves ``(I - A) x = b``.
 
-    The sum stops after the first term of L1 norm at most ``tol``.  Requires
-    the spectral radius of A below one; raises :class:`ConvergenceError`
-    otherwise.
+    It starts at ``y = b`` with a fixed seeded random shadow residual and
+    recomputes the true residual ``||b - y (I - A)||_1`` every step (three
+    products per step).  It returns ``y`` as soon as that residual is at most
+    ``tol``.  Once it is at most ``tol * ||y||_1`` rounding dominates: from
+    then on the best iterate is kept and returned at the second step in a
+    row where the residual fails to halve.  On a breakdown (a zero or
+    non-finite ``r_hat . r``, ``r_hat . v`` or ``omega``) or after
+    :data:`BICGSTAB_MAX_ITER` steps it falls back to the sum of the walk
+    ``b A^k`` (:func:`walk`), which stops after the first term of L1 norm at
+    most ``tol`` and raises :class:`ConvergenceError` at a non-finite term or
+    past ``max_iter`` terms.  The walk needs the spectral radius of A below
+    one; BiCGSTAB only needs ``I - A`` nonsingular.
     """
+    check_tolerance(tol)
+    b = np.asarray(b, dtype=np.float64)
+    r_hat = np.random.default_rng(0).random(b.size)
+    y, p, v = b.copy(), np.zeros_like(b), np.zeros_like(b)
+    rho = alpha = omega = 1.0
+    res, best, best_res, floored, stalls = np.inf, y, np.inf, False, 0
+    for _ in range(BICGSTAB_MAX_ITER):
+        r = b - (y - apply_a(y))
+        res, prev = float(np.abs(r).sum()), res
+        if res <= tol:
+            return y
+        floored = floored or res <= tol * float(np.abs(y).sum())
+        if floored:
+            if res < best_res:
+                best, best_res = y, res
+            stalls = stalls + 1 if res > 0.5 * prev else 0
+            if stalls == 2:
+                return best
+        rho_next = float(r_hat @ r)
+        if not (omega and rho_next and np.isfinite((omega, rho_next)).all()):
+            break
+        p = r + (rho_next / rho) * (alpha / omega) * (p - omega * v)
+        rho = rho_next
+        v = p - apply_a(p)
+        denom = float(r_hat @ v)
+        if not (denom and np.isfinite(denom)):
+            break
+        alpha = rho / denom
+        s = r - alpha * v
+        t = s - apply_a(s)
+        tt = float(t @ t)
+        omega = float(t @ s) / tt if tt else 0.0   # s = 0: the half step solved it
+        y = y + alpha * p + omega * s
     return sum(walk(apply_a, b, tol=tol, max_iter=max_iter))
 
 

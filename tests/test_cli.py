@@ -104,7 +104,7 @@ def test_unknown_flag_exits_one(graph_files, capsys):
 
 
 def test_bad_grid_is_validation_error(graph_files, capsys):
-    for grid in ("0:1.2:0.1", "0:0.5:nan", "0:0.5:inf"):
+    for grid in ("0:1.2:0.1", "0:0.5:nan", "0:0.5:inf", "0:0.5:1e-9"):
         code, _, err = run_cli(["sweep", "--graph", graph_files["bowtie"],
                                 "--grid", grid], capsys)
         assert code == 1

@@ -1,13 +1,16 @@
-"""Block products and the two iteration primitives of ``operators``: the
-walk behind every series sum and the Perron blend."""
+"""Block products and the iteration primitives of ``operators``: the walk
+behind every series sum, the BiCGSTAB solve and the Perron blend; plus counts
+of the products and walks that the ``c = 1`` analyses spend near one."""
 
 import numpy as np
 import pytest
 from scipy import sparse
 
 import rankmass as rm
-from rankmass.operators import (SubstochasticBlock, block_view, chain_view, perron_irreducible,
-                                resolvent_moments, solve_left)
+from rankmass import operators
+from rankmass.escc import transient_view
+from rankmass.operators import (BICGSTAB_MAX_ITER, SubstochasticBlock, block_view, chain_view,
+                                perron_irreducible, resolvent_moments, solve_left, walk)
 
 import helpers
 
@@ -52,3 +55,96 @@ def test_perron_stops_at_non_finite_weight():
         with pytest.raises(rm.ConvergenceError) as err:
             perron_irreducible(block)
         assert err.value.iterations == 1
+
+
+def test_solve_matches_dense_on_transient_blocks(random_graphs):
+    tol = 1e-14
+    for g in random_graphs:
+        nodes = np.flatnonzero(rm.block_decomposition(g, rm.bowtie_labeling(g)).block_index < 0)
+        view = block_view(g, nodes, nodes)
+        t = helpers.dense_w(g)[np.ix_(nodes, nodes)]
+        b = np.random.default_rng(nodes.size).random(nodes.size)
+        for c in (0.5, 0.99, 1.0):
+            eye_less = np.eye(nodes.size) - c * t
+            for product, dense in ((view.mul_left, eye_less.T), (view.mul_right, eye_less)):
+                apply = lambda v: c * product(v)
+                y = solve_left(apply, b, tol=tol)
+                expected = np.linalg.solve(dense, b)
+                assert np.abs(y - expected).sum() <= 1e-13 * np.abs(expected).sum()
+                residual = np.abs(b - (y - apply(y))).sum()
+                assert residual <= max(tol, tol * np.abs(y).sum())
+
+
+def test_solve_falls_back_to_the_walk_on_a_leaky_ring():
+    # the ring's spectrum lies on a circle of radius 0.998, where BiCGSTAB
+    # runs to its step cap; the walk then sums the series
+    size = 300
+    ring = SubstochasticBlock(matrix=sparse.csr_matrix(0.998 * np.roll(np.eye(size), 1, axis=1)),
+                              dangling_local=np.array([], dtype=np.int64), n_total=size,
+                              rows=np.arange(size), cols=np.arange(size))
+    b = np.random.default_rng(3).random(size)
+    products = 0
+
+    def apply(y):
+        nonlocal products
+        products += 1
+        return ring.mul_left(y)
+
+    y = solve_left(apply, b)
+    expected = np.linalg.solve((np.eye(size) - ring.matrix.toarray()).T, b)
+    assert np.abs(y - expected).sum() <= 1e-12 * np.abs(expected).sum()
+    terms = sum(1 for _ in walk(ring.mul_left, b)) - 1
+    assert 3 * BICGSTAB_MAX_ITER < products <= 1 + 3 * BICGSTAB_MAX_ITER + terms
+
+
+@pytest.fixture(scope="module")
+def near_one():
+    """A 200-node random core whose only exits are three links into one
+    dead-end 2-cycle, so the core is T and lambda1 is about 0.9986."""
+    rng = np.random.default_rng(8)
+    core = 200
+    edges = {(i, (i + 1) % core) for i in range(core)}
+    edges |= {(int(u), int(v)) for u, v in rng.integers(0, core, size=(3 * core, 2)) if u != v}
+    edges |= {(i, core) for i in range(3)} | {(core, core + 1), (core + 1, core)}
+    g = rm.build_graph(core + 2, sorted(edges))
+    labels = rm.bowtie_labeling(g)
+    blocks = rm.block_decomposition(g, labels)
+    assert rm.spectral_summary(g, labels, blocks).lambda1 >= 0.995
+    return g, labels, blocks
+
+
+def test_c1_analyses_take_a_fraction_of_the_walk(near_one, monkeypatch):
+    g, _, blocks = near_one
+    view = transient_view(g, blocks)
+    size = view.rows.size
+    terms = sum(1 for _ in walk(view.mul_left, np.full(size, 1.0 / size))) - 1
+    products = 0
+    mul_left = SubstochasticBlock.mul_left
+
+    def counted(self, y):
+        nonlocal products
+        products += 1
+        return mul_left(self, y)
+
+    monkeypatch.setattr(SubstochasticBlock, "mul_left", counted)
+    for analysis in (rm.limit_vector, rm.expected_visits):
+        products = 0
+        analysis(g, blocks)
+        assert products < terms / 20, analysis.__name__
+
+
+def test_grid_analyses_walk_no_further_than_their_grid(near_one, monkeypatch):
+    g, labels, blocks = near_one
+    walked = []
+
+    def spy(apply, x0, c_max=1.0, *args, **kwargs):
+        walked.append(c_max)
+        return walk(apply, x0, c_max, *args, **kwargs)
+
+    monkeypatch.setattr(operators, "walk", spy)
+    grid = np.arange(0.05, 0.951, 0.05)   # the CLI default 0.05:0.95:0.05
+    rm.prop3_bounds(g, labels, blocks, grid)
+    assert walked and max(walked) <= grid[-1]
+    walked.clear()
+    report = rm.cstar_solve(g, labels, blocks, v_mode="uniform")
+    assert walked and max(walked) <= report.samples[-1][0]
