@@ -27,6 +27,7 @@ from .graph import load_path
 from .inscc import (derivative_at_one, derivative_at_zero, inscc_curve,
                     three_block_view)
 from .limits import limit_vector
+from .operators import DEFAULT_MAX_ITER
 from .pagerank import PageRankConfig, damping_sweep, pagerank
 
 USAGE_ERROR = 1
@@ -170,7 +171,7 @@ def cmd_pagerank(args) -> int:
     result = pagerank(g, cfg)
     report = CsvReport(args.graph, {
         "command": "pagerank", "damping": cfg.damping, "tol": cfg.tolerance,
-        "max_iter": cfg.resolved_max_iterations(),
+        "max_iter": cfg.max_iterations,
         "iterations_used": result.iterations_used})
     report.row(["node_id", "score"])
     for v in range(g.n):
@@ -373,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--damping", type=_damping_arg, default=0.85)
     p.add_argument("--tol", type=float, default=1e-12, help="L1 tolerance (default 1e-12)")
-    p.add_argument("--max-iter", type=int, default=None,
-                   help="iteration cap (default: geometric-rate estimate, min 1000)")
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
+                   help=f"cap on solve steps and walk terms (default {DEFAULT_MAX_ITER})")
     p.set_defaults(fn=cmd_pagerank)
 
     p = sub.add_parser("sweep", help="component masses across a damping grid")

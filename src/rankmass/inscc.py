@@ -289,7 +289,8 @@ def unimodality_scan(view: ThreeBlockView, grid=None,
     """Scan the main-term mass over a dense grid and report any departure
     from the rise-once-then-decay shape (at most one sign change of the
     first difference, concave tail, positive a(c))."""
-    grid = np.arange(0.0, 0.991, 0.01) if grid is None else np.asarray(grid, dtype=float)
+    grid = (np.arange(0.0, 0.991, 0.01) if grid is None
+            else np.array([_damping(float(c)) for c in grid]))
     if grid.size < 3:
         raise ValueError("grid too coarse for a shape scan")
     masses = _restart_coeff(view, grid) * series_at(_moments(view, grid.max(), tol)[:, 0], grid)

@@ -137,11 +137,12 @@ def solve_left(apply_a: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     then on the best iterate is kept and returned at the second step in a
     row where the residual fails to halve.  On a breakdown (a zero or
     non-finite ``r_hat . r``, ``r_hat . v`` or ``omega``) or after
-    :data:`BICGSTAB_MAX_ITER` steps it falls back to the sum of the walk
-    ``b A^k`` (:func:`walk`), which stops after the first term of L1 norm at
-    most ``tol`` and raises :class:`ConvergenceError` at a non-finite term or
-    past ``max_iter`` terms.  The walk needs the spectral radius of A below
-    one; BiCGSTAB only needs ``I - A`` nonsingular.
+    ``min(BICGSTAB_MAX_ITER, max_iter)`` steps it falls back to the sum of
+    the walk ``b A^k`` (:func:`walk`), which stops after the first term of L1
+    norm at most ``tol`` and raises :class:`ConvergenceError` at a non-finite
+    term or past ``max_iter`` terms.  The walk needs the spectral radius of A below
+    one; BiCGSTAB only needs ``I - A`` nonsingular.  The inner products are
+    numpy reductions: a BLAS ``@`` would run threaded on long vectors.
     """
     check_tolerance(tol)
     b = np.asarray(b, dtype=np.float64)
@@ -149,7 +150,7 @@ def solve_left(apply_a: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     y, p, v = b.copy(), np.zeros_like(b), np.zeros_like(b)
     rho = alpha = omega = 1.0
     res, best, best_res, floored, stalls = np.inf, y, np.inf, False, 0
-    for _ in range(BICGSTAB_MAX_ITER):
+    for _ in range(min(BICGSTAB_MAX_ITER, max_iter)):
         r = b - (y - apply_a(y))
         res, prev = float(np.abs(r).sum()), res
         if res <= tol:
@@ -161,20 +162,20 @@ def solve_left(apply_a: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
             stalls = stalls + 1 if res > 0.5 * prev else 0
             if stalls == 2:
                 return best
-        rho_next = float(r_hat @ r)
+        rho_next = float((r_hat * r).sum())
         if not (omega and rho_next and np.isfinite((omega, rho_next)).all()):
             break
         p = r + (rho_next / rho) * (alpha / omega) * (p - omega * v)
         rho = rho_next
         v = p - apply_a(p)
-        denom = float(r_hat @ v)
+        denom = float((r_hat * v).sum())
         if not (denom and np.isfinite(denom)):
             break
         alpha = rho / denom
         s = r - alpha * v
         t = s - apply_a(s)
-        tt = float(t @ t)
-        omega = float(t @ s) / tt if tt else 0.0   # s = 0: the half step solved it
+        tt = float((t * t).sum())
+        omega = float((t * s).sum()) / tt if tt else 0.0   # s = 0: the half step solved it
         y = y + alpha * p + omega * s
     return sum(walk(apply_a, b, tol=tol, max_iter=max_iter))
 

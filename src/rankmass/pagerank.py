@@ -1,11 +1,11 @@
-"""PageRank two ways over the series walk of :mod:`operators`, plus the
-bookkeeping that attributes score mass to structural components.
+"""PageRank two ways, plus the bookkeeping that attributes score mass to
+structural components.
 
-:func:`pagerank` corrects a start ``x0`` by its residual
-``r0 = c x0 W + (1 - c)/n - x0`` as ``x0 + sum_k r0 (c W)^k``, whose k-th
-term is the k-th power-iteration step; :func:`pagerank_via_resolvent` sums
-``((1 - c)/n) 1^T (c W)^k``.  Both stop once the step-size bound on the L1
-error meets the tolerance, so the two agree to within twice the tolerance.
+:func:`pagerank` corrects a start ``x0`` by one :func:`operators.solve_left`
+of ``y (I - cW) = r0``, where ``r0 = c x0 W + (1 - c)/n - x0`` is its
+residual; :func:`pagerank_via_resolvent` sums the series walk
+``((1 - c)/n) 1^T (c W)^k``.  Both bound their L1 error by the tolerance, so
+the two agree to within twice the tolerance.
 """
 
 from __future__ import annotations
@@ -18,20 +18,19 @@ from scipy import sparse
 from .bowtie import BlockDecomposition, BowtieLabeling, Label
 from .errors import ConvergenceError
 from .graph import GraphHandle
-from .operators import check_tolerance, chain_view, resolvent_moments, series_at, walk
+from .operators import (DEFAULT_MAX_ITER, check_tolerance, chain_view, resolvent_moments,
+                        series_at, solve_left, walk)
 
 
 @dataclass(frozen=True)
 class PageRankConfig:
-    """Damping factor in [0, 1), L1 tolerance, and an iteration cap.
-
-    ``max_iterations`` defaults to ten times the geometric-rate estimate
-    ``log(tol)/log(c)``, floored at 1000.
-    """
+    """Damping factor in [0, 1), a bound on the L1 error of the returned
+    vector, and a cap on the steps of the solve and of its walk fallback
+    (:func:`operators.solve_left`)."""
 
     damping: float
     tolerance: float = 1e-12
-    max_iterations: int | None = None
+    max_iterations: int = DEFAULT_MAX_ITER
 
     def __post_init__(self):
         if not 0.0 <= self.damping < 1.0:
@@ -39,21 +38,14 @@ class PageRankConfig:
                 f"damping must lie in [0, 1); got {self.damping} "
                 "(the c -> 1 limit has its own analytic path)")
         check_tolerance(self.tolerance)
-        if self.max_iterations is not None and self.max_iterations <= 0:
+        if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
-
-    def resolved_max_iterations(self) -> int:
-        if self.max_iterations is not None:
-            return self.max_iterations
-        if self.damping == 0.0:
-            return 1000
-        estimate = 10 * int(np.ceil(np.log(self.tolerance) / np.log(self.damping)))
-        return max(1000, estimate)
 
 
 @dataclass(frozen=True, eq=False)
 class RankVector:
-    """A probability vector over nodes together with how it was obtained."""
+    """A probability vector with how it was obtained: the chain products of
+    its solve and its recomputed residual ``||c x W + (1 - c)/n - x||_1``."""
 
     values: np.ndarray
     damping: float
@@ -76,24 +68,16 @@ def rank_of(values: np.ndarray, node: int) -> int:
     return better + 1
 
 
-def _effective_tol(tolerance: float, c: float) -> float:
-    # shrink the step-size test so the *error* meets the tolerance:
-    # ||x_k - pi|| <= c/(1-c) * step
-    if c == 0.0:
-        return tolerance
-    return tolerance * min(1.0, (1.0 - c) / c)
-
-
 def pagerank(g: GraphHandle, cfg: PageRankConfig,
              start: np.ndarray | None = None) -> RankVector:
-    """Stationary vector of the damped surfer chain, ``x0 + sum_k r0 (c W)^k``
-    summed over :func:`walk`; the k-th term is the power iteration's k-th step.
-
-    ``x0`` is ``start`` rescaled to a probability vector, or the uniform one;
-    a ``start`` that is not nonnegative, finite and length n with a positive
-    sum raises ValueError before any product.  ``residual`` is
-    ``||c x W + (1 - c)/n - x||_1`` of the returned vector; above the
-    tolerance, :class:`ConvergenceError` names ``c``.
+    """Stationary vector of the damped surfer chain, ``x0 + y`` with
+    ``y (I - cW) = r0`` solved by :func:`solve_left` to a residual of
+    ``(1 - c) tol``: ``[I - cW]^{-1}`` has L1 norm ``1/(1 - c)``, so ``tol``
+    bounds the L1 error.  ``x0`` is ``start`` rescaled to a probability
+    vector, or the uniform one; a ``start`` that is not nonnegative, finite
+    and length n with a positive sum raises ValueError before any product.
+    A failed solve or a residual above ``tol`` raises :class:`ConvergenceError`
+    naming ``c``.
     """
     if g.n == 0:
         raise ValueError("empty graph")
@@ -115,20 +99,29 @@ def pagerank(g: GraphHandle, cfg: PageRankConfig,
         if x.sum() == 0.0:
             raise ValueError("start vector sums to zero")
     x /= x.sum()
-    terms = walk(chain.mul_left, fixed_point_gap(x), c_max=c,
-                 tol=_effective_tol(cfg.tolerance, c), max_iter=cfg.resolved_max_iterations())
-    for k, term in enumerate(terms):
-        x += c ** k * term
+    products = 0
+
+    def damped(y: np.ndarray) -> np.ndarray:
+        nonlocal products
+        products += 1
+        return c * chain.mul_left(y)
+
+    try:
+        x = x + solve_left(damped, fixed_point_gap(x), tol=(1.0 - c) * cfg.tolerance,
+                           max_iter=cfg.max_iterations)
+    except ConvergenceError as err:
+        raise ConvergenceError(f"pagerank at c={c} did not converge",
+                               err.residual, products) from None
     x /= x.sum()
     residual = float(np.abs(fixed_point_gap(x)).sum())
     if residual > cfg.tolerance:
         raise ConvergenceError(f"pagerank at c={c} missed the tolerance {cfg.tolerance}",
-                               residual, k + 1)
-    return RankVector(values=x, damping=c, iterations_used=k + 1, residual=residual)
+                               residual, products)
+    return RankVector(values=x, damping=c, iterations_used=products, residual=residual)
 
 
 def pagerank_via_resolvent(g: GraphHandle, damping: float, tolerance: float = 1e-12,
-                           max_iterations: int | None = None) -> RankVector:
+                           max_iterations: int = DEFAULT_MAX_ITER) -> RankVector:
     """Same vector through the restart-weighted sum of walk distributions.
 
     Sums the walk ((1-c)/n) 1^T (c W)^k, stopping once a term falls below the
@@ -142,8 +135,10 @@ def pagerank_via_resolvent(g: GraphHandle, damping: float, tolerance: float = 1e
         raise ValueError("empty graph")
     chain = chain_view(g)
     total = np.zeros(n)
+    # the tail after a term of norm ``step`` is at most c/(1-c) * step
+    step_tol = cfg.tolerance * min(1.0, (1.0 - c) / c) if c else cfg.tolerance
     terms = walk(lambda x: c * chain.mul_left(x), np.full(n, (1.0 - c) / n),
-                 tol=_effective_tol(cfg.tolerance, c), max_iter=cfg.resolved_max_iterations())
+                 tol=step_tol, max_iter=cfg.max_iterations)
     for terms_used, term in enumerate(terms, start=1):
         total += term
     total /= total.sum()
@@ -209,11 +204,9 @@ def damping_sweep(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecomposi
     grid = [float(c) for c in grid]
     if not grid:
         return []
-    top = max((PageRankConfig(damping=c, tolerance=tolerance) for c in grid),
-              key=lambda cfg: cfg.damping)
+    c_max = max(PageRankConfig(damping=c, tolerance=tolerance).damping for c in grid)
     moments = resolvent_moments(chain_view(g).mul_left, np.full(g.n, 1.0 / g.n),
-                                _component_probes(labels, blocks), top.damping,
-                                tol=tolerance, max_iter=top.resolved_max_iterations())
+                                _component_probes(labels, blocks), c_max, tol=tolerance)
     masses = series_at(moments, grid)
     masses /= masses[:, :4].sum(axis=1, keepdims=True)
     return [(c, _breakdown(m)) for c, m in zip(grid, masses)]

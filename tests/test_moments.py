@@ -183,3 +183,6 @@ def test_inscc_curve_edge_grids(threeblock_view):
     for bad in ([0.5, 1.0], [-0.1]):
         with pytest.raises(ValueError):
             rm.inscc_curve(threeblock_view, bad)
+    for bad in ([0.0, 0.5, 1.5], [0.0, np.nan, 0.5], [-0.5, 0.0, 0.5]):
+        with pytest.raises(ValueError, match="damping"):
+            rm.unimodality_scan(threeblock_view, bad)

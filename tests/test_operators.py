@@ -2,6 +2,9 @@
 behind every series sum, the BiCGSTAB solve and the Perron blend; plus counts
 of the products and walks that the ``c = 1`` analyses spend near one."""
 
+import resource
+import time
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -95,6 +98,29 @@ def test_solve_falls_back_to_the_walk_on_a_leaky_ring():
     assert np.abs(y - expected).sum() <= 1e-12 * np.abs(expected).sum()
     terms = sum(1 for _ in walk(ring.mul_left, b)) - 1
     assert 3 * BICGSTAB_MAX_ITER < products <= 1 + 3 * BICGSTAB_MAX_ITER + terms
+
+
+def test_solve_stays_on_one_thread():
+    # BLAS threads ``@`` on vectors this long; one thread's CPU time cannot
+    # exceed its wall time
+    rng = np.random.default_rng(5)
+    n = 20_000
+    tails = np.repeat(np.arange(n), 4)
+    chain = chain_view(rm.build_graph(n, zip(tails, rng.integers(0, n, tails.size))))
+    apply = lambda y: 0.85 * chain.mul_left(y)
+    b = rng.random(n)
+    solve_left(apply, b)
+    time.sleep(0.3)   # lets idle BLAS threads of earlier tests stop spinning
+
+    def cpu_s():
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        return usage.ru_utime + usage.ru_stime
+
+    cpu, wall = cpu_s(), time.perf_counter()
+    for _ in range(5):
+        solve_left(apply, b)
+    cpu, wall = cpu_s() - cpu, time.perf_counter() - wall
+    assert cpu <= 1.2 * wall
 
 
 @pytest.fixture(scope="module")

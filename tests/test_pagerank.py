@@ -64,11 +64,13 @@ def test_resolvent_symmetric_cycle():
 
 def test_properties_sum_residual_nonnegative(bowtie, random_graphs):
     for g in [bowtie] + random_graphs[:6]:
-        for c in (0.1, 0.85):
+        for c in (0.1, 0.85, 0.99):
             pi = rm.pagerank(g, rm.PageRankConfig(damping=c))
             assert np.all(pi.values >= 0.0)
             assert abs(pi.values.sum() - 1.0) <= 1e-12
             assert pi.residual <= 1e-12
+            # the tolerance bounds the L1 error, not only the residual
+            assert np.abs(pi.values - helpers.dense_pagerank(g, c)).sum() <= 1e-12
             # recompute the fixed-point residual independently
             gm = helpers.dense_google(g, c)
             dense = np.abs(pi.values @ gm - pi.values).sum()
@@ -77,12 +79,17 @@ def test_properties_sum_residual_nonnegative(bowtie, random_graphs):
 
 
 def test_tight_tolerance_near_one_is_met(bowtie):
-    # the power iteration's step size stalls at the rounding floor here; the
-    # residual walk's terms keep contracting
+    # the solve's target (1 - c) * 1e-14 lies below the rounding floor; it
+    # returns its best iterate there, whose residual still meets 1e-14
     pi = rm.pagerank(bowtie, rm.PageRankConfig(damping=0.999, tolerance=1e-14))
     dense = np.abs(pi.values @ helpers.dense_google(bowtie, 0.999) - pi.values).sum()
     assert pi.residual <= 1e-14
     assert abs(pi.residual - dense) <= 1e-15
+
+
+def test_near_one_takes_a_solve_not_a_walk(bowtie):
+    # summing the series at c = 0.99 took 2956 products on this graph
+    assert rm.pagerank(bowtie, rm.PageRankConfig(damping=0.99)).iterations_used <= 100
 
 
 def test_nonconvergence_raises_with_residual(bowtie):
@@ -92,6 +99,7 @@ def test_nonconvergence_raises_with_residual(bowtie):
         with pytest.raises(rm.ConvergenceError, match=f"c={cfg.damping}") as err:
             rm.pagerank(bowtie, cfg)
         assert err.value.residual > cfg.tolerance
+        assert str(err.value).count("iterations") == 1
 
 
 def test_bad_start_vector_rejected_before_iterating(bowtie):
