@@ -199,8 +199,8 @@ def cmd_limit(args) -> int:
     result = limit_vector(g, blocks, tol=args.tol)
     report = CsvReport(args.graph, {"command": "limit", "tol": args.tol})
     report.row(["block_id", "size", "fair_share", "absorption_weight", "limit_mass"])
-    for i in range(blocks.num_blocks):
-        report.row([i, blocks.block_sizes[i], float(result.fair_shares[i]),
+    for i, size in enumerate(blocks.block_sizes):
+        report.row([i, size, float(result.fair_shares[i]),
                     float(result.drain_weights[i]), float(result.block_masses[i])])
     report.save(args.out)
     if args.vector_out:

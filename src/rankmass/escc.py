@@ -17,10 +17,11 @@ under the two testable conditions reported alongside.
 Every mass on a grid, and every ``c*`` sample and bisection step up to the
 samples' top value 0.95, reads the moments ``u T^k 1`` of one walk of T taken
 to the largest value needed below 1 (see :func:`operators.resolvent_moments`).
-The walk's length grows like ``1 / (1 - c lambda1)``, so the expected visits
-``u [I - T]^{-1} 1`` and each ``c*`` mass above 0.95 are instead one BiCGSTAB
-solve (:func:`operators.solve_left`): it stops once the true residual is within
-the tolerance and falls back to summing the walk if it breaks down.
+The walk's length grows like ``1 / (1 - c lambda1)``, so a single mass, the
+expected visits ``u [I - T]^{-1} 1`` and each ``c*`` mass above 0.95 are
+instead one BiCGSTAB solve (:func:`operators.solve_left`), which stops on the
+true residual.  ``lambda1`` and the quasi-stationary vector take one split of
+T into classes and one solve below the winning class, whatever the class count.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bowtie import BlockDecomposition, BowtieLabeling, component_lists, scc_labels
+from .bowtie import BlockDecomposition, BowtieLabeling, by_smallest_member, closure, scc_labels
 from .errors import ConvergenceError, StructureError
 from .graph import GraphHandle
 from .operators import (SubstochasticBlock, block_view, check_tolerance, perron_irreducible,
@@ -68,63 +69,57 @@ class SpectralSummary:
     nodes: np.ndarray
 
 
-def _classes(view: SubstochasticBlock) -> tuple[list[list[int]], list[int]]:
-    """Communicating classes of a square block, its dangling rows linking to
-    the whole block, ordered by smallest member; plus the class indices in a
-    topological order (every class before the classes it feeds)."""
-    finish = scc_labels(view.matrix.indptr, view.matrix.indices, view.dangling_local)
-    classes = component_lists(finish)
-    # Tarjan completes sink classes first, so decreasing finish number is topological
-    order = sorted(range(len(classes)), key=lambda k: -finish[classes[k][0]])
-    return classes, order
-
-
-def _perron_left(g: GraphHandle, view: SubstochasticBlock,
-                 tol: float = EIG_TOL) -> tuple[float, np.ndarray]:
-    """Dominant eigenvalue and probability-normed left eigenvector of T.
-
-    Reducible blocks are handled exactly: the eigenvalue is the maximum over
-    the diagonal classes, and the eigenvector couples the winning class
-    (smallest member on ties) with everything it feeds downstream.
+def _perron_left(view: SubstochasticBlock, tol: float = EIG_TOL) -> tuple[float, np.ndarray]:
+    """Dominant eigenvalue and probability-normed left eigenvector of T, exact
+    also when T is reducible.  Singleton classes read the eigenvalue off the
+    diagonal and larger ones run :func:`perron_irreducible`; the largest wins,
+    the smallest member on ties.  The vector below the winner is one solve
+    ``x_down (lam I - T_down) = x_win T_win,down``.  Raises
+    :class:`ConvergenceError` on a tie below the winner or an overflow there.
     """
-    size = view.rows.size
-    classes, order = _classes(view)
-    if len(classes) == 1:
-        lam, vec = perron_irreducible(view, tol=tol)
-        return lam, vec / vec.sum()
+    dangling = view.dangling_local
+    ids = by_smallest_member(scc_labels(view.matrix.indptr, view.matrix.indices, dangling))
+    sizes = np.bincount(ids)
+    members = np.split(np.argsort(ids, kind="stable"), np.cumsum(sizes)[:-1])
+    diag = view.matrix.diagonal()
+    diag[dangling] += 1.0 / view.n_total
+    lams = np.bincount(ids, weights=diag)   # a singleton's eigenvalue is its diagonal entry
+    vecs = {}
+    for k in np.flatnonzero(sizes > 1).tolist():
+        lams[k], vecs[k] = perron_irreducible(view.cut(members[k], members[k]), tol=tol)
+    winner = int(np.argmax(lams))
+    lam, win = float(lams[winner]), members[winner]
 
-    subs = [block_view(g, view.rows[cls], view.rows[cls]) for cls in classes]
-    per_class = [perron_irreducible(sub, tol=tol) for sub in subs]
-    winner = max(range(len(classes)),
-                 key=lambda i: (per_class[i][0], -classes[i][0]))
-    lam = per_class[winner][0]
-
-    x = np.zeros(size)
-    started = False
-    for k in order:
-        cls = np.asarray(classes[k], dtype=np.int64)
-        if k == winner:
-            x[cls] = per_class[k][1]
-            started = True
-            continue
-        if not started:
-            continue
-        inflow = view.mul_left(x)[cls]
-        if float(np.abs(inflow).sum()) == 0.0:
-            continue
-        if per_class[k][0] >= lam - 1e-14:
-            raise ConvergenceError(
-                "tied dominant classes along a feeding path", per_class[k][0], 0)
-        x[cls] = solve_left(lambda y: subs[k].mul_left(y) / lam, inflow / lam, tol=tol)
-    x /= x.sum()
-    return lam, x
+    x = np.zeros(view.rows.size)
+    x[win] = vecs.get(winner, 1.0)
+    below = closure(view.matrix.indptr, view.matrix.indices, win)
+    below |= below[dangling].any()   # a dangling row reaches all of T
+    down = np.flatnonzero(below & (ids != winner))
+    if down.size:
+        rival = float(lams[ids[down]].max())
+        if rival >= lam - 1e-14:
+            raise ConvergenceError("tied dominant classes along a feeding path", rival, 0)
+        sub = view.cut(down, down)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                x[down] = solve_left(lambda y: sub.mul_left(y) / lam,
+                                     view.mul_left(x)[down] / lam, tol=tol)
+            except ConvergenceError as exc:   # the walk fallback met a non-finite term
+                if np.isfinite(exc.residual):
+                    raise
+                x[down] = np.inf
+    total = x.sum()
+    if not np.isfinite(total):
+        raise ConvergenceError("the quasi-stationary vector overflows below the dominant class",
+                               total, 0)
+    return lam, x / total
 
 
 def spectral_summary(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecomposition,
                      escc_only: bool = False, tol: float = EIG_TOL) -> SpectralSummary:
     """Compute p1, lambda1, and the quasi-stationary vector of T."""
     view = transient_view(g, blocks, escc_only)
-    lam, quasi = _perron_left(g, view, tol=tol)
+    lam, quasi = _perron_left(view, tol=tol)
     p1 = float(view.row_sums().mean())
     delta = np.count_nonzero(blocks.pure_out_mask) / g.n
     quasi.setflags(write=False)
@@ -159,11 +154,11 @@ def _mass_at(moments: np.ndarray, gamma: float, c: float) -> float:
 
 def escc_mass(g: GraphHandle, blocks: BlockDecomposition, c: float,
               escc_only: bool = False, tol: float = SOLVE_TOL) -> float:
-    """Mass held by the transient block at damping ``c`` (0 at c = 1 exactly)."""
+    """Mass held by the transient block at damping ``c``, by one solve; 0 at c = 1."""
     if _damping(c) == 1.0:
         return 0.0
     view = transient_view(g, blocks, escc_only)
-    return _mass_at(_transient_moments(view, c, tol), view.rows.size / g.n, c)
+    return (1.0 - c) * (view.rows.size / g.n) * _uniform_visits(view, c, tol)
 
 
 def expected_visits(g: GraphHandle, blocks: BlockDecomposition,

@@ -3,6 +3,7 @@ import pytest
 from scipy import sparse
 
 import rankmass as rm
+from rankmass import escc
 from rankmass.escc import transient_view
 from rankmass.operators import SubstochasticBlock, perron_irreducible
 
@@ -97,6 +98,55 @@ def test_spectral_summary_downstream_coupling():
     t = w[np.ix_(tn, tn)]
     assert np.abs(s.quasi_stationary @ t - s.lambda1 * s.quasi_stationary).sum() <= 1e-12
     assert s.quasi_stationary[list(s.nodes).index(2)] > 0.0
+
+
+def _fan_out(k: int):
+    # a leaky swap pair (lambda1 = sqrt(1/2)) feeds a hub that fans out to k
+    # singleton transient nodes, all draining into one closed sink
+    hub, sink = 2, k + 3
+    edges = [(0, 1), (1, 0), (1, hub), (sink, sink)]
+    edges += [(hub, leaf) for leaf in range(3, sink)] + [(leaf, sink) for leaf in range(3, sink)]
+    g = rm.build_graph(k + 4, edges)
+    labels = rm.bowtie_labeling(g)
+    return g, labels, rm.block_decomposition(g, labels)
+
+
+def test_spectral_summary_cost_does_not_grow_with_classes(monkeypatch):
+    calls = {"block_view": 0, "mul_left": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(escc, "block_view", counting("block_view", escc.block_view))
+    monkeypatch.setattr(SubstochasticBlock, "mul_left",
+                        counting("mul_left", SubstochasticBlock.mul_left))
+    counts = []
+    for k in (100, 3000):
+        calls.update(block_view=0, mul_left=0)
+        g, labels, blocks = _fan_out(k)
+        s = rm.spectral_summary(g, labels, blocks)
+        counts.append(dict(calls))
+        if k == 100:
+            tn = sorted(blocks.transient_set)
+            lam_ref, vec_ref = helpers.dense_perron_left(helpers.dense_w(g)[np.ix_(tn, tn)])
+            assert s.lambda1 == pytest.approx(lam_ref, abs=1e-12)
+            assert np.abs(s.quasi_stationary - vec_ref).sum() <= 1e-10
+    assert counts[0] == counts[1]
+
+
+def test_spectral_summary_refuses_an_overflowing_vector():
+    # a leaky swap pair feeds a path of 5000 transient nodes into a sink: the
+    # exact eigenvector grows like lambda1^-depth and overflows float64
+    depth = 5000
+    edges = [(0, 1), (1, 0), (1, 2)] + [(i, i + 1) for i in range(2, depth + 2)]
+    g = rm.build_graph(depth + 3, edges + [(depth + 2, depth + 2)])
+    labels = rm.bowtie_labeling(g)
+    blocks = rm.block_decomposition(g, labels)
+    with pytest.raises(rm.ConvergenceError, match="overflows below the dominant class"):
+        rm.spectral_summary(g, labels, blocks)
 
 
 def test_empty_transient_block_rejected(heavy):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import rankmass as rm
-from rankmass.bowtie import Label, w_components
-from rankmass.escc import _classes, transient_view
+from rankmass.bowtie import Label, component_lists, scc_labels, w_components
+from rankmass.escc import transient_view
 from rankmass.operators import block_view
 
 import helpers
@@ -98,16 +98,9 @@ def test_block_classes_match_dense_oracle(g):
     for view in _views(g):
         adj = view.matrix.toarray() > 0.0
         adj[view.dangling_local, :] = True
-        classes, order = _classes(view)
+        classes = component_lists(
+            scc_labels(view.matrix.indptr, view.matrix.indices, view.dangling_local))
         assert classes == helpers.dense_reach_components(adj)
-        assert sorted(order) == list(range(len(classes)))
-        position = np.empty(len(classes), dtype=np.int64)
-        position[order] = np.arange(len(classes))
-        class_of = np.empty(view.rows.size, dtype=np.int64)
-        for k, cls in enumerate(classes):
-            class_of[cls] = k
-        for a, b in zip(*np.nonzero(adj)):
-            assert position[class_of[a]] <= position[class_of[b]]
 
 
 LONG = 100_000
