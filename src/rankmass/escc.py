@@ -14,14 +14,14 @@ retention under the quasi-stationary law) yield the envelope
 
 under the two testable conditions reported alongside.
 
-Every mass on a grid, and every ``c*`` sample and bisection step up to the
-samples' top value 0.95, reads the moments ``u T^k 1`` of one walk of T taken
-to the largest value needed below 1 (see :func:`operators.resolvent_moments`).
-The walk's length grows like ``1 / (1 - c lambda1)``, so a single mass, the
-expected visits ``u [I - T]^{-1} 1`` and each ``c*`` mass above 0.95 are
-instead one BiCGSTAB solve (:func:`operators.solve_left`), which stops on the
-true residual.  ``lambda1`` and the quasi-stationary vector take one split of
-T into classes and one solve below the winning class, whatever the class count.
+Every mass on a grid with the expected visits ``u [I - T]^{-1} 1``, and
+every ``c*`` sample and bisection step, reads ``u [I - cT]^{-1} 1`` off one
+shifted basis of T from ``u`` (:func:`operators.shifted_solve`), which
+replays any c from the small data of its cycles.  A single mass and the
+visits alone are one BiCGSTAB solve (:func:`operators.solve_left`), which
+stops on the true residual.  ``lambda1`` and the quasi-stationary vector take
+one split of T into classes and one solve below the winning class, whatever
+the class count.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import numpy as np
 from .bowtie import BlockDecomposition, BowtieLabeling, by_smallest_member, closure, scc_labels
 from .errors import ConvergenceError, StructureError
 from .graph import GraphHandle
-from .operators import (SubstochasticBlock, block_view, check_tolerance, perron_irreducible,
-                        resolvent_moments, series_at, solve_left)
+from .operators import (ShiftedSolve, SubstochasticBlock, block_view, check_tolerance,
+                        perron_irreducible, shifted_solve, solve_left)
 from .pagerank import mass_breakdown
 
 EIG_TOL = 1e-13
@@ -118,7 +118,11 @@ def _perron_left(view: SubstochasticBlock, tol: float = EIG_TOL) -> tuple[float,
 def spectral_summary(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecomposition,
                      escc_only: bool = False, tol: float = EIG_TOL) -> SpectralSummary:
     """Compute p1, lambda1, and the quasi-stationary vector of T."""
-    view = transient_view(g, blocks, escc_only)
+    return _summary_of(g, blocks, transient_view(g, blocks, escc_only), tol)
+
+
+def _summary_of(g: GraphHandle, blocks: BlockDecomposition, view: SubstochasticBlock,
+                tol: float = EIG_TOL) -> SpectralSummary:
     lam, quasi = _perron_left(view, tol=tol)
     p1 = float(view.row_sums().mean())
     delta = np.count_nonzero(blocks.pure_out_mask) / g.n
@@ -128,11 +132,10 @@ def spectral_summary(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecomp
                            nodes=view.rows)
 
 
-def _transient_moments(view: SubstochasticBlock, c_max: float, tol: float) -> np.ndarray:
-    """Moments ``u T^k 1`` of the transient block to ``c_max``."""
+def _uniform_basis(view: SubstochasticBlock, grid, tol: float) -> ShiftedSolve:
+    """``u [I - cT]^{-1} 1`` for each c in ``grid`` from one shifted basis."""
     size = view.rows.size
-    return resolvent_moments(view.mul_left, np.full(size, 1.0 / size), np.ones(size),
-                             c_max, tol=tol)
+    return shifted_solve(view.mul_left, np.full(size, 1.0 / size), np.ones(size), grid, tol)
 
 
 def _uniform_visits(view: SubstochasticBlock, c: float, tol: float) -> float:
@@ -146,10 +149,6 @@ def _damping(c: float) -> float:
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"damping must lie in [0, 1]; got {c}")
     return c
-
-
-def _mass_at(moments: np.ndarray, gamma: float, c: float) -> float:
-    return (1.0 - c) * gamma * float(series_at(moments, [_damping(c)])[0])
 
 
 def escc_mass(g: GraphHandle, blocks: BlockDecomposition, c: float,
@@ -194,22 +193,21 @@ def prop3_bounds(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecomposit
                  grid, escc_only: bool = False, tol: float = SOLVE_TOL) -> Prop3Bounds:
     """Evaluate the envelope on a grid and report where each side binds.
 
-    The masses come from one walk to the largest grid value below 1 (the
-    mass at c = 1 is 0); the expected visits from one solve.
+    The masses and the expected visits, the value at c = 1, come from one
+    shifted basis (the mass at c = 1 is 0).
     """
     grid = [_damping(float(v)) for v in grid]
-    summary = spectral_summary(g, labels, blocks, escc_only=escc_only)
-    p1, lam, gamma = summary.p1, summary.lambda1, summary.gamma
     view = transient_view(g, blocks, escc_only)
-    moments = _transient_moments(view, max((c for c in grid if c < 1.0), default=0.0), tol)
-    visits = _uniform_visits(view, 1.0, tol)
+    summary = _summary_of(g, blocks, view)
+    p1, lam, gamma = summary.p1, summary.lambda1, summary.gamma
+    *grid_visits, visits = _uniform_basis(view, grid + [1.0], tol).values[:, 0].tolist()
     cond_i = p1 < lam
     cond_ii = 1.0 / (1.0 - p1) < visits
 
     rows = []
     violations = []
-    for c in grid:
-        mass = _mass_at(moments, gamma, c)   # (1 - c) makes it 0 at c = 1
+    for c, visits_c in zip(grid, grid_visits):
+        mass = (1.0 - c) * gamma * visits_c   # 0 at c = 1
         lower = gamma * (1.0 - c) / (1.0 - c * p1)
         upper = gamma * (1.0 - c) / (1.0 - c * lam)
         interior = 0.0 < c < 1.0   # the strict envelope only claims the open interval
@@ -281,8 +279,9 @@ def cstar_solve(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecompositi
     if v_mode not in V_MODES:
         raise ValueError(f"v_mode must be one of {V_MODES}")
     check_tolerance(tolerance)
+    view = transient_view(g, blocks, escc_only)
     if summary is None:
-        summary = spectral_summary(g, labels, blocks, escc_only=escc_only)
+        summary = _summary_of(g, blocks, view)
     gamma = summary.gamma
     if v_mode == "self":
         lo, hi = 0.5, 1.0 - 1e-9
@@ -294,15 +293,11 @@ def cstar_solve(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecompositi
         lo, hi = 0.0, 1.0 - 1e-12
         target = lambda c: gamma * w
 
-    view = transient_view(g, blocks, escc_only)
     sample_grid = np.arange(0.0, 0.991, 0.05)
-    top = float(sample_grid[-1])
-    moments = _transient_moments(view, top, SOLVE_TOL)
+    basis = _uniform_basis(view, np.append(sample_grid, [lo, hi]), SOLVE_TOL)
 
     def mass(c: float) -> float:
-        if c <= top:
-            return _mass_at(moments, gamma, c)
-        return (1.0 - c) * gamma * _uniform_visits(view, c, SOLVE_TOL)
+        return (1.0 - c) * gamma * float(basis.at(c)[0])
 
     c1, c2 = cstar_interval_closed_form(summary.p1, summary.lambda1, v_mode)
     samples = tuple((float(c), mass(float(c)), target(float(c))) for c in sample_grid)

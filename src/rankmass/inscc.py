@@ -8,9 +8,9 @@ equation into three coupled linear blocks.  Eliminating OUT and DN leaves
 
 with alpha, beta the IN+SCC and DN node fractions, u the uniform row over
 IN+SCC, P the internal block and S1 the per-node weight toward DN.  The
-rank-one term is applied through two dot products.  Vectors are sums of
-walks, masses on a grid come from one walk ``u P^k`` probed with ``[1, S1]``
-(``operators``).
+rank-one term is applied through two dot products.  Vectors are solves,
+and masses on a grid come from one shifted basis of P from ``u`` probed with
+``[1, S1]`` (:func:`operators.shifted_solve`).
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import numpy as np
 from .bowtie import BowtieLabeling, Label, scc_labels
 from .errors import AssumptionViolationError, StructureError
 from .graph import GraphHandle
-from .operators import (SubstochasticBlock, block_view, perron_irreducible, resolvent_moments,
-                        series_at, solve_left)
+from .operators import (SubstochasticBlock, block_view, perron_irreducible, shifted_solve,
+                        solve_left)
 
 SOLVE_TOL = 1e-14
 FD_STEP_AT_ZERO = 1e-5     # central difference step at c = 0
@@ -250,10 +250,10 @@ class InsccCurvePoint:
     d2_estimate: float | None = None
 
 
-def _moments(view: ThreeBlockView, c_max: float, tol: float) -> np.ndarray:
-    """Rows ``(u P^k 1, u P^k S1)`` of the walk of P from u, to ``c_max``."""
+def _visits_and_leak(view: ThreeBlockView, grid: np.ndarray, tol: float) -> np.ndarray:
+    """Rows ``(y_c 1, y_c S1)`` of ``y_c = u [I - cP]^{-1}``, one per grid value."""
     probes = np.column_stack([np.ones(view.size), view.s_leak()])
-    return resolvent_moments(view.p.mul_left, view.uniform(), probes, c_max, tol=tol)
+    return shifted_solve(view.p.mul_left, view.uniform(), probes, grid, tol).values
 
 
 def sherman_morrison_split(view: ThreeBlockView, c: float,
@@ -293,7 +293,7 @@ def unimodality_scan(view: ThreeBlockView, grid=None,
             else np.array([_damping(float(c)) for c in grid]))
     if grid.size < 3:
         raise ValueError("grid too coarse for a shape scan")
-    masses = _restart_coeff(view, grid) * series_at(_moments(view, grid.max(), tol)[:, 0], grid)
+    masses = _restart_coeff(view, grid) * _visits_and_leak(view, grid, tol)[:, 0]
 
     violations: list[str] = []
     diffs = np.diff(masses)
@@ -337,7 +337,7 @@ def inscc_curve(view: ThreeBlockView, grid, tol: float = SOLVE_TOL) -> list[Insc
     grid = np.array([_damping(float(c)) for c in grid])
     if not grid.size:
         return []
-    visits, leak = series_at(_moments(view, grid.max(), tol), grid).T
+    visits, leak = _visits_and_leak(view, grid, tol).T
     main = _restart_coeff(view, grid) * visits
     q = _rank_one_coeff(view, grid) * leak
     if np.any(q >= 1.0):

@@ -2,14 +2,14 @@
 
 A block never materializes dangling rows: their uniform ``1/n`` spread is
 applied as one scalar per product; :func:`chain_view` is the whole graph as
-one such block.  Every series ``x0 sum_k c^k A^k`` over a damping grid is
-read off one walk (:func:`walk`), which yields ``x0 A^k`` until
-``c_max^k ||x0 A^k||_1`` falls below the tolerance: :func:`resolvent_moments`
-probes it for :func:`series_at` to weight by ``c^k``.  Near ``c = 1`` the walk
-takes about ``1 / (1 - lambda1)`` terms, so a single resolvent vector
-``b [I - A]^{-1}`` is :func:`solve_left`, a BiCGSTAB that stops once the true
-residual ``||b - y (I - A)||_1`` is within the tolerance (or, at the rounding
-floor, once it stops halving) and falls back to summing the walk on a
+one such block.  Every damping grid, the probes of ``x0 [I - cA]^{-1}`` for
+many c, is read off one restarted left-Arnoldi basis of A from x0
+(:func:`shifted_solve`): its residuals for all c stay collinear across
+restarts, so each costs O(1) to bound, and the product count follows the
+spectrum, not the largest c.  A single resolvent vector ``b [I - A]^{-1}`` is
+:func:`solve_left`, a BiCGSTAB that stops once the true residual
+``||b - y (I - A)||_1`` is within the tolerance (or, at the rounding floor,
+once it stops halving) and falls back to summing the series :func:`walk` on a
 breakdown or at its step cap.  Dominant and stationary vectors come from
 :func:`perron_irreducible`.
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -28,6 +28,8 @@ from .graph import GraphHandle
 
 DEFAULT_MAX_ITER = 500_000
 BICGSTAB_MAX_ITER = 500
+RESTART = 20       # basis vectors per cycle of shifted_solve
+MAX_CYCLES = 25    # its cycles before a value above its bound takes solve_left
 
 
 def check_tolerance(tol: float) -> None:
@@ -102,27 +104,27 @@ def chain_view(g: GraphHandle) -> SubstochasticBlock:
                               rows=every, cols=every)
 
 
-def walk(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, c_max: float = 1.0,
-         tol: float = 1e-14, max_iter: int = DEFAULT_MAX_ITER) -> Iterator[np.ndarray]:
+def walk(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, tol: float = 1e-14,
+         max_iter: int = DEFAULT_MAX_ITER) -> Iterator[np.ndarray]:
     """Yield ``x_k = x0 A^k``, with ``apply(x) = x A``, for k = 0..K.
 
-    K is the first k >= 1 with ``c_max^k ||x_k||_1 <= tol``.  Raises
-    ValueError before the first product unless ``0 < tol < inf``,
+    K is the first k >= 1 with ``||x_k||_1 <= tol``.  Raises ValueError
+    before the first product unless ``0 < tol < inf``,
     :class:`ConvergenceError` at the first non-finite term, and past
-    ``max_iter`` steps with the last ``c_max^k ||x_k||_1``.
+    ``max_iter`` steps with the last ``||x_k||_1``.
     """
     check_tolerance(tol)
     x = np.asarray(x0, dtype=np.float64)
     yield x
     for k in range(1, max_iter + 1):
         x = apply(x)
-        term = c_max ** k * float(np.abs(x).sum())
+        term = float(np.abs(x).sum())
         if not np.isfinite(term):
             raise ConvergenceError("walk reached a non-finite term", term, k)
         yield x
         if term <= tol:
             return
-    raise ConvergenceError(f"series to c={c_max} did not converge", term, max_iter)
+    raise ConvergenceError("series did not converge", term, max_iter)
 
 
 def solve_left(apply_a: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
@@ -180,25 +182,98 @@ def solve_left(apply_a: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     return sum(walk(apply_a, b, tol=tol, max_iter=max_iter))
 
 
-def resolvent_moments(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
-                      probes, c_max: float, tol: float = 1e-14,
-                      max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
-    """Rows ``x_k @ probes`` of the walk ``x_k = x0 A^k`` (:func:`walk`), k = 0..K.
+class ShiftedSolve(NamedTuple):
+    """:func:`shifted_solve`'s result; ``at(c)`` replays its cycles
+    ``(H, probe rows, ||v_{k+1}||_1)`` for any c without a product."""
 
-    The walk stops where :func:`solve_left` on ``c_max A`` stops: for any
-    ``c <= c_max``, ``series_at(moments, [c])[0]`` is
-    ``solve_left(c A, x0) @ probes`` up to rounding.
+    values: np.ndarray
+    residuals: np.ndarray
+    cycles: list
+    at: Callable[[float], np.ndarray]
+
+
+def _project(h: np.ndarray, cs: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each shift's FOM step ``(I - cH) z = rho e1`` on one cycle: the ``z``
+    rows, and the ``rho`` of each residual ``+c h_{k+1,k} z_k v_{k+1}``."""
+    m = h.shape[1]
+    z = np.linalg.solve(np.eye(m) - cs[:, None, None] * h[:m], np.eye(m)[:, :1])[..., 0]
+    z *= rho[:, None]
+    return z, cs * h[m, m - 1] * z[:, -1]
+
+
+def shifted_solve(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, probes,
+                  grid, tol=1e-14) -> ShiftedSolve:
+    """Probes ``y_c @ probes`` and L1 residuals ``||x0 - y_c (I - cA)||_1`` of
+    ``y_c = x0 [I - cA]^{-1}``, ``apply(x) = x A``, for each c in ``grid``
+    from one restarted left-Arnoldi basis ``v_j A = sum_i H[i, j] v_i``
+    (shifted FOM: Frommer & Glaessner, SISC 1998; Simoncini, BIT 2003), by
+    classical Gram-Schmidt run twice in einsum (a BLAS ``@`` threads).  All
+    residuals stay multiples of the next cycle's start ``v_{k+1}``, so each
+    costs O(1).  Once every c meets its ``tol`` (one, or one per c), one
+    product checks the largest c, allowed up to :func:`solve_left`'s rounding
+    floor ``tol ||y||_1``; a c still above after ``MAX_CYCLES`` cycles takes
+    one :func:`solve_left`.  A zero or non-finite start raises
+    :class:`ConvergenceError` before any product.
     """
-    probes_t = probes.T   # a sparse ``x @ probes`` would transpose on every step
-    return np.array([probes_t @ x for x in walk(apply, x0, c_max, tol, max_iter)])
+    grid = np.asarray(grid, dtype=np.float64)
+    tols = np.broadcast_to(np.asarray(tol, dtype=np.float64), grid.shape)
+    for t in np.unique(tols):
+        check_tolerance(float(t))
+    x0 = np.asarray(x0, dtype=np.float64)
+    probes_t = sparse.csr_matrix(probes.T if sparse.issparse(probes)
+                                 else np.reshape(probes, (x0.size, -1)).T)
+    beta = float(np.sqrt((x0 * x0).sum()))
+    if not 0.0 < beta < np.inf:
+        raise ConvergenceError("the start vector is zero or not finite", beta, 0)
+    basis = np.zeros((RESTART + 1, x0.size))
+    basis[0] = x0 / beta
+    top, rho, values, y_top, cycles = int(np.argmax(grid)), np.full(grid.size, beta), 0, 0, []
+    floor = tols[top]
+    for _ in range(MAX_CYCLES):
+        h = np.zeros((RESTART + 1, RESTART))
+        for j in range(RESTART):
+            w = apply(basis[j])
+            scale = float(np.sqrt((w * w).sum()))
+            for _ in range(2):
+                coef = np.einsum("ij,j->i", basis[:j + 1], w)
+                w = w - np.einsum("ij,i->j", basis[:j + 1], coef)
+                h[:j + 1, j] += coef
+            norm = float(np.sqrt((w * w).sum()))
+            if not np.isfinite(norm):
+                raise ConvergenceError("the shifted basis reached a non-finite value", norm, j + 1)
+            if norm <= np.finfo(np.float64).eps * scale:   # an invariant subspace
+                h = h[:j + 2, :j + 1]
+                break
+            h[j + 1, j], basis[j + 1] = norm, w / norm
+        m = h.shape[1]
+        cycles.append((h, np.array([probes_t @ v for v in basis[:m]]), np.abs(basis[m]).sum()))
+        z, rho = _project(h, grid, rho)
+        values = values + z @ cycles[-1][1]
+        y_top = y_top + np.einsum("i,ij->j", z[top], basis[:m])
+        bounds = np.abs(rho) * cycles[-1][2]
+        if np.all(bounds <= tols):
+            bounds[top] = float(np.abs(x0 - (y_top - grid[top] * apply(y_top))).sum())
+            floor *= max(1.0, float(np.abs(y_top).sum()))
+            break
+        basis[0] = basis[m]
 
+    def solve(c: float, tol_c: float) -> tuple[np.ndarray, float]:
+        y = solve_left(lambda v: c * apply(v), x0, tol=tol_c)
+        return probes_t @ y, float(np.abs(x0 - (y - c * apply(y))).sum())
 
-def series_at(moments: np.ndarray, grid) -> np.ndarray:
-    """``sum_k c^k moments[k]``, the probes of ``x0 [I - cA]^{-1}``, for each
-    ``c`` in ``grid``.  One vector product per value: a matrix product would
-    make BLAS allocate its Level-3 buffers, about 3 MB of peak memory."""
-    powers = np.arange(len(moments))
-    return np.array([c ** powers @ moments for c in grid])
+    redo = bounds > tols
+    redo[top] = bounds[top] > floor
+    for i in np.flatnonzero(redo):
+        values[i], bounds[i] = solve(float(grid[i]), float(tols[i]))
+
+    def at(c: float) -> np.ndarray:
+        rho, out = np.array([beta]), 0
+        for h, rows, v_norm in cycles:
+            z, rho = _project(h, np.array([float(c)]), rho)
+            out = out + z[0] @ rows
+        return out if abs(rho[0]) * v_norm <= tols.min() else solve(float(c), tols.min())[0]
+
+    return ShiftedSolve(values, bounds, cycles, at)
 
 
 def dense_stationary(p: np.ndarray) -> np.ndarray:

@@ -18,8 +18,8 @@ from scipy import sparse
 from .bowtie import BlockDecomposition, BowtieLabeling, Label
 from .errors import ConvergenceError
 from .graph import GraphHandle
-from .operators import (DEFAULT_MAX_ITER, check_tolerance, chain_view, resolvent_moments,
-                        series_at, solve_left, walk)
+from .operators import (DEFAULT_MAX_ITER, check_tolerance, chain_view, shifted_solve,
+                        solve_left, walk)
 
 
 @dataclass(frozen=True)
@@ -196,17 +196,20 @@ def damping_sweep(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecomposi
                   grid, tolerance: float = 1e-12) -> list[tuple[float, MassBreakdown]]:
     """One mass breakdown per grid value, in grid order.
 
-    The PageRank vector at ``c`` is ``(1-c) sum_k c^k u W^k``, so every point
-    reads the component masses of one walk ``u W^k`` from the uniform vector,
-    taken to the largest grid value, normalised by their label total as
-    :func:`pagerank` normalises its iterate.
+    The PageRank vector at ``c`` is ``(1-c) y_c``, ``y_c (I - cW) = u``, so
+    every point reads the component masses of ``y_c`` off one shifted basis
+    (:func:`operators.shifted_solve`), normalised by their label total.  Each
+    stops at a residual of ``(1 - c) tol / 2`` (the largest c at most at its
+    rounding floor ``tol / 2``); as ``||[I - cW]^{-1}||_1 = 1/(1 - c)``, that
+    bounds the L1 error of ``(1 - c) y_c``, and normalising at most doubles
+    it, so ``tol`` bounds the error of the masses.
     """
-    grid = [float(c) for c in grid]
-    if not grid:
+    grid = np.array([PageRankConfig(damping=float(c), tolerance=tolerance).damping
+                     for c in grid])
+    if not grid.size:
         return []
-    c_max = max(PageRankConfig(damping=c, tolerance=tolerance).damping for c in grid)
-    moments = resolvent_moments(chain_view(g).mul_left, np.full(g.n, 1.0 / g.n),
-                                _component_probes(labels, blocks), c_max, tol=tolerance)
-    masses = series_at(moments, grid)
+    masses = shifted_solve(chain_view(g).mul_left, np.full(g.n, 1.0 / g.n),
+                           _component_probes(labels, blocks), grid,
+                           tol=0.5 * (1.0 - grid) * tolerance).values
     masses /= masses[:, :4].sum(axis=1, keepdims=True)
-    return [(c, _breakdown(m)) for c, m in zip(grid, masses)]
+    return [(float(c), _breakdown(m)) for c, m in zip(grid, masses)]

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import rankmass as rm
@@ -55,3 +56,19 @@ def heavy_view(heavy):
 def random_graphs():
     """The fixed 20-graph assumption-satisfying suite shared by all tests."""
     return helpers.random_suite()
+
+
+@pytest.fixture(scope="session")
+def near_one():
+    """A 200-node random core whose only exits are three links into one
+    dead-end 2-cycle, so the core is T and lambda1 is about 0.9986."""
+    rng = np.random.default_rng(8)
+    core = 200
+    edges = {(i, (i + 1) % core) for i in range(core)}
+    edges |= {(int(u), int(v)) for u, v in rng.integers(0, core, size=(3 * core, 2)) if u != v}
+    edges |= {(i, core) for i in range(3)} | {(core, core + 1), (core + 1, core)}
+    g = rm.build_graph(core + 2, sorted(edges))
+    labels = rm.bowtie_labeling(g)
+    blocks = rm.block_decomposition(g, labels)
+    assert rm.spectral_summary(g, labels, blocks).lambda1 >= 0.995
+    return g, labels, blocks

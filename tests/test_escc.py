@@ -5,7 +5,7 @@ from scipy import sparse
 import rankmass as rm
 from rankmass import escc
 from rankmass.escc import transient_view
-from rankmass.operators import SubstochasticBlock, perron_irreducible
+from rankmass.operators import SubstochasticBlock, block_view, perron_irreducible
 
 import helpers
 
@@ -135,6 +135,18 @@ def test_spectral_summary_cost_does_not_grow_with_classes(monkeypatch):
             assert s.lambda1 == pytest.approx(lam_ref, abs=1e-12)
             assert np.abs(s.quasi_stationary - vec_ref).sum() <= 1e-10
     assert counts[0] == counts[1]
+
+
+def test_envelope_and_cstar_slice_t_once(near_one, monkeypatch):
+    g, labels, blocks = near_one
+    calls = []
+    monkeypatch.setattr(escc, "block_view",
+                        lambda *args: calls.append(args) or block_view(*args))
+    for analysis in (lambda: rm.prop3_bounds(g, labels, blocks, [0.5, 0.85]),
+                     lambda: rm.cstar_solve(g, labels, blocks)):
+        calls.clear()
+        analysis()
+        assert len(calls) == 1
 
 
 def test_spectral_summary_refuses_an_overflowing_vector():

@@ -1,6 +1,6 @@
-"""Block products and the iteration primitives of ``operators``: the walk
-behind every series sum, the BiCGSTAB solve and the Perron blend; plus counts
-of the products and walks that the ``c = 1`` analyses spend near one."""
+"""Block products and the iteration primitives of ``operators``: the series
+walk, the BiCGSTAB solve, the shifted basis behind every damping grid and the
+Perron blend; plus counts of the products that the analyses spend near one."""
 
 import resource
 import time
@@ -10,10 +10,10 @@ import pytest
 from scipy import sparse
 
 import rankmass as rm
-from rankmass import operators
+from rankmass import escc, operators
 from rankmass.escc import transient_view
 from rankmass.operators import (BICGSTAB_MAX_ITER, SubstochasticBlock, block_view, chain_view,
-                                perron_irreducible, resolvent_moments, solve_left, walk)
+                                perron_irreducible, shifted_solve, solve_left, walk)
 
 import helpers
 
@@ -42,8 +42,7 @@ def test_chain_view_is_the_transition_matrix(random_graphs):
 def test_non_finite_walk_stops_at_first_term():
     nan = np.full(2, np.nan)
     half = lambda y: 0.5 * y
-    for run in (lambda: solve_left(half, nan),
-                lambda: resolvent_moments(half, nan, np.ones(2), 1.0)):
+    for run in (lambda: solve_left(half, nan), lambda: sum(walk(half, nan))):
         with pytest.raises(rm.ConvergenceError) as err:
             run()
         assert err.value.iterations == 1
@@ -100,16 +99,19 @@ def test_solve_falls_back_to_the_walk_on_a_leaky_ring():
     assert 3 * BICGSTAB_MAX_ITER < products <= 1 + 3 * BICGSTAB_MAX_ITER + terms
 
 
-def test_solve_stays_on_one_thread():
-    # BLAS threads ``@`` on vectors this long; one thread's CPU time cannot
-    # exceed its wall time
+@pytest.fixture(scope="module")
+def chain_20k():
     rng = np.random.default_rng(5)
     n = 20_000
     tails = np.repeat(np.arange(n), 4)
     chain = chain_view(rm.build_graph(n, zip(tails, rng.integers(0, n, tails.size))))
-    apply = lambda y: 0.85 * chain.mul_left(y)
-    b = rng.random(n)
-    solve_left(apply, b)
+    return chain, rng.random(n)
+
+
+def _cpu_over_wall(run) -> tuple[float, float]:
+    # BLAS threads ``@`` on vectors this long; one thread's CPU time cannot
+    # exceed its wall time
+    run()
     time.sleep(0.3)   # lets idle BLAS threads of earlier tests stop spinning
 
     def cpu_s():
@@ -118,25 +120,22 @@ def test_solve_stays_on_one_thread():
 
     cpu, wall = cpu_s(), time.perf_counter()
     for _ in range(5):
-        solve_left(apply, b)
-    cpu, wall = cpu_s() - cpu, time.perf_counter() - wall
+        run()
+    return cpu_s() - cpu, time.perf_counter() - wall
+
+
+def test_solve_stays_on_one_thread(chain_20k):
+    chain, b = chain_20k
+    cpu, wall = _cpu_over_wall(lambda: solve_left(lambda y: 0.85 * chain.mul_left(y), b))
     assert cpu <= 1.2 * wall
 
 
-@pytest.fixture(scope="module")
-def near_one():
-    """A 200-node random core whose only exits are three links into one
-    dead-end 2-cycle, so the core is T and lambda1 is about 0.9986."""
-    rng = np.random.default_rng(8)
-    core = 200
-    edges = {(i, (i + 1) % core) for i in range(core)}
-    edges |= {(int(u), int(v)) for u, v in rng.integers(0, core, size=(3 * core, 2)) if u != v}
-    edges |= {(i, core) for i in range(3)} | {(core, core + 1), (core + 1, core)}
-    g = rm.build_graph(core + 2, sorted(edges))
-    labels = rm.bowtie_labeling(g)
-    blocks = rm.block_decomposition(g, labels)
-    assert rm.spectral_summary(g, labels, blocks).lambda1 >= 0.995
-    return g, labels, blocks
+def test_grid_basis_stays_on_one_thread(chain_20k):
+    chain, b = chain_20k
+    probes = np.random.default_rng(7).random((b.size, 3))
+    grid = np.arange(0.0, 0.991, 0.01)
+    cpu, wall = _cpu_over_wall(lambda: shifted_solve(chain.mul_left, b, probes, grid))
+    assert cpu <= 1.2 * wall
 
 
 def test_c1_analyses_take_a_fraction_of_the_walk(near_one, monkeypatch):
@@ -159,18 +158,32 @@ def test_c1_analyses_take_a_fraction_of_the_walk(near_one, monkeypatch):
         assert products < terms / 20, analysis.__name__
 
 
-def test_grid_analyses_walk_no_further_than_their_grid(near_one, monkeypatch):
+def test_grid_analyses_take_fewer_products_than_the_walk(near_one, monkeypatch):
+    # the walk of T to the top grid value 0.95, plus a solve for c = 1, is
+    # what the grids cost before they shared one basis that holds c = 1 too
     g, labels, blocks = near_one
-    walked = []
+    view = transient_view(g, blocks)
+    u = np.full(view.rows.size, 1.0 / view.rows.size)
+    terms = sum(1 for _ in walk(lambda y: 0.95 * view.mul_left(y), u)) - 1
+    counts = {"mul_left": 0, "solve_left": 0}
 
-    def spy(apply, x0, c_max=1.0, *args, **kwargs):
-        walked.append(c_max)
-        return walk(apply, x0, c_max, *args, **kwargs)
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(operators, "walk", spy)
+    monkeypatch.setattr(SubstochasticBlock, "mul_left",
+                        counting("mul_left", SubstochasticBlock.mul_left))
+    monkeypatch.setattr(operators, "solve_left", counting("solve_left", solve_left))
+    monkeypatch.setattr(escc, "solve_left", counting("solve_left", solve_left))
+    summary = rm.spectral_summary(g, labels, blocks)
+    perron = counts["mul_left"]
     grid = np.arange(0.05, 0.951, 0.05)   # the CLI default 0.05:0.95:0.05
-    rm.prop3_bounds(g, labels, blocks, grid)
-    assert walked and max(walked) <= grid[-1]
-    walked.clear()
-    report = rm.cstar_solve(g, labels, blocks, v_mode="uniform")
-    assert walked and max(walked) <= report.samples[-1][0]
+    for analysis, summary_products in (
+            (lambda: rm.prop3_bounds(g, labels, blocks, grid), perron),
+            (lambda: rm.cstar_solve(g, labels, blocks, summary=summary), 0)):
+        counts.update(mul_left=0, solve_left=0)
+        analysis()
+        assert counts["solve_left"] == 0
+        assert counts["mul_left"] - summary_products < terms / 4
