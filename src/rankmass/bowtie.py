@@ -227,11 +227,10 @@ def extended_scc(g: GraphHandle, labels: BowtieLabeling) -> frozenset:
     """The component of the transition-matrix graph containing the giant SCC.
 
     With dangling nodes present this swallows IN, the dangling nodes, and any
-    of their predecessors on the OUT side.
+    of their predecessors on the OUT side.  This is ``escc`` of
+    :func:`block_decomposition`.
     """
-    component = scc_labels(g.out_indptr, g.out_indices, g.dangling)
-    member = np.argmax(labels.component_of == labels.giant_scc_id)
-    return _node_set(component == component[member])
+    return block_decomposition(g, labels).escc
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,6 +7,11 @@ and, for a dangling node, ``1/n`` over every node of the graph.  Dangling
 rows are never materialized: matrix products fold them into a single scalar
 (the dangling mass) spread uniformly.
 
+:func:`build_graph` is the only code that lays out those arrays: it sorts an
+``(m, 2)`` edge array by (source, target) once and drops repeated edges.  The
+parser hands it the ids it read as one array, and :func:`with_edge` rebuilds
+through it, O(m log m).
+
 Edge-list text format::
 
     # comment
@@ -14,12 +19,16 @@ Edge-list text format::
     0 1
     0 5
 
-Without a header the node count is one plus the largest id seen.  Duplicate
-edges collapse to one; self-loops are kept and count toward the out-degree.
+Without a header the node count is one plus the largest id seen, which must
+fit in int64.  Duplicate edges collapse to one; self-loops are kept and count
+toward the out-degree.  Lines end at ``\n``, ``\r`` or ``\r\n`` only, as a
+text file reads them; any other whitespace, form feeds and Unicode line
+separators included, separates tokens.
 """
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
@@ -61,10 +70,9 @@ class GraphHandle:
         return bool(self.dangling_mask[i])
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield edges sorted by (source, target)."""
-        for u in range(self.n):
-            for v in self.out_neighbors(u):
-                yield u, int(v)
+        """Iterate over the edges as int pairs sorted by (source, target)."""
+        sources = np.repeat(np.arange(self.n), self.out_degree)
+        return zip(sources.tolist(), self.out_indices.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,35 +88,31 @@ class HyperlinkRow:
     weight: float
 
 
-def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> GraphHandle:
-    """Construct a handle from distinct node count and an edge iterable."""
-    pairs = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+def build_graph(n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> GraphHandle:
+    """Construct a handle from the node count and an ``(m, 2)`` integer array
+    or an iterable of ``(u, v)`` pairs.  Repeated edges collapse to one."""
+    pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                       dtype=np.int64).reshape(-1, 2)
     if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
         raise GraphRangeError(f"edge endpoint outside [0, {n})")
-    if pairs.size:
-        pairs = np.unique(pairs, axis=0)  # collapses duplicates, sorts by (u, v)
-    u, v = pairs[:, 0], pairs[:, 1]
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    u, v = pairs[order, 0], pairs[order, 1]
+    fresh = np.ones(u.size, dtype=bool)
+    fresh[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+    u, v = u[fresh], v[fresh]   # sorted by (u, v), so v is the out_indices array
 
-    out_degree = np.bincount(u, minlength=n).astype(np.int64)
+    out_degree = np.bincount(u, minlength=n)
     out_indptr = np.concatenate(([0], np.cumsum(out_degree)))
     in_indptr = np.concatenate(([0], np.cumsum(np.bincount(v, minlength=n))))
-    order = np.argsort(v, kind="stable")  # keeps sources ascending within a target
-    return _handle(n, out_indptr, v.copy(), in_indptr, u[order], out_degree)
-
-
-def _handle(n: int, out_indptr: np.ndarray, out_indices: np.ndarray,
-            in_indptr: np.ndarray, in_indices: np.ndarray,
-            out_degree: np.ndarray) -> GraphHandle:
-    """Freeze sorted CSR arrays into a handle, deriving dangling nodes and weights."""
+    in_indices = u[np.argsort(v, kind="stable")]  # keeps sources ascending within a target
     dangling_mask = out_degree == 0
     dangling = np.flatnonzero(dangling_mask)
     weights = 1.0 / np.repeat(out_degree, out_degree)
-    w = sparse.csr_matrix((weights, out_indices, out_indptr), shape=(n, n))
+    w = sparse.csr_matrix((weights, v, out_indptr), shape=(n, n))
 
-    for arr in (out_indptr, out_indices, in_indptr, in_indices, out_degree,
-                dangling, dangling_mask):
+    for arr in (out_indptr, v, in_indptr, in_indices, out_degree, dangling, dangling_mask):
         arr.setflags(write=False)
-    return GraphHandle(n=int(n), out_indptr=out_indptr, out_indices=out_indices,
+    return GraphHandle(n=int(n), out_indptr=out_indptr, out_indices=v,
                        in_indptr=in_indptr, in_indices=in_indices,
                        out_degree=out_degree, dangling=dangling,
                        dangling_mask=dangling_mask, w=w)
@@ -118,20 +122,20 @@ def load_edge_list(stream: IO[str] | Iterable[str]) -> GraphHandle:
     """Parse the edge-list text format from a stream of lines.
 
     Raises :class:`GraphParseError` on malformed lines and
-    :class:`GraphRangeError` when an id is outside a declared header count.
+    :class:`GraphRangeError` when an id is outside a declared header count
+    or, without a header, past the int64 range.
     """
     declared_n: int | None = None
-    edges: list[tuple[int, int]] = []
-    max_id = -1
+    bound = np.iinfo(np.int64).max   # ids stay below it, so the count fits in int64
+    flat: list[int] = []
     for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         if tokens[0] == "n":
             if declared_n is not None:
                 raise GraphParseError("duplicate header", lineno)
-            if edges:
+            if flat:
                 raise GraphParseError("header must precede edges", lineno)
             if len(tokens) != 2:
                 raise GraphParseError("header must be 'n <count>'", lineno)
@@ -141,26 +145,31 @@ def load_edge_list(stream: IO[str] | Iterable[str]) -> GraphHandle:
                 raise GraphParseError(f"bad node count {tokens[1]!r}", lineno) from None
             if declared_n < 0:
                 raise GraphParseError("node count must be non-negative", lineno)
+            if declared_n > bound:
+                raise GraphRangeError(f"node count {declared_n} > int64 limit {bound}", lineno)
+            bound = declared_n
             continue
         if len(tokens) != 2:
-            raise GraphParseError(f"expected 'u v', got {line!r}", lineno)
+            raise GraphParseError(f"expected 'u v', got {raw.strip()!r}", lineno)
         try:
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
-            raise GraphParseError(f"non-integer endpoint in {line!r}", lineno) from None
+            raise GraphParseError(f"non-integer endpoint in {raw.strip()!r}", lineno) from None
         if u < 0 or v < 0:
-            raise GraphParseError(f"negative node id in {line!r}", lineno)
-        if declared_n is not None and (u >= declared_n or v >= declared_n):
-            raise GraphRangeError(
-                f"node id {max(u, v)} >= declared count {declared_n}", lineno)
-        max_id = max(max_id, u, v)
-        edges.append((u, v))
-    n = declared_n if declared_n is not None else max_id + 1
-    return build_graph(n, edges)
+            raise GraphParseError(f"negative node id in {raw.strip()!r}", lineno)
+        if u >= bound or v >= bound:
+            what = "int64 limit" if declared_n is None else "declared count"
+            raise GraphRangeError(f"node id {max(u, v)} >= {what} {bound}", lineno)
+        flat += (u, v)
+    pairs = np.array(flat, dtype=np.int64).reshape(-1, 2)
+    if declared_n is None:
+        declared_n = int(pairs.max()) + 1 if pairs.size else 0
+    return build_graph(declared_n, pairs)
 
 
 def loads(text: str) -> GraphHandle:
-    return load_edge_list(text.splitlines())
+    """Parse edge-list text, splitting lines as :func:`load_path` reads a file."""
+    return load_edge_list(io.StringIO(text, newline=None))
 
 
 def load_path(path) -> GraphHandle:
@@ -175,9 +184,7 @@ def dump_edge_list(g: GraphHandle, stream: IO[str]) -> None:
 
 def dumps(g: GraphHandle) -> str:
     """The edge-list text: header line, then edges sorted by (u, v)."""
-    lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    return f"n {g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
 
 
 def hyperlink_row(g: GraphHandle, i: int) -> HyperlinkRow:
@@ -195,24 +202,16 @@ def with_edge(g: GraphHandle, u: int, v: int) -> GraphHandle:
     """Return a new graph with edge ``u -> v`` added.
 
     The only mutation entry point; used to splice an escape link out of a
-    dead-end.  The edge is inserted into the sorted CSR arrays in O(n + m)
-    array operations.  Raises if the edge already exists.
+    dead-end.  The graph is rebuilt by :func:`build_graph` from its edge
+    array plus the new edge, an O(m log m) sort.  Raises if the edge
+    already exists.
     """
     if u < 0 or u >= g.n or v < 0 or v >= g.n:
         raise GraphRangeError(f"edge ({u}, {v}) outside [0, {g.n})")
-    out_row = g.out_neighbors(u)
-    if v in out_row:
+    if v in g.out_neighbors(u):
         raise ValueError(f"edge ({u}, {v}) already present")
-    out_pos = int(g.out_indptr[u]) + int(np.searchsorted(out_row, v))
-    in_pos = int(g.in_indptr[v]) + int(np.searchsorted(g.in_neighbors(v), u))
-    out_indptr = g.out_indptr.copy()
-    out_indptr[u + 1:] += 1
-    in_indptr = g.in_indptr.copy()
-    in_indptr[v + 1:] += 1
-    out_degree = g.out_degree.copy()
-    out_degree[u] += 1
-    return _handle(g.n, out_indptr, np.insert(g.out_indices, out_pos, v),
-                   in_indptr, np.insert(g.in_indices, in_pos, u), out_degree)
+    sources = np.append(np.repeat(np.arange(g.n), g.out_degree), u)
+    return build_graph(g.n, np.column_stack((sources, np.append(g.out_indices, v))))
 
 
 def dense_hyperlink_matrix(g: GraphHandle) -> np.ndarray:

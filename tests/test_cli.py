@@ -111,6 +111,51 @@ def test_bad_grid_is_validation_error(graph_files, capsys):
         assert "grid" in err
 
 
+def test_usage_errors_exit_one_with_their_message(graph_files, capsys):
+    bowtie = graph_files["bowtie"]
+    link = ["link-experiment", "--graph", bowtie, "--source", "8", "--target", "1"]
+    for argv, message in (
+            (["pagerank", "--graph", bowtie, "--damping", "abc"],
+             "argument --damping: not a number: 'abc'"),
+            (["pagerank", "--graph", bowtie, "--damping", "1.5"],
+             "argument --damping: damping must lie in [0, 1); got 1.5"),
+            (["sweep", "--graph", bowtie, "--grid", "0:0.9"],
+             "rankmass: error: grid must be START:STOP:STEP, got '0:0.9'"),
+            (link + ["--damping-list", ","], "rankmass: error: damping-list is empty")):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert message in err
+        assert out == ""
+
+
+def test_ids_past_int64_exit_one_without_traceback(tmp_path, capsys):
+    path = tmp_path / "huge.edges"
+    for text, message in (
+            ("0 1\n0 99999999999999999999\n",
+             "line 2: node id 99999999999999999999 >= int64 limit 9223372036854775807"),
+            ("n 99999999999999999999\n0 1\n",
+             "line 1: node count 99999999999999999999 > int64 limit 9223372036854775807")):
+        path.write_text(text)
+        code, out, err = run_cli(["decompose", "--graph", str(path)], capsys)
+        assert code == 1
+        assert err == f"rankmass: error: {message}\n"
+        assert out == ""
+
+
+def test_tied_dominant_classes_exit_two(tmp_path, capsys):
+    # {0, 1} feeds {2, 3} and both classes have eigenvalue sqrt(1/2)
+    path = tmp_path / "tied.edges"
+    path.write_text("0 1\n1 0\n1 2\n2 3\n3 2\n3 4\n4 4\n")
+    code, out, err = run_cli(["escc-bounds", "--graph", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("rankmass: non-convergence: tied dominant classes along a feeding path")
+    assert out == ""
+
+
 def test_missing_graph_file(capsys):
     code, _, err = run_cli(["decompose", "--graph", "/nonexistent.edges"], capsys)
     assert code == 1

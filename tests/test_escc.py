@@ -161,6 +161,17 @@ def test_spectral_summary_refuses_an_overflowing_vector():
         rm.spectral_summary(g, labels, blocks)
 
 
+def test_spectral_summary_refuses_tied_classes_along_a_feeding_path():
+    # {0, 1} feeds {2, 3}; both have eigenvalue sqrt(1/2), so no single
+    # dominant class fixes the quasi-stationary vector
+    g = rm.build_graph(5, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (3, 4), (4, 4)])
+    labels = rm.bowtie_labeling(g)
+    blocks = rm.block_decomposition(g, labels)
+    with pytest.raises(rm.ConvergenceError,
+                       match="^tied dominant classes along a feeding path"):
+        rm.spectral_summary(g, labels, blocks)
+
+
 def test_empty_transient_block_rejected(heavy):
     labels = rm.bowtie_labeling(heavy)
     blocks = rm.block_decomposition(heavy, labels)

@@ -81,6 +81,45 @@ def test_header_after_edges_rejected():
         rm.loads("0 1\nn 5\n")
 
 
+@pytest.mark.parametrize("text, error, line, message", [
+    ("# c\nn 2\n\nn 3\n", rm.GraphParseError, 4, "duplicate header"),
+    ("n 2\n0 1\nn 3\n", rm.GraphParseError, 3, "duplicate header"),
+    ("0 1\n n 5\n", rm.GraphParseError, 2, "header must precede edges"),
+    ("0 1\nn\n", rm.GraphParseError, 2, "header must precede edges"),
+    ("n\n", rm.GraphParseError, 1, "header must be 'n <count>'"),
+    ("# c\nn 3 4\n", rm.GraphParseError, 2, "header must be 'n <count>'"),
+    ("n three\n", rm.GraphParseError, 1, "bad node count 'three'"),
+    ("n 2.5\n", rm.GraphParseError, 1, "bad node count '2.5'"),
+    ("n -1\n", rm.GraphParseError, 1, "node count must be non-negative"),
+    ("0 1\n  0 1 2 \n", rm.GraphParseError, 2, "expected 'u v', got '0 1 2'"),
+    ("7\n", rm.GraphParseError, 1, "expected 'u v', got '7'"),
+    ("0 1 # note\n", rm.GraphParseError, 1, "expected 'u v', got '0 1 # note'"),
+    ("0 1 x\n", rm.GraphParseError, 1, "expected 'u v', got '0 1 x'"),
+    ("0 1\n0\tone \n", rm.GraphParseError, 2, "non-integer endpoint in '0\\tone'"),
+    ("n3 4\n", rm.GraphParseError, 1, "non-integer endpoint in 'n3 4'"),
+    ("1.0 2\n", rm.GraphParseError, 1, "non-integer endpoint in '1.0 2'"),
+    ("\n0 -1\n", rm.GraphParseError, 2, "negative node id in '0 -1'"),
+    ("n 3\n-5 9\n", rm.GraphParseError, 2, "negative node id in '-5 9'"),
+    ("n 3\n0 1\n0 5\n", rm.GraphRangeError, 3, "node id 5 >= declared count 3"),
+    ("n 3\n4 9\n", rm.GraphRangeError, 2, "node id 9 >= declared count 3"),
+    ("n 0\n0 0\n", rm.GraphRangeError, 2, "node id 0 >= declared count 0"),
+])
+def test_parse_errors_are_pinned(text, error, line, message):
+    with pytest.raises(error) as err:
+        rm.loads(text)
+    assert type(err.value) is error
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_build_graph_range_error_has_no_line():
+    for edges in ([(0, 2)], [(-1, 0)], np.array([[0, 1], [3, 0]])):
+        with pytest.raises(rm.GraphRangeError) as err:
+            rm.build_graph(2, edges)
+        assert err.value.line is None
+        assert str(err.value) == "edge endpoint outside [0, 2)"
+
+
 def test_dump_load_round_trip(bowtie):
     text = rm.dumps(bowtie)
     again = rm.loads(text)
@@ -186,3 +225,72 @@ def test_with_edge_splice_equals_rebuild(bowtie):
 
 def test_build_graph_matches_edge_constant(bowtie):
     assert set(bowtie.edges()) == set(BOWTIE_EDGES)
+
+
+def _outcome(load):
+    """The graph's arrays, or the type and message of the error raised."""
+    try:
+        g = load()
+    except rm.GraphParseError as exc:
+        return type(exc), str(exc)
+    return g.n, [a.tolist() for a in _arrays(g)]
+
+
+@pytest.mark.parametrize("sep", ["\r", "\r\n", "\x0c", "\x1c", "\x85", "\u2028"])
+def test_loads_splits_lines_as_load_path(tmp_path, sep):
+    path = tmp_path / "g.edges"
+    for text in (f"n 3\n0 1{sep}1 2\n", f"0 1{sep}1 2{sep}", f"# c{sep}n 3{sep}2 0{sep}",
+                 f"n 3{sep}\n0 1 2\n"):
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(lambda: rm.loads(text)) == _outcome(lambda: rm.load_path(path))
+
+
+def test_loader_matches_build_graph_on_random_edge_lists():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        n = int(rng.integers(1, 25))
+        m = int(rng.integers(0, 40))
+        pairs = [(int(u), int(v)) for u, v in rng.integers(0, n, size=(m, 2))]
+        pairs += [(int(u), int(u)) for u in rng.integers(0, n, size=int(rng.integers(0, 3)))]
+        pairs += [pairs[int(i)] for i in rng.integers(0, len(pairs), size=len(pairs) // 3)]
+        rng.shuffle(pairs)
+        pad = [" ", "\t", "  "]
+        lines = [f"{pad[int(rng.integers(3))]}{u}{pad[int(rng.integers(3))]}{v}"
+                 f"{pad[int(rng.integers(3))]}" for u, v in pairs]
+        header = bool(rng.integers(2))
+        if header:
+            lines.insert(0, f"n {n}")
+        for _ in range(int(rng.integers(0, 4))):
+            lines.insert(int(rng.integers(0, len(lines) + 1)),
+                         str(rng.choice(["", "   ", "# note", "  #0 1", "#"])))
+        g = rm.loads("\n".join(lines) + "\n")
+        distinct = sorted(set(pairs))
+        ref = rm.build_graph(n if header else 1 + max(map(max, pairs), default=-1), distinct)
+        assert list(g.edges()) == distinct
+        assert g.n == ref.n
+        for a, b in zip(_arrays(g), _arrays(ref)):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+
+def test_build_graph_takes_an_edge_array_and_leaves_it_alone():
+    edges = np.array([[2, 0], [0, 1], [2, 0], [1, 1]], dtype=np.int64)
+    g = rm.build_graph(3, edges)
+    assert list(g.edges()) == [(0, 1), (1, 1), (2, 0)]
+    assert edges.flags.writeable and edges.tolist() == [[2, 0], [0, 1], [2, 0], [1, 1]]
+    for a, b in zip(_arrays(g), _arrays(rm.build_graph(3, edges.tolist()))):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_ids_past_int64_are_range_errors():
+    big = 2 ** 63 - 1
+    for text, line, message in (
+            (f"0 {big}\n", 1, f"node id {big} >= int64 limit {big}"),
+            (f"# c\n{big + 1} 0\n", 2, f"node id {big + 1} >= int64 limit {big}"),
+            (f"n {big + 1}\n", 1, f"node count {big + 1} > int64 limit {big}"),
+            ("n 3\n0 99999999999999999999\n", 2,
+             "node id 99999999999999999999 >= declared count 3")):
+        with pytest.raises(rm.GraphRangeError) as err:
+            rm.loads(text)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
