@@ -52,6 +52,15 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _column(values: np.ndarray) -> list[str]:
+    """``_fmt`` of each entry, one shared string per distinct value but for floats (-0 == 0)."""
+    if values.dtype.kind == "f":
+        return [format(x, ".17g") for x in values.tolist()]
+    distinct, at = np.unique(values, return_inverse=True)
+    cells = [_fmt(x) for x in distinct.tolist()]
+    return [cells[i] for i in at.tolist()]
+
+
 def _file_hash(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -76,6 +85,11 @@ class CsvReport:
 
     def row(self, values):
         self.writer.writerow([_fmt(v) for v in values])
+
+    def columns(self, *columns: np.ndarray):
+        """One row per index of the arrays, as ``row`` writes cells that need no quoting."""
+        rows = zip(*map(_column, columns))
+        self.buffer.writelines(f"{','.join(cells)}\n" for cells in rows)
 
     def save(self, out_path: str | None):
         text = self.buffer.getvalue()
@@ -155,11 +169,9 @@ def cmd_decompose(args) -> int:
     report.comment(f"sccs_in_pure_out={_components_within(labels, blocks.pure_out_mask)}")
     report.row(["node_id", "bowtie_label", "in_escc", "in_pure_out",
                 "recurrent_block_id", "feeds_dangling_and_deadend"])
-    names = [label.name for label in Label]
-    columns = (labels.labels, blocks.escc_mask, blocks.pure_out_mask, blocks.block_index,
-               dual_path_mask(g, labels, blocks))
-    for v, (label, *cells) in enumerate(zip(*(column.tolist() for column in columns))):
-        report.row([v, names[label], *cells])
+    names = np.array([label.name for label in Label])
+    report.columns(np.arange(g.n), names[labels.labels], blocks.escc_mask,
+                   blocks.pure_out_mask, blocks.block_index, dual_path_mask(g, labels, blocks))
     report.save(args.out)
     return 0
 
@@ -174,8 +186,7 @@ def cmd_pagerank(args) -> int:
         "max_iter": cfg.max_iterations,
         "iterations_used": result.iterations_used})
     report.row(["node_id", "score"])
-    for v in range(g.n):
-        report.row([v, float(result.values[v])])
+    report.columns(np.arange(g.n), result.values)
     report.save(args.out)
     return 0
 
@@ -206,8 +217,7 @@ def cmd_limit(args) -> int:
     if args.vector_out:
         vec = CsvReport(args.graph, {"command": "limit", "output": "vector"})
         vec.row(["node_id", "limit_score"])
-        for v in range(g.n):
-            vec.row([v, float(result.vector[v])])
+        vec.columns(np.arange(g.n), result.vector)
         vec.save(args.vector_out)
     return 0
 
@@ -447,6 +457,9 @@ def main(argv=None) -> int:
         return CONVERGENCE_ERROR
     except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
         sys.stderr.write(f"rankmass: error: {exc}\n")
+        return USAGE_ERROR
+    except MemoryError as exc:
+        sys.stderr.write(f"rankmass: error: {str(exc) or 'out of memory'}\n")
         return USAGE_ERROR
 
 

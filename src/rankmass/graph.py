@@ -7,10 +7,10 @@ and, for a dangling node, ``1/n`` over every node of the graph.  Dangling
 rows are never materialized: matrix products fold them into a single scalar
 (the dangling mass) spread uniformly.
 
-:func:`build_graph` is the only code that lays out those arrays: it sorts an
-``(m, 2)`` edge array by (source, target) once and drops repeated edges.  The
-parser hands it the ids it read as one array, and :func:`with_edge` rebuilds
-through it, O(m log m).
+:func:`build_graph` is the only code that lays out those arrays.  It sorts an
+``(m, 2)`` edge array by (source, target) and drops repeated edges, unless the
+array is already strictly increasing, as :func:`dumps` writes it and
+:func:`with_edge` passes it; the reverse arrays come from one counting sort.
 
 Edge-list text format::
 
@@ -24,11 +24,17 @@ fit in int64.  Duplicate edges collapse to one; self-loops are kept and count
 toward the out-degree.  Lines end at ``\n``, ``\r`` or ``\r\n`` only, as a
 text file reads them; any other whitespace, form feeds and Unicode line
 separators included, separates tokens.
+
+:func:`load_path` and :func:`loads` parse a *plain* edge list in numpy: an
+optional ``n <count>`` first line, then only ``<u> <v>\\n`` lines, each id 1 to
+18 ASCII digits and below the count.  Any other input goes through the
+:func:`load_edge_list` line loop, so every graph and error matches the loop's.
 """
 
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
@@ -95,20 +101,22 @@ def build_graph(n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> GraphH
                        dtype=np.int64).reshape(-1, 2)
     if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
         raise GraphRangeError(f"edge endpoint outside [0, {n})")
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    u, v = pairs[order, 0], pairs[order, 1]
-    fresh = np.ones(u.size, dtype=bool)
-    fresh[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
-    u, v = u[fresh], v[fresh]   # sorted by (u, v), so v is the out_indices array
+    u, v = pairs[:, 0], pairs[:, 1].copy()   # the handle owns its arrays
+    if not np.all((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))):
+        order = np.lexsort((v, u))
+        u, v = u[order], v[order]
+        fresh = np.ones(u.size, dtype=bool)
+        fresh[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+        u, v = u[fresh], v[fresh]   # sorted by (u, v), so v is the out_indices array
 
     out_degree = np.bincount(u, minlength=n)
     out_indptr = np.concatenate(([0], np.cumsum(out_degree)))
-    in_indptr = np.concatenate(([0], np.cumsum(np.bincount(v, minlength=n))))
-    in_indices = u[np.argsort(v, kind="stable")]  # keeps sources ascending within a target
     dangling_mask = out_degree == 0
     dangling = np.flatnonzero(dangling_mask)
     weights = 1.0 / np.repeat(out_degree, out_degree)
     w = sparse.csr_matrix((weights, v, out_indptr), shape=(n, n))
+    wt = w.tocsc()   # a counting sort, so sources stay ascending within a target
+    in_indptr, in_indices = wt.indptr.astype(np.int64), wt.indices.astype(np.int64)
 
     for arr in (out_indptr, v, in_indptr, in_indices, out_degree, dangling, dangling_mask):
         arr.setflags(write=False)
@@ -167,14 +175,40 @@ def load_edge_list(stream: IO[str] | Iterable[str]) -> GraphHandle:
     return build_graph(declared_n, pairs)
 
 
+def _plain_body(body: np.ndarray) -> bool:
+    """Whether the bytes are only ``<u> <v>\\n`` lines of 1 to 18 ASCII digits each;
+    a function of its own, so its index arrays are freed before the parse."""
+    seps = np.flatnonzero(body - ord("0") > 9)   # uint8 wraps, so every non-digit byte
+    token_ends = np.diff(seps, prepend=-1)       # token length plus one
+    return bool(seps.size % 2 == 0 and body.size == (seps[-1] + 1 if seps.size else 0)
+                and np.all(body[seps[0::2]] == ord(" "))
+                and np.all(body[seps[1::2]] == ord("\n"))
+                and np.all((token_ends >= 2) & (token_ends <= 19)))
+
+
+def _load_plain(data: bytes) -> GraphHandle | None:
+    """The graph of a plain edge list, or None.  Text-mode ``np.fromstring`` takes
+    signs and tabs, ignores line ends and clamps ids past int64: hence the check."""
+    header = re.match(rb"n ([0-9]{1,18})\n", data)
+    start = header.end() if header else 0
+    if not _plain_body(np.frombuffer(data, dtype=np.uint8)[start:]):
+        return None
+    pairs = np.fromstring(data[start:], dtype=np.int64, sep=" ").reshape(-1, 2)
+    top = int(pairs.max(initial=-1))
+    n = int(header[1]) if header else top + 1
+    return build_graph(n, pairs) if top < n else None   # the line loop words the range error
+
+
 def loads(text: str) -> GraphHandle:
     """Parse edge-list text, splitting lines as :func:`load_path` reads a file."""
-    return load_edge_list(io.StringIO(text, newline=None))
+    return (_load_plain(text.encode(errors="replace"))
+            or load_edge_list(io.StringIO(text, newline=None)))
 
 
 def load_path(path) -> GraphHandle:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_edge_list(fh)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return _load_plain(data) or load_edge_list(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
 
 
 def dump_edge_list(g: GraphHandle, stream: IO[str]) -> None:
@@ -203,15 +237,16 @@ def with_edge(g: GraphHandle, u: int, v: int) -> GraphHandle:
 
     The only mutation entry point; used to splice an escape link out of a
     dead-end.  The graph is rebuilt by :func:`build_graph` from its edge
-    array plus the new edge, an O(m log m) sort.  Raises if the edge
-    already exists.
+    array with the new edge inserted in (u, v) order, so nothing is sorted.
+    Raises if the edge already exists.
     """
     if u < 0 or u >= g.n or v < 0 or v >= g.n:
         raise GraphRangeError(f"edge ({u}, {v}) outside [0, {g.n})")
     if v in g.out_neighbors(u):
         raise ValueError(f"edge ({u}, {v}) already present")
-    sources = np.append(np.repeat(np.arange(g.n), g.out_degree), u)
-    return build_graph(g.n, np.column_stack((sources, np.append(g.out_indices, v))))
+    edges = np.column_stack((np.repeat(np.arange(g.n), g.out_degree), g.out_indices))
+    slot = g.out_indptr[u] + np.searchsorted(g.out_neighbors(u), v)
+    return build_graph(g.n, np.insert(edges, slot, (u, v), axis=0))
 
 
 def dense_hyperlink_matrix(g: GraphHandle) -> np.ndarray:

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import rankmass as rm
+from rankmass import cli
+from rankmass.bowtie import dual_path_mask
 from rankmass.cli import main
 from rankmass.sample_graphs import bowtie_sample, three_block_sample
 
@@ -144,6 +146,72 @@ def test_ids_past_int64_exit_one_without_traceback(tmp_path, capsys):
         assert code == 1
         assert err == f"rankmass: error: {message}\n"
         assert out == ""
+
+
+def test_out_of_memory_exits_one_without_traceback(graph_files, monkeypatch, capsys):
+    for exc, message in ((MemoryError("Unable to allocate 7.45 GiB for an array"),
+                          "Unable to allocate 7.45 GiB for an array"),
+                         (MemoryError(), "out of memory")):
+        def load_path(path, exc=exc):
+            raise exc
+        monkeypatch.setattr(cli, "load_path", load_path)
+        code, out, err = run_cli(["decompose", "--graph", graph_files["bowtie"]], capsys)
+        assert code == 1
+        assert err == f"rankmass: error: {message}\n"
+        assert out == ""
+
+
+def _reference_csv(rows):
+    """The table as ``csv.writer`` writes it with every cell through ``_fmt``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for row in rows:
+        writer.writerow([cli._fmt(x) for x in row])
+    return buf.getvalue()
+
+
+def _table(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return "".join(line for line in fh if not line.startswith("#"))
+
+
+def test_column_writer_matches_row_writer(tmp_path, capsys):
+    # every label (OTHER from the 12 -> 13 tendril), both bools, block index -1, n = 1
+    graphs = [bowtie_sample(), three_block_sample(),
+              rm.build_graph(14, list(bowtie_sample().edges()) + [(12, 13)]),
+              rm.loads("n 1\n"), rm.loads("n 1\n0 0\n")]
+    decompose_rows = []
+    for k, g in enumerate(graphs):
+        path = tmp_path / f"g{k}.edges"
+        path.write_text(rm.dumps(g))
+        labels = rm.bowtie_labeling(g)
+        blocks = rm.block_decomposition(g, labels)
+        out, vec = tmp_path / "out.csv", tmp_path / "vec.csv"
+
+        assert run_cli(["decompose", "--graph", str(path), "--out", str(out)], capsys)[0] == 0
+        columns = [labels.labels, blocks.escc_mask, blocks.pure_out_mask, blocks.block_index,
+                   dual_path_mask(g, labels, blocks)]
+        rows = [[v, rm.Label(label).name, *cells]
+                for v, (label, *cells) in enumerate(zip(*(c.tolist() for c in columns)))]
+        decompose_rows += rows
+        assert _table(out) == _reference_csv(
+            [["node_id", "bowtie_label", "in_escc", "in_pure_out", "recurrent_block_id",
+              "feeds_dangling_and_deadend"]] + rows)
+
+        assert run_cli(["pagerank", "--graph", str(path), "--out", str(out)], capsys)[0] == 0
+        scores = rm.pagerank(g, rm.PageRankConfig(damping=0.85)).values
+        assert _table(out) == _reference_csv(
+            [["node_id", "score"]] + [[v, float(scores[v])] for v in range(g.n)])
+
+        assert run_cli(["limit", "--graph", str(path), "--out", str(out),
+                        "--vector-out", str(vec)], capsys)[0] == 0
+        limit = rm.limit_vector(g, blocks, tol=1e-14).vector
+        assert _table(vec) == _reference_csv(
+            [["node_id", "limit_score"]] + [[v, float(limit[v])] for v in range(g.n)])
+    _, names, *flags, block_ids, dual = zip(*decompose_rows)
+    assert set(names) == {label.name for label in rm.Label}
+    assert all(set(column) == {True, False} for column in (*flags, dual))
+    assert -1 in block_ids
 
 
 def test_tied_dominant_classes_exit_two(tmp_path, capsys):

@@ -294,3 +294,133 @@ def test_ids_past_int64_are_range_errors():
             rm.loads(text)
         assert err.value.line == line
         assert str(err.value) == f"line {line}: {message}"
+
+
+def _full_outcome(load):
+    """The graph's arrays with their dtypes, or the type and message of the error."""
+    try:
+        g = load()
+    except (ValueError, MemoryError) as exc:   # parse, range, UTF-8 and size errors
+        return type(exc), str(exc)
+    return g.n, [(a.dtype.str, a.tolist()) for a in _arrays(g)]
+
+
+def _plain_texts(rng):
+    """Seeded plain edge lists: optional header, ids with and without leading zeros,
+    sorted or shuffled with repeats, 0 to 40 edges."""
+    for k in range(40):
+        n = int(rng.integers(1, 30))
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, 40)), 2)).tolist()
+        if k % 3 == 0:
+            pairs = sorted(set(map(tuple, pairs)))
+        else:
+            pairs += pairs[:len(pairs) // 4]
+        width = 3 if k % 5 == 0 else 0
+        header = f"n {n}\n" if k % 2 else ""
+        yield header + "".join(f"{u:0{width}d} {v:0{width}d}\n" for u, v in pairs)
+
+
+def _mutations(text, rng):
+    """Near-plain variants of one plain text; most leave the plain path, and the
+    18-digit ids and a header on the first line do not."""
+    lines = text.splitlines(keepends=True) or ["0 1\n"]
+    i = int(rng.integers(len(lines)))
+    line = lines[i]
+
+    def at(new):
+        return "".join(lines[:i] + [new] + lines[i + 1:])
+    yield at(line.replace(" ", "\t", 1))
+    yield at(line.replace(" ", "  ", 1))
+    yield at(" " + line)
+    yield at(line[:-1] + " \n")
+    yield at(line[:-1] + "\r")
+    yield text.replace("\n", "\r\n")
+    yield text.replace("\n", "\r")
+    yield at("+" + line)
+    yield at(line.replace(" ", " -", 1))
+    for digits in (18, 19, 20):   # without a header, 18 digits ask for over 2^56 bytes
+        yield at(f"{'9' * digits} 0\n")
+        yield at(f"0 1{'0' * (digits - 1)}\n")
+    yield at("7\n")
+    yield at(line.replace(" ", "\n", 1))
+    yield at(line.split()[0] + " \n")
+    yield at(" " + line.split()[-1] + "\n")
+    yield at(line[:-1] + " 3\n")
+    yield text[:-1]
+    yield text + "0 "
+    yield text + "5"
+    yield at(line[:-1] + ":\n")   # the bytes either side of the digits
+    yield at("/" + line)
+    yield at("\n" + line)
+    yield at("# note\n" + line)
+    yield at(line[:-1] + " # note\n")
+    yield at("n 50\n" + line)
+    yield at(line.replace("0", "٠").replace("1", "１"))   # Arabic-Indic and fullwidth
+    yield at(line.replace(" ", "\u00a0", 1))   # no-break space
+    yield text + "\ud800\n"
+
+
+def test_fast_parse_matches_the_line_loop(tmp_path):
+    rng = np.random.default_rng(13)
+    path = tmp_path / "g.edges"
+    texts = []
+    for text in _plain_texts(rng):
+        texts += [text, *_mutations(text, rng)]
+    texts += ["", "7", "n 0\n", "n 000\n", "n 2\n", "n 2", "0 0\n", "n 3\n0 1\n2 3\n"]
+    for text in texts:
+        data = text.encode("utf-8", errors="surrogatepass")
+        path.write_bytes(data)
+
+        def read_lines():
+            with open(path, "r", encoding="utf-8") as fh:
+                return rm.load_edge_list(fh)
+        expected = _full_outcome(read_lines)
+        assert _full_outcome(lambda: rm.load_path(path)) == expected, text
+        assert (_full_outcome(lambda: rm.loads(text))
+                == _full_outcome(lambda: rm.load_edge_list(io.StringIO(text, newline=None))))
+    # invalid UTF-8 at the start, in the first and past the first 8 KiB decoding chunk
+    body = b"".join(b"%d %d\n" % (k, k + 1) for k in range(2000))
+    for data in (b"\xff0 1\n", b"0 1\n1 \xfe\n" + body, body + b"5 \xc3(\n", body + b"\x80"):
+        path.write_bytes(data)
+        with open(path, "r", encoding="utf-8") as fh:
+            expected = _full_outcome(lambda: rm.load_edge_list(fh))
+        assert _full_outcome(lambda: rm.load_path(path)) == expected
+        assert expected[0] is UnicodeDecodeError
+
+
+def test_written_edge_lists_skip_the_line_loop(tmp_path, monkeypatch, bowtie, threeblock):
+    def line_loop(stream):
+        raise AssertionError("line loop called")
+    monkeypatch.setattr(rm.graph, "load_edge_list", line_loop)
+    path = tmp_path / "g.edges"
+    graphs = [bowtie, threeblock, rm.build_graph(3, []),
+              helpers.random_digraph(np.random.default_rng(14), 40, 0.1)]
+    for g in graphs:
+        path.write_text(rm.dumps(g))
+        for again in (rm.loads(rm.dumps(g)), rm.load_path(path)):
+            for a, b in zip(_arrays(again), _arrays(g)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+    with pytest.raises(AssertionError, match="line loop called"):
+        rm.loads("0 1\r\n")
+
+
+def test_reverse_arrays_keep_sources_ascending_within_a_target():
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        n = int(rng.integers(1, 30))
+        g = rm.build_graph(n, rng.integers(0, n, size=(int(rng.integers(0, 60)), 2)))
+        sources = np.repeat(np.arange(n), g.out_degree)
+        assert np.array_equal(g.in_indices, sources[np.argsort(g.out_indices, kind="stable")])
+        assert np.array_equal(g.in_indptr, np.r_[0, np.cumsum(np.bincount(g.out_indices,
+                                                                           minlength=n))])
+
+
+def test_sorted_edges_skip_the_sort(bowtie, monkeypatch):
+    def lexsort(keys):
+        raise AssertionError("sorted")
+    monkeypatch.setattr(np, "lexsort", lexsort)
+    for u, v in ((8, 1), (5, 0), (11, 11), (0, 11), (0, 0)):
+        rm.with_edge(bowtie, u, v)
+    rm.build_graph(bowtie.n, list(bowtie.edges()))
+    with pytest.raises(AssertionError, match="sorted"):
+        rm.build_graph(3, [(1, 0), (0, 1)])
