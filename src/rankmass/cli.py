@@ -6,6 +6,7 @@ reproducible and self-describing.  Numeric cells carry 17 significant digits
 and round-trip through float parsing.
 
 Exit codes: 0 success, 1 validation problem, 2 numerical non-convergence.
+A library warning is written to stderr as one ``rankmass: warning:`` line.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import csv
 import hashlib
 import io
 import sys
+import warnings
 
 import numpy as np
 
@@ -52,8 +54,11 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _column(values: np.ndarray) -> list[str]:
-    """``_fmt`` of each entry, one shared string per distinct value but for floats (-0 == 0)."""
+def _column(values) -> list[str]:
+    """``_fmt`` of each entry; in an array one shared string per distinct value but for
+    floats (-0 == 0)."""
+    if not isinstance(values, np.ndarray):
+        return [_fmt(x) for x in values]
     if values.dtype.kind == "f":
         return [format(x, ".17g") for x in values.tolist()]
     distinct, at = np.unique(values, return_inverse=True)
@@ -78,18 +83,14 @@ class CsvReport:
         self.buffer.write(f"# graph: {graph_path} sha256={_file_hash(graph_path)}\n")
         rendered = " ".join(f"{k}={_fmt(v)}" for k, v in params.items())
         self.buffer.write(f"# params: {rendered}\n")
-        self.writer = csv.writer(self.buffer, lineterminator="\n")
 
     def comment(self, text: str):
         self.buffer.write(f"# {text}\n")
 
-    def row(self, values):
-        self.writer.writerow([_fmt(v) for v in values])
-
-    def columns(self, *columns: np.ndarray):
-        """One row per index of the arrays, as ``row`` writes cells that need no quoting."""
-        rows = zip(*map(_column, columns))
-        self.buffer.writelines(f"{','.join(cells)}\n" for cells in rows)
+    def table(self, header, *columns):
+        """The header line, then one row per index of the columns; no cell needs quoting."""
+        self.buffer.write(f"{','.join(header)}\n")
+        self.buffer.writelines(f"{','.join(cells)}\n" for cells in zip(*map(_column, columns)))
 
     def save(self, out_path: str | None):
         text = self.buffer.getvalue()
@@ -156,7 +157,7 @@ def _components_within(labels, mask: np.ndarray) -> int:
     return int(inside.sum())
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args):
     g, labels, blocks = _structures(args.graph)
     report = CsvReport(args.graph, {"command": "decompose"})
     report.comment(f"total_nodes={g.n}")
@@ -167,16 +168,15 @@ def cmd_decompose(args) -> int:
     report.comment(f"nodes_in_pure_out={np.count_nonzero(blocks.pure_out_mask)}")
     report.comment(f"sccs_in_out={_components_within(labels, labels.labels == Label.OUT)}")
     report.comment(f"sccs_in_pure_out={_components_within(labels, blocks.pure_out_mask)}")
-    report.row(["node_id", "bowtie_label", "in_escc", "in_pure_out",
-                "recurrent_block_id", "feeds_dangling_and_deadend"])
     names = np.array([label.name for label in Label])
-    report.columns(np.arange(g.n), names[labels.labels], blocks.escc_mask,
-                   blocks.pure_out_mask, blocks.block_index, dual_path_mask(g, labels, blocks))
+    report.table(["node_id", "bowtie_label", "in_escc", "in_pure_out",
+                  "recurrent_block_id", "feeds_dangling_and_deadend"],
+                 np.arange(g.n), names[labels.labels], blocks.escc_mask,
+                 blocks.pure_out_mask, blocks.block_index, dual_path_mask(g, labels, blocks))
     report.save(args.out)
-    return 0
 
 
-def cmd_pagerank(args) -> int:
+def cmd_pagerank(args):
     g = load_path(args.graph)
     cfg = PageRankConfig(damping=args.damping, tolerance=args.tol,
                          max_iterations=args.max_iter)
@@ -185,85 +185,72 @@ def cmd_pagerank(args) -> int:
         "command": "pagerank", "damping": cfg.damping, "tol": cfg.tolerance,
         "max_iter": cfg.max_iterations,
         "iterations_used": result.iterations_used})
-    report.row(["node_id", "score"])
-    report.columns(np.arange(g.n), result.values)
+    report.table(["node_id", "score"], np.arange(g.n), result.values)
     report.save(args.out)
-    return 0
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     g, labels, blocks = _structures(args.graph)
     grid = _parse_grid(args.grid)
     curve = damping_sweep(g, labels, blocks, grid, tolerance=args.tol)
     report = CsvReport(args.graph, {"command": "sweep", "grid": args.grid, "tol": args.tol})
-    report.row(["c", "mass_IN", "mass_SCC", "mass_INSCC", "mass_ESCC",
-                "mass_PUREOUT", "mass_DN", "mass_OTHER"])
-    for c, m in curve:
-        report.row([c, m.by_label["IN"], m.by_label["SCC"], m.in_scc, m.escc,
-                    m.pure_out, m.dn, m.by_label["OTHER"]])
+    report.table(["c", "mass_IN", "mass_SCC", "mass_INSCC", "mass_ESCC",
+                  "mass_PUREOUT", "mass_DN", "mass_OTHER"],
+                 *zip(*[(c, m.by_label["IN"], m.by_label["SCC"], m.in_scc, m.escc,
+                         m.pure_out, m.dn, m.by_label["OTHER"]) for c, m in curve]))
     report.save(args.out)
-    return 0
 
 
-def cmd_limit(args) -> int:
+def cmd_limit(args):
     g, labels, blocks = _structures(args.graph)
     result = limit_vector(g, blocks, tol=args.tol)
     report = CsvReport(args.graph, {"command": "limit", "tol": args.tol})
-    report.row(["block_id", "size", "fair_share", "absorption_weight", "limit_mass"])
-    for i, size in enumerate(blocks.block_sizes):
-        report.row([i, size, float(result.fair_shares[i]),
-                    float(result.drain_weights[i]), float(result.block_masses[i])])
+    report.table(["block_id", "size", "fair_share", "absorption_weight", "limit_mass"],
+                 range(len(blocks.block_sizes)), blocks.block_sizes,
+                 result.fair_shares, result.drain_weights, result.block_masses)
     report.save(args.out)
     if args.vector_out:
         vec = CsvReport(args.graph, {"command": "limit", "output": "vector"})
-        vec.row(["node_id", "limit_score"])
-        vec.columns(np.arange(g.n), result.vector)
+        vec.table(["node_id", "limit_score"], np.arange(g.n), result.vector)
         vec.save(args.vector_out)
-    return 0
 
 
-def cmd_inscc_curve(args) -> int:
+def _three_block(args):
     g = load_path(args.graph)
-    labels = bowtie_labeling(g)
-    view = three_block_view(g, labels, fold_other=args.fold_other,
+    return three_block_view(g, bowtie_labeling(g), fold_other=args.fold_other,
                             force_dn_merge=args.force_dn_merge)
+
+
+def cmd_inscc_curve(args):
+    view = _three_block(args)
     grid = _parse_grid(args.grid)
     points = inscc_curve(view, grid, tol=args.tol)
     report = CsvReport(args.graph, {
         "command": "inscc-curve", "grid": args.grid, "tol": args.tol,
         "force_dn_merge": args.force_dn_merge, "alpha": view.alpha, "beta": view.beta})
-    report.row(["c", "mass", "main_term", "correction", "d1_estimate", "d2_estimate"])
-    for p in points:
-        report.row([p.c, p.mass, p.main_term, p.correction,
-                    "" if p.d1_estimate is None else p.d1_estimate,
-                    "" if p.d2_estimate is None else p.d2_estimate])
+    report.table(["c", "mass", "main_term", "correction", "d1_estimate", "d2_estimate"],
+                 *zip(*[(p.c, p.mass, p.main_term, p.correction,
+                         "" if p.d1_estimate is None else p.d1_estimate,
+                         "" if p.d2_estimate is None else p.d2_estimate) for p in points]))
     report.save(args.out)
-    return 0
 
 
-def cmd_inscc_derivatives(args) -> int:
-    g = load_path(args.graph)
-    labels = bowtie_labeling(g)
-    view = three_block_view(g, labels, fold_other=args.fold_other,
-                            force_dn_merge=args.force_dn_merge)
+def cmd_inscc_derivatives(args):
+    view = _three_block(args)
     at_zero = derivative_at_zero(view)
     at_one = derivative_at_one(view, tol=args.tol)
     report = CsvReport(args.graph, {
         "command": "inscc-derivatives", "tol": args.tol,
         "force_dn_merge": args.force_dn_merge})
-    report.row(["quantity", "value"])
-    report.row(["alpha", view.alpha])
-    report.row(["beta", view.beta])
-    report.row(["retention_p1", view.retention_p1()])
-    report.row(["mass_slope_at_zero", at_zero.total])
-    report.row(["mass_slope_at_one_exact", at_one.total])
-    report.row(["mass_slope_at_one_approx", at_one.approx_total])
-    report.row(["leakage", at_one.leakage])
+    report.table(["quantity", "value"],
+                 ["alpha", "beta", "retention_p1", "mass_slope_at_zero",
+                  "mass_slope_at_one_exact", "mass_slope_at_one_approx", "leakage"],
+                 [view.alpha, view.beta, view.retention_p1(), at_zero.total,
+                  at_one.total, at_one.approx_total, at_one.leakage])
     report.save(args.out)
-    return 0
 
 
-def cmd_escc_bounds(args) -> int:
+def cmd_escc_bounds(args):
     g, labels, blocks = _structures(args.graph)
     grid = _parse_grid(args.grid)
     bounds = prop3_bounds(g, labels, blocks, grid, tol=args.tol,
@@ -272,15 +259,13 @@ def cmd_escc_bounds(args) -> int:
         "command": "escc-bounds", "grid": args.grid, "tol": args.tol,
         "exclude_pureout_transients": args.exclude_pureout_transients,
         "p1": bounds.p1, "lambda1": bounds.lambda1, "gamma": bounds.gamma})
-    report.row(["c", "mass", "lower_bound", "upper_bound", "cond_i", "cond_ii"])
-    for row in bounds.rows:
-        report.row([row.c, row.mass, row.lower, row.upper,
-                    bounds.condition_i, bounds.condition_ii])
+    report.table(["c", "mass", "lower_bound", "upper_bound", "cond_i", "cond_ii"],
+                 *zip(*[(row.c, row.mass, row.lower, row.upper,
+                         bounds.condition_i, bounds.condition_ii) for row in bounds.rows]))
     report.save(args.out)
-    return 0
 
 
-def cmd_cstar(args) -> int:
+def cmd_cstar(args):
     g, labels, blocks = _structures(args.graph)
     result = cstar_solve(g, labels, blocks, v_mode=args.mode,
                          tolerance=args.tol,
@@ -302,14 +287,11 @@ def cmd_cstar(args) -> int:
         report = CsvReport(args.graph, {
             "command": "cstar", "mode": result.v_mode,
             "c1": result.c1, "c2": result.c2, "c_star": result.c_star})
-        report.row(["c", "mass", "target"])
-        for c, mass, target in result.samples:
-            report.row([c, mass, target])
+        report.table(["c", "mass", "target"], *zip(*result.samples))
         report.save(args.out)
-    return 0
 
 
-def cmd_link_experiment(args) -> int:
+def cmd_link_experiment(args):
     g, labels, blocks = _structures(args.graph)
     damping_values = [_damping_arg(tok) for tok in args.damping_list.split(",") if tok]
     if not damping_values:
@@ -324,19 +306,14 @@ def cmd_link_experiment(args) -> int:
         "command": "link-experiment", "source": args.source, "target": args.target,
         "damping_list": args.damping_list})
     report.comment(f"block_nodes={list(result.block_nodes)}")
-    header = ["c", "rank_without_link", "rank_with_link"]
-    if click_position is not None:
-        header.append("rank_by_clicks")
-    header += ["block_mass_without", "block_mass_with"]
-    report.row(header)
-    for row in result.rows:
-        cells = [row.damping, row.rank_without_link, row.rank_with_link]
-        if click_position is not None:
-            cells.append(click_position)
-        cells += [row.block_mass_without, row.block_mass_with]
-        report.row(cells)
+    header = ["c", "rank_without_link", "rank_with_link", "rank_by_clicks",
+              "block_mass_without", "block_mass_with"]
+    columns = list(zip(*[(r.damping, r.rank_without_link, r.rank_with_link, click_position,
+                          r.block_mass_without, r.block_mass_with) for r in result.rows]))
+    if click_position is None:
+        del header[3], columns[3]
+    report.table(header, *columns)
     report.save(args.out)
-    return 0
 
 
 def _read_clicks(path: str) -> dict[int, float]:
@@ -447,20 +424,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, *_):
+    """A library warning as one stderr line, without the path and source line."""
+    sys.stderr.write(f"rankmass: warning: {message}\n")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.fn(args)
-    except ConvergenceError as exc:
-        sys.stderr.write(f"rankmass: non-convergence: {exc}\n")
-        return CONVERGENCE_ERROR
-    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
-        sys.stderr.write(f"rankmass: error: {exc}\n")
-        return USAGE_ERROR
-    except MemoryError as exc:
-        sys.stderr.write(f"rankmass: error: {str(exc) or 'out of memory'}\n")
-        return USAGE_ERROR
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning   # restored when the block exits
+        try:
+            args.fn(args)
+        except ConvergenceError as exc:
+            sys.stderr.write(f"rankmass: non-convergence: {exc}\n")
+            return CONVERGENCE_ERROR
+        except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
+            sys.stderr.write(f"rankmass: error: {exc}\n")
+            return USAGE_ERROR
+        except MemoryError as exc:
+            sys.stderr.write(f"rankmass: error: {str(exc) or 'out of memory'}\n")
+            return USAGE_ERROR
+    return 0
 
 
 if __name__ == "__main__":

@@ -8,9 +8,14 @@ equation into three coupled linear blocks.  Eliminating OUT and DN leaves
 
 with alpha, beta the IN+SCC and DN node fractions, u the uniform row over
 IN+SCC, P the internal block and S1 the per-node weight toward DN.  The
-rank-one term is applied through two dot products.  Vectors are solves,
-and masses on a grid come from one shifted basis of P from ``u`` probed with
-``[1, S1]`` (:func:`operators.shifted_solve`).
+rank-one term has a closed form (Sherman-Morrison): with
+``y = u [I - cP]^{-1}`` and ``q = w(c) y S1``,
+
+    u [I - cP - w(c) S1 u]^{-1} = y / (1 - q),
+
+valid while ``q < 1``.  So no solve carries the rank-one term: a vector is
+one solve of ``I - cP``, and masses on a grid come from one shifted basis of
+P from ``u`` probed with ``[1, S1]`` (:func:`operators.shifted_solve`).
 """
 
 from __future__ import annotations
@@ -121,21 +126,24 @@ def _damping(c: float) -> float:
 
 
 def inscc_vector(view: ThreeBlockView, c: float, tol: float = SOLVE_TOL) -> np.ndarray:
-    """Evaluate the closed form at damping ``c``; indexed like inscc_nodes."""
+    """Evaluate the closed form at damping ``c``; indexed like inscc_nodes.
+
+    ``tol`` bounds the L1 residual of the one solve ``y [I - cP] = u``."""
     return _inscc_at(view, _damping(c), tol)
 
 
 def _inscc_at(view: ThreeBlockView, c: float, tol: float = SOLVE_TOL) -> np.ndarray:
     # interior evaluation; also accepts small negative c for difference stencils
-    k = _restart_coeff(view, c)
-    w = _rank_one_coeff(view, c)
-    leak = view.s_leak()
-    u = view.uniform()
+    return _restart_coeff(view, c) * _with_rank_one(view, c, _rank_one_coeff(view, c), tol)
 
-    def apply(y: np.ndarray) -> np.ndarray:
-        return c * view.p.mul_left(y) + (w * float(y @ leak)) * u
 
-    return solve_left(apply, k * u, tol=tol)
+def _with_rank_one(view: ThreeBlockView, c: float, w: float, tol: float) -> np.ndarray:
+    """``u [I - cP - w S1 u]^{-1}`` as ``y / (1 - w y S1)`` with ``y = u [I - cP]^{-1}``."""
+    y = solve_left(lambda v: c * view.p.mul_left(v), view.uniform(), tol=tol)
+    q = w * float(y @ view.s_leak())
+    if q >= 1.0:
+        raise StructureError("rank-one correction is not contractive")
+    return y / (1.0 - q)
 
 
 def reconstruct_out_and_dn(view: ThreeBlockView, c: float, pi_inscc: np.ndarray,
@@ -197,32 +205,25 @@ class DerivativeAtOne:
 
 
 def derivative_at_one(view: ThreeBlockView, tol: float = SOLVE_TOL) -> DerivativeAtOne:
-    """Evaluate the near-singular slope at c = 1.
+    """Evaluate the near-singular slope ``-coeff u [I - P - coeff S1 u]^{-1}``
+    at c = 1, ``coeff = alpha / (1 - beta)``.
 
     Requires the internal IN+SCC walk (outward links dropped, rows
     renormalized) to be irreducible; its stationary vector weighs the leak
-    terms in the approximation.
+    terms in the approximation.  A core that never leaks (no OUT share and
+    no link to OUT) raises :class:`StructureError` before any solve.
+    ``tol`` bounds the L1 residual of the solve ``y [I - P] = u``.
     """
-    coeff = view.alpha / (1.0 - view.beta)
-    u = view.uniform()
-    leak = view.s_leak()
-
-    def apply(y: np.ndarray) -> np.ndarray:
-        return view.p.mul_left(y) + (coeff * float(y @ leak)) * u
-
-    y = solve_left(apply, u, tol=tol)
-    vector = -coeff * y
-    total = -coeff * float(y.sum())
-
     pi_bar = _internal_stationary(view, tol=tol)
-    r1 = view.r.row_sums()
-    leakage = float(pi_bar @ r1) + (1.0 - view.beta - view.alpha) / (1.0 - view.beta) \
-        * float(pi_bar @ leak)
+    out_share = view.out_nodes.size / view.n   # exact: 1 - alpha - beta need not round to 0
+    leakage = float(pi_bar @ view.r.row_sums()) \
+        + out_share / (1.0 - view.beta) * float(pi_bar @ view.s_leak())
     if leakage <= 0.0:
         raise StructureError("IN+SCC never leaks; the slope at c = 1 diverges")
-    approx_total = -coeff / leakage
-    return DerivativeAtOne(vector=vector, total=total,
-                           approx_total=approx_total, leakage=leakage)
+    coeff = view.alpha / (1.0 - view.beta)
+    vector = -coeff * _with_rank_one(view, 1.0, coeff, tol)
+    return DerivativeAtOne(vector=vector, total=float(vector.sum()),
+                           approx_total=-coeff / leakage, leakage=leakage)
 
 
 def _internal_stationary(view: ThreeBlockView, tol: float = SOLVE_TOL) -> np.ndarray:

@@ -3,14 +3,17 @@ import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
+import helpers
 import rankmass as rm
 from rankmass import cli
 from rankmass.bowtie import dual_path_mask
 from rankmass.cli import main
+from rankmass.experiment import click_rank
 from rankmass.sample_graphs import bowtie_sample, three_block_sample
 
 
@@ -213,6 +216,80 @@ def test_column_writer_matches_row_writer(tmp_path, capsys):
     assert all(set(column) == {True, False} for column in (*flags, dual))
     assert -1 in block_ids
 
+    # the short tables of the other commands; escc-bounds flags are true on the
+    # sample and false on the first suite graph
+    def check(args, header, rows):
+        assert run_cli([*args, "--out", str(out)], capsys)[0] == 0
+        assert _table(out) == _reference_csv([header] + rows)
+        return rows
+
+    grid = cli._parse_grid("0:0.95:0.05")
+    clicks = tmp_path / "clicks.csv"
+    clicks.write_text("node_id,clicks\n8,3\n1,100\n0,50\n")
+    flags = []
+    for k, g in enumerate([bowtie_sample(), three_block_sample(), helpers.random_suite()[0]]):
+        path = tmp_path / f"t{k}.edges"
+        path.write_text(rm.dumps(g))
+        base = ["--graph", str(path)]
+        labels = rm.bowtie_labeling(g)
+        blocks = rm.block_decomposition(g, labels)
+
+        check(["sweep", *base], ["c", "mass_IN", "mass_SCC", "mass_INSCC", "mass_ESCC",
+                                 "mass_PUREOUT", "mass_DN", "mass_OTHER"],
+              [[c, m.by_label["IN"], m.by_label["SCC"], m.in_scc, m.escc, m.pure_out, m.dn,
+                m.by_label["OTHER"]] for c, m in rm.damping_sweep(g, labels, blocks, grid)])
+        limit = rm.limit_vector(g, blocks)
+        check(["limit", *base], ["block_id", "size", "fair_share", "absorption_weight",
+                                 "limit_mass"],
+              [[i, size, float(limit.fair_shares[i]), float(limit.drain_weights[i]),
+                float(limit.block_masses[i])] for i, size in enumerate(blocks.block_sizes)])
+        bounds = rm.prop3_bounds(g, labels, blocks, cli._parse_grid("0.05:0.95:0.05"))
+        flags += check(["escc-bounds", *base],
+                       ["c", "mass", "lower_bound", "upper_bound", "cond_i", "cond_ii"],
+                       [[r.c, r.mass, r.lower, r.upper, bounds.condition_i,
+                         bounds.condition_ii] for r in bounds.rows])
+        samples = rm.cstar_solve(g, labels, blocks, v_mode="self", tolerance=1e-6).samples
+        check(["cstar", "--mode", "self", *base], ["c", "mass", "target"],
+              [list(sample) for sample in samples])
+        if k == 2:
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # the sample needs the forced split
+            view = rm.three_block_view(g, labels, force_dn_merge=True)
+        ends = check(["inscc-curve", *base, "--force-dn-merge"],
+                     ["c", "mass", "main_term", "correction", "d1_estimate", "d2_estimate"],
+                     [[p.c, p.mass, p.main_term, p.correction,
+                       "" if p.d1_estimate is None else p.d1_estimate,
+                       "" if p.d2_estimate is None else p.d2_estimate]
+                      for p in rm.inscc_curve(view, cli._parse_grid("0:0.99:0.01"))])
+        assert ends[0][4:] == ends[-1][4:] == ["", ""]
+    _, _, _, _, *conditions = zip(*flags)
+    assert all(set(column) == {True, False} for column in conditions)
+
+    # inscc-derivatives needs an irreducible core; link-experiment a dead-end source
+    g, path = three_block_sample(), tmp_path / "t1.edges"
+    view = rm.three_block_view(g, rm.bowtie_labeling(g))
+    at_zero, at_one = rm.derivative_at_zero(view), rm.derivative_at_one(view)
+    check(["inscc-derivatives", "--graph", str(path)], ["quantity", "value"],
+          [["alpha", view.alpha], ["beta", view.beta], ["retention_p1", view.retention_p1()],
+           ["mass_slope_at_zero", at_zero.total], ["mass_slope_at_one_exact", at_one.total],
+           ["mass_slope_at_one_approx", at_one.approx_total], ["leakage", at_one.leakage]])
+    g, path = bowtie_sample(), tmp_path / "t0.edges"
+    labels = rm.bowtie_labeling(g)
+    rows = rm.run_link_experiment(g, labels, rm.block_decomposition(g, labels), 8, 1,
+                                  [0.5, 0.85, 0.95]).rows
+    base = ["link-experiment", "--graph", str(path), "--source", "8", "--target", "1"]
+    check(base, ["c", "rank_without_link", "rank_with_link", "block_mass_without",
+                 "block_mass_with"],
+          [[r.damping, r.rank_without_link, r.rank_with_link, r.block_mass_without,
+            r.block_mass_with] for r in rows])
+    position = click_rank(cli._read_clicks(str(clicks)), 8, g.n)
+    check([*base, "--clicks", str(clicks)],
+          ["c", "rank_without_link", "rank_with_link", "rank_by_clicks",
+           "block_mass_without", "block_mass_with"],
+          [[r.damping, r.rank_without_link, r.rank_with_link, position,
+            r.block_mass_without, r.block_mass_with] for r in rows])
+
 
 def test_tied_dominant_classes_exit_two(tmp_path, capsys):
     # {0, 1} feeds {2, 3} and both classes have eigenvalue sqrt(1/2)
@@ -291,6 +368,32 @@ def test_inscc_derivatives_report(graph_files, tmp_path, capsys):
     assert table["alpha"] == pytest.approx(4 / 9)
     assert table["mass_slope_at_zero"] < 0.0
     assert table["leakage"] > 0.0
+
+
+def test_inscc_derivatives_without_out_exits_one(tmp_path, capsys):
+    path, out = tmp_path / "no_out.edges", tmp_path / "deriv.csv"
+    path.write_text("n 6\n0 1\n1 2\n1 5\n2 0\n2 3\n3 0\n3 4\n")
+    code, stdout, err = run_cli(["inscc-derivatives", "--graph", str(path),
+                                 "--out", str(out)], capsys)
+    assert code == 1
+    assert err == "rankmass: error: IN+SCC never leaks; the slope at c = 1 diverges\n"
+    assert stdout == "" and not out.exists()
+
+
+def test_library_warnings_are_one_line_each(graph_files, tmp_path, capsys):
+    warning = ("rankmass: warning: OUT links into dangling node(s) [5]; block split kept, "
+               "closed-form results are approximate\n")
+    curve = ["inscc-curve", "--graph", graph_files["bowtie"], "--force-dn-merge",
+             "--out", str(tmp_path / "curve.csv")]
+    code, _, err = run_cli(curve, capsys)
+    assert (code, err) == (0, warning)
+    code, _, err = run_cli(["inscc-derivatives", "--graph", graph_files["bowtie"],
+                            "--force-dn-merge"], capsys)
+    assert (code, err) == (1, warning + "rankmass: error: internal IN+SCC walk is reducible\n")
+    # outside pytest's warning capture too
+    proc = subprocess.run([sys.executable, "-m", "rankmass.cli", *curve],
+                          capture_output=True, text=True, env=_child_env())
+    assert (proc.returncode, proc.stderr) == (0, warning)
 
 
 def test_escc_bounds_csv(graph_files, tmp_path, capsys):
@@ -383,12 +486,15 @@ def test_bad_clicks_file_fails_before_the_experiment(graph_files, tmp_path, caps
         assert out == ""
 
 
-def test_console_entry_point(graph_files):
-    # the child imports the package from where this process found it
+def _child_env():
+    """The environment of a child that imports the package from where this process found it."""
     path = [str(Path(rm.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
+def test_console_entry_point(graph_files):
     proc = subprocess.run([sys.executable, "-m", "rankmass.cli", "decompose",
                            "--graph", graph_files["bowtie"]],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert "node_id,bowtie_label" in proc.stdout

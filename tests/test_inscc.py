@@ -53,22 +53,57 @@ def test_closed_form_matches_power_iteration(threeblock, threeblock_view):
     assert np.abs(seg - pi.values[threeblock_view.inscc_nodes]).sum() <= 1e-10
 
 
-def test_closed_form_against_dense_formula(threeblock_view):
-    # dense evaluation of the same closed form, built from scratch
-    v = threeblock_view
-    c = 0.5
+def _dense_closed_form(view, p, s1, c, coeff):
+    """``u [I - cP - coeff S1 u]^{-1}`` by a dense inverse."""
+    u = np.full(view.size, 1.0 / view.size)
+    return u @ np.linalg.inv(np.eye(view.size) - c * p - coeff * np.outer(s1, u))
+
+
+def _dense_blocks(g, view):
+    """P and S1 cut from the dense transition matrix."""
+    w = helpers.dense_w(g)[view.inscc_nodes]
+    return w[:, view.inscc_nodes], w[:, view.dn_nodes].sum(axis=1)
+
+
+def _dense_views(threeblock_view, heavy, heavy_view, random_graphs):
+    # the three-block sample's P and S1 are written out by hand
     p = np.zeros((4, 4))
     p[0, 1] = 1.0
     p[1, 2] = 0.5
     p[2, 0] = p[2, 3] = 0.5
     p[3, 0] = 1.0 / 3.0
-    s1 = np.array([0.0, 0.5, 0.0, 1.0 / 3.0])
-    u = np.full(4, 0.25)
-    k = (1 - c) * v.alpha / (1 - c * v.beta)
-    w = c * c * v.alpha / (1 - c * v.beta)
-    op = np.eye(4) - c * p - w * np.outer(s1, u)
-    ref = k * u @ np.linalg.inv(op)
-    assert np.abs(rm.inscc_vector(v, c) - ref).sum() <= 1e-12
+    views = [(threeblock_view, p, np.array([0.0, 0.5, 0.0, 1.0 / 3.0])),
+             (heavy_view, *_dense_blocks(heavy, heavy_view))]
+    for g in random_graphs[:6]:
+        view = rm.three_block_view(g, rm.bowtie_labeling(g))
+        views.append((view, *_dense_blocks(g, view)))
+    return views
+
+
+def test_closed_form_against_dense_formula(threeblock_view, heavy, heavy_view, random_graphs):
+    for v, p, s1 in _dense_views(threeblock_view, heavy, heavy_view, random_graphs):
+        for c in (-1e-5, 0.5, 0.85, 0.99):
+            k = (1 - c) * v.alpha / (1 - c * v.beta)
+            w = c * c * v.alpha / (1 - c * v.beta)
+            ref = k * _dense_closed_form(v, p, s1, c, w)
+            got = inscc._inscc_at(v, c) if c < 0 else rm.inscc_vector(v, c)
+            assert np.abs(got - ref).sum() <= 1e-12 * np.abs(ref).sum()
+
+
+def test_derivative_at_one_against_dense_formula(threeblock_view, heavy, heavy_view,
+                                                 random_graphs):
+    checked = 0
+    for v, p, s1 in _dense_views(threeblock_view, heavy, heavy_view, random_graphs):
+        try:
+            got = rm.derivative_at_one(v)
+        except rm.StructureError:   # reducible internal walk
+            continue
+        coeff = v.alpha / (1 - v.beta)
+        ref = -coeff * _dense_closed_form(v, p, s1, 1.0, coeff)
+        assert np.abs(got.vector - ref).sum() <= 1e-12 * np.abs(ref).sum()
+        assert got.total == pytest.approx(ref.sum(), rel=1e-12)
+        checked += 1
+    assert checked >= 3
 
 
 def test_reconstruction_matches_power_iteration(threeblock, threeblock_view):
@@ -172,6 +207,20 @@ def test_derivative_at_one_requires_irreducible_core():
     g = rm.build_graph(5, [(0, 1), (1, 2), (2, 1), (2, 3), (3, 4), (4, 3)])
     view = rm.three_block_view(g, rm.bowtie_labeling(g))
     with pytest.raises(rm.StructureError):
+        rm.derivative_at_one(view)
+
+
+def test_derivative_at_one_without_out_raises_before_solving(monkeypatch):
+    # 4 and 5 dangle and OUT is empty: 1 - beta - alpha rounds to 5.6e-17, not 0
+    g = rm.build_graph(6, [(0, 1), (1, 2), (1, 5), (2, 0), (2, 3), (3, 0), (3, 4)])
+    view = rm.three_block_view(g, rm.bowtie_labeling(g))
+    assert view.out_nodes.size == 0 and 1.0 - view.beta - view.alpha > 0.0
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("solved before the leakage check")
+
+    monkeypatch.setattr(inscc, "solve_left", not_reached)
+    with pytest.raises(rm.StructureError, match="IN[+]SCC never leaks"):
         rm.derivative_at_one(view)
 
 
