@@ -2,13 +2,14 @@
 the extended component induced by dangling-node uniform rows, and the
 recurrent/transient block split.
 
-All structure comes from two linear walks over CSR arrays, turned into
-plain lists once per call: an iterative Tarjan SCC routine
-(:func:`scc_labels`) and a reachability closure (:func:`closure`).  The
-transition-matrix graph gives every dangling node a uniform row, i.e. an edge
-to every node.  Those rows are modelled as one edge each to a virtual hub
-node that links to every node of the view, so the walk costs O(n + m)
-instead of O(|dangling| * n).
+All structure comes from two routines over CSR arrays, both O(n + m).
+:func:`closure` searches level by level in numpy and hands a long path to a
+list walk.  :func:`scc_labels` takes the component of a high-degree pivot
+from its forward and backward closures and runs an iterative Tarjan walk only
+on the nodes left over.  The transition-matrix graph gives every dangling
+node a uniform row, i.e. an edge to every node.  Those rows are modelled as
+one edge each to a virtual hub node that links to every node of the view, so
+a walk costs O(n + m) instead of O(|dangling| * n).
 
 Components are numbered deterministically by their smallest member and
 every node collection is sorted, so downstream CSV output is reproducible
@@ -23,9 +24,13 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
+from scipy import sparse
 
 from .errors import StructureError
 from .graph import GraphHandle
+
+
+LEVEL_CAP = 64   # numpy levels of a closure before the list walk takes over
 
 
 class Label(IntEnum):
@@ -36,12 +41,9 @@ class Label(IntEnum):
 
 
 def scc_labels(indptr, indices, hub_rows=()) -> np.ndarray:
-    """Strongly connected component of every node of a CSR digraph.
-
-    Iterative Tarjan over plain lists, O(n + m).  Components are numbered in
-    the order the walk completes them, which is reverse topological: an edge
-    between two components runs from the higher number to the lower.  The
-    graph is strongly connected exactly when every label is 0.
+    """Strongly connected component of every node of a CSR digraph, numbered
+    by smallest member, in O(n + m) (:func:`_pivot_split`).  The graph is
+    strongly connected exactly when every label is 0.
 
     ``hub_rows`` are rows that link to every node (dangling rows under the
     uniform convention).  Each gets one edge to a virtual hub node that links
@@ -57,7 +59,33 @@ def scc_labels(indptr, indices, hub_rows=()) -> np.ndarray:
         indices = np.concatenate((np.insert(indices, indptr[hub_rows + 1], n), np.arange(n)))
         indptr = indptr + np.cumsum(shift)
         indptr = np.append(indptr, indptr[-1] + n)
-    return np.asarray(_tarjan(indptr.tolist(), indices.tolist())[:n], dtype=np.int64)
+    return by_smallest_member(_pivot_split(indptr, indices)[0][:n]) if n else np.zeros(0, np.int64)
+
+
+def _pivot_split(indptr, indices, reverse=None):
+    """Raw component labels plus the pivot's forward and backward reach.
+
+    The pivot is the node of largest out- times in-degree; its component, the
+    intersection of its two :func:`closure` masks, gets label -1.  Iterative
+    Tarjan labels only the subgraph induced by the other nodes (the
+    "Multistep" scheme of Slota, Rajamanickam and Madduri, 2014).  Without
+    ``reverse``, the reverse adjacency, a CSR -> CSC transpose builds it."""
+    n = indptr.size - 1
+    if reverse is None:
+        t = sparse.csr_matrix((np.ones(indices.size, dtype=np.int8), indices, indptr),
+                              shape=(n, n)).tocsc()
+        reverse = (t.indptr, t.indices)
+    pivot = int(np.argmax(np.diff(indptr) * np.diff(reverse[0])))
+    forward, backward = closure(indptr, indices, [pivot]), closure(*reverse, [pivot])
+    rest = np.flatnonzero(~(forward & backward))
+    local = np.full(n, -1, dtype=np.int64)
+    local[rest] = np.arange(rest.size)
+    pos, ends = _out_edges(indptr, rest)
+    targets = local[indices[pos]]
+    keep = targets >= 0
+    sub_indptr = np.concatenate(([0], np.cumsum(keep)))[np.concatenate(([0], ends))]
+    local[rest] = _tarjan(sub_indptr.tolist(), targets[keep].tolist())
+    return local, forward, backward
 
 
 def _tarjan(indptr: list, indices: list) -> list:
@@ -127,23 +155,39 @@ def _node_set(mask: np.ndarray) -> frozenset:
     return frozenset(np.flatnonzero(mask).tolist())
 
 
+def _out_edges(indptr, rows):
+    """Positions of the CSR edges out of ``rows``, and the edge count after each row."""
+    starts = indptr[rows]
+    degree = indptr[rows + 1] - starts
+    ends = np.cumsum(degree)
+    return np.repeat(starts - ends + degree, degree) + np.arange(ends[-1] if rows.size else 0), ends
+
+
 def closure(indptr, indices, seeds) -> np.ndarray:
     """Boolean mask of the nodes reachable from ``seeds`` along CSR edges
-    (seeds included).  Pass the reverse adjacency for nodes that reach them."""
-    indptr = np.asarray(indptr).tolist()
-    indices = np.asarray(indices).tolist()
-    seen = [False] * (len(indptr) - 1)
-    frontier = []
-    for s in np.asarray(seeds, dtype=np.int64).tolist():
-        if not seen[s]:
-            seen[s] = True
-            frontier.append(s)
-    while frontier:
-        v = frontier.pop()
+    (seeds included).  Pass the reverse adjacency for nodes that reach them.
+    The search runs level by level in numpy; past ``LEVEL_CAP`` levels (a long
+    path) one list walk finishes it, so the cost stays O(n + m)."""
+    seen = np.zeros(indptr.size - 1, dtype=bool)
+    seen[seeds] = True
+    frontier, owner = np.flatnonzero(seen), np.empty(seen.size, dtype=np.int64)
+    for _ in range(LEVEL_CAP):
+        if not frontier.size:
+            return seen
+        targets = indices[_out_edges(indptr, frontier)[0]]
+        targets = targets[~seen[targets]]
+        at = np.arange(targets.size)
+        owner[targets] = at   # one position per node survives: a dedup without a sort
+        frontier = targets[owner[targets] == at]
+        seen[frontier] = True
+    stack, seen = frontier.tolist(), seen.tolist()
+    indptr, indices = indptr.tolist(), indices.tolist()
+    while stack:
+        v = stack.pop()
         for w in indices[indptr[v]:indptr[v + 1]]:
             if not seen[w]:
                 seen[w] = True
-                frontier.append(w)
+                stack.append(w)
     return np.array(seen, dtype=bool)
 
 
@@ -207,12 +251,13 @@ def bowtie_labeling(g: GraphHandle) -> BowtieLabeling:
     """Classify every node as IN, SCC, OUT, or OTHER relative to the giant SCC."""
     if g.n == 0:
         raise StructureError("empty graph has no components")
-    component_of = by_smallest_member(scc_labels(g.out_indptr, g.out_indices))
+    comp, from_scc, to_scc = _pivot_split(g.out_indptr, g.out_indices, (g.in_indptr, g.in_indices))
+    component_of = by_smallest_member(comp)
     giant_id = int(np.argmax(np.bincount(component_of)))  # first maximum: smallest member
     giant = np.flatnonzero(component_of == giant_id)
-
-    from_scc = closure(g.out_indptr, g.out_indices, giant)
-    to_scc = closure(g.in_indptr, g.in_indices, giant)
+    if not (from_scc[giant[0]] and to_scc[giant[0]]):   # the pivot lies outside the giant
+        from_scc = closure(g.out_indptr, g.out_indices, giant)
+        to_scc = closure(g.in_indptr, g.in_indices, giant)
 
     labels = np.full(g.n, int(Label.OTHER), dtype=np.int8)
     labels[to_scc] = int(Label.IN)

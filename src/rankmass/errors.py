@@ -1,6 +1,13 @@
 """Exception types shared across the package."""
 
 
+def _id_list(ids) -> str:
+    """Node ids for a one-line message: the first ten, and past ten the count."""
+    ids = [int(i) for i in ids]
+    more = ", … (%d in all)" % len(ids) if len(ids) > 10 else ""
+    return "[%s%s]" % (", ".join(map(str, ids[:10])), more)
+
+
 class GraphParseError(ValueError):
     """Malformed edge-list input. Carries the 1-based offending line number."""
 
@@ -34,5 +41,5 @@ class AssumptionViolationError(StructureError):
         super().__init__(
             "dangling node(s) %s receive links from the OUT block; "
             "re-run with force_dn_merge to proceed with an approximate block split"
-            % (list(self.nodes),)
+            % (_id_list(self.nodes),)
         )

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bowtie import BlockDecomposition, BowtieLabeling, by_smallest_member, closure, scc_labels
+from .bowtie import BlockDecomposition, BowtieLabeling, closure, scc_labels
 from .errors import ConvergenceError, StructureError
 from .graph import GraphHandle
 from .operators import (ShiftedSolve, SubstochasticBlock, block_view, check_tolerance,
@@ -78,7 +78,7 @@ def _perron_left(view: SubstochasticBlock, tol: float = EIG_TOL) -> tuple[float,
     :class:`ConvergenceError` on a tie below the winner or an overflow there.
     """
     dangling = view.dangling_local
-    ids = by_smallest_member(scc_labels(view.matrix.indptr, view.matrix.indices, dangling))
+    ids = scc_labels(view.matrix.indptr, view.matrix.indices, dangling)
     sizes = np.bincount(ids)
     members = np.split(np.argsort(ids, kind="stable"), np.cumsum(sizes)[:-1])
     diag = view.matrix.diagonal()

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bowtie import BowtieLabeling, Label, scc_labels
-from .errors import AssumptionViolationError, StructureError
+from .errors import AssumptionViolationError, StructureError, _id_list
 from .graph import GraphHandle
 from .operators import (SubstochasticBlock, block_view, perron_irreducible, shifted_solve,
                         solve_left)
@@ -84,7 +84,7 @@ def three_block_view(g: GraphHandle, labels: BowtieLabeling, *,
     other = np.flatnonzero(lab == Label.OTHER)
     if other.size and not fold_other:
         raise StructureError(
-            f"nodes {other.tolist()} are outside the bow-tie; "
+            f"nodes {_id_list(other)} are outside the bow-tie; "
             "pass fold_other=True to treat them as OUT")
     inscc_mask = ((lab == Label.IN) | (lab == Label.SCC)) & ~g.dangling_mask
     out_mask = ~inscc_mask & ~g.dangling_mask
@@ -100,7 +100,7 @@ def three_block_view(g: GraphHandle, labels: BowtieLabeling, *,
         if not force_dn_merge:
             raise AssumptionViolationError(hit)
         warnings.warn(
-            f"OUT links into dangling node(s) {hit}; block split kept, "
+            f"OUT links into dangling node(s) {_id_list(hit)}; block split kept, "
             "closed-form results are approximate", stacklevel=2)
 
     return ThreeBlockView(
@@ -232,7 +232,7 @@ def _internal_stationary(view: ThreeBlockView, tol: float = SOLVE_TOL) -> np.nda
     if np.any(sums <= 0.0):
         dead = view.inscc_nodes[np.flatnonzero(sums <= 0.0)].tolist()
         raise StructureError(
-            f"IN+SCC nodes {dead} have no internal links; the internal walk is reducible")
+            f"IN+SCC nodes {_id_list(dead)} have no internal links; the internal walk is reducible")
     if scc_labels(p.indptr, p.indices).any():
         raise StructureError("internal IN+SCC walk is reducible")
     internal = p.multiply(1.0 / sums[:, None]).tocsr()

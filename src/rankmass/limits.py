@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from .bowtie import BlockDecomposition, component_lists, scc_labels
-from .errors import StructureError
+from .errors import StructureError, _id_list
 from .graph import GraphHandle
 from .operators import block_view, chain_view, dense_stationary, perron_irreducible, solve_left
 
@@ -37,7 +37,7 @@ def block_stationary(g: GraphHandle, block, tol: float = 1e-14) -> np.ndarray:
     sums = view.row_sums()
     if np.any(np.abs(sums - 1.0) > 1e-12):
         leaky = [int(view.rows[i]) for i in np.flatnonzero(np.abs(sums - 1.0) > 1e-12)]
-        raise StructureError(f"block is not closed: nodes {leaky} leak mass")
+        raise StructureError(f"block is not closed: nodes {_id_list(leaky)} leak mass")
     if scc_labels(view.matrix.indptr, view.matrix.indices, view.dangling_local).any():
         raise StructureError("block is not strongly connected")
     return perron_irreducible(view, tol=tol)[1]

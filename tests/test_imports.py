@@ -10,15 +10,24 @@ HEAVY = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
 
 
 def test_import_loads_no_heavy_scipy_submodules():
-    """``import rankmass`` must not pull in scipy's graph or linear-algebra
-    submodules.  Importing ``scipy.sparse.csgraph`` also loads
+    """``import rankmass``, and the structure and spectral calls after it,
+    must not pull in scipy's graph or linear-algebra submodules, not even
+    lazily inside a call.  Importing ``scipy.sparse.csgraph`` also loads
     ``scipy.sparse.linalg`` and ``scipy.linalg``, which adds about 10 MB to
     every process, 13-17% of the benchmark's ``peak_rss_mb`` on each
     workload, against a regression bound of 10%."""
     env = dict(os.environ)
     src = str(Path(rankmass.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = f"import sys, rankmass; print([m for m in {HEAVY!r} if m in sys.modules])"
+    code = ("import sys, rankmass as rm\n"
+            "from rankmass.sample_graphs import bowtie_sample\n"
+            "from rankmass.bowtie import dual_path_mask\n"
+            "g = bowtie_sample()\n"
+            "labels = rm.bowtie_labeling(g)\n"
+            "blocks = rm.block_decomposition(g, labels)\n"
+            "dual_path_mask(g, labels, blocks)\n"
+            "rm.spectral_summary(g, labels, blocks)\n"
+            f"print([m for m in {HEAVY!r} if m in sys.modules])")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
     assert done.stdout.strip() == "[]"

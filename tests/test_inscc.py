@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,22 @@ def test_view_force_merge_warns_and_proceeds(bowtie, bowtie_labels):
         view = rm.three_block_view(bowtie, bowtie_labels, force_dn_merge=True)
     assert list(view.dn_nodes) == [5]
     assert 5 not in view.out_nodes
+
+
+def test_messages_cap_the_node_ids_they_list():
+    # OUT node 2 links to the 12 dangling nodes 3..14: the message names ten
+    g = rm.build_graph(15, [(0, 1), (1, 0), (1, 2)] + [(2, k) for k in range(3, 15)])
+    ids = "[3, 4, 5, 6, 7, 8, 9, 10, 11, 12, … (12 in all)]"
+    with pytest.raises(rm.AssumptionViolationError) as err:
+        rm.three_block_view(g, rm.bowtie_labeling(g))
+    assert err.value.nodes == tuple(range(3, 15))
+    assert f"dangling node(s) {ids} receive links" in str(err.value)
+    with pytest.warns(UserWarning, match=re.escape(f"dangling node(s) {ids};")):
+        rm.three_block_view(g, rm.bowtie_labeling(g), force_dn_merge=True)
+    lone = rm.build_graph(14, [(0, 1), (1, 0)])   # nodes 2..13 are OTHER
+    with pytest.raises(rm.StructureError, match=re.escape(
+            "nodes [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, … (12 in all)] are outside")):
+        rm.three_block_view(lone, rm.bowtie_labeling(lone))
 
 
 def test_view_row_sums(threeblock_view):

@@ -24,6 +24,13 @@ def test_block_stationary_rejects_open_block(bowtie):
         rm.block_stationary(bowtie, [6, 7])
 
 
+def test_open_block_message_caps_the_leaking_nodes():
+    g = rm.build_graph(13, [(i, 12) for i in range(12)])
+    with pytest.raises(rm.StructureError, match=r"nodes \[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, "
+                       r"… \(12 in all\)\] leak mass"):
+        rm.block_stationary(g, range(12))
+
+
 def test_block_stationary_rejects_disconnected():
     g = rm.build_graph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
     with pytest.raises(rm.StructureError):

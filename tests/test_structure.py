@@ -4,8 +4,11 @@ and cycles that a recursive or quadratic walk could not finish."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rankmass as rm
+from rankmass import bowtie
 from rankmass.bowtie import Label, component_lists, scc_labels, w_components
 from rankmass.escc import transient_view
 from rankmass.operators import block_view
@@ -32,8 +35,29 @@ def _shaped_graphs():
 SHAPED = _shaped_graphs()
 
 
+def _pivot_outside_giant():
+    """Graphs whose node of largest out- times in-degree, where the SCC search
+    pivots, lies outside the largest SCC, so the labels take their own
+    closures from the giant."""
+    ring = [(i, (i + 1) % 10) for i in range(10)]
+    hub_out = rm.build_graph(51, ring + [(0, 10)] + [(10, k) for k in range(11, 51)])
+    hub_in = rm.build_graph(52, ring + [(51, 10), (10, 0)] + [(10, k) for k in range(11, 51)])
+    # two 3-node SCCs tie for the giant; the pivot sits in {3, 4, 5}, whose
+    # smallest member is the larger
+    tie = rm.build_graph(6, [(0, 1), (1, 2), (2, 0), (2, 3)]
+                         + [(u, v) for u in (3, 4, 5) for v in (3, 4, 5) if u != v])
+    return [hub_out, hub_in, tie]
+
+
+PIVOT_OUTSIDE = _pivot_outside_giant()
+
+
 @pytest.mark.parametrize("g", SHAPED, ids=lambda g: f"n{g.n}m{g.num_edges}")
 def test_components_match_dense_oracle(g):
+    _check_components(g)
+
+
+def _check_components(g):
     raw = helpers.dense_link_pattern(g, uniform_dangling=False)
     full = helpers.dense_link_pattern(g, uniform_dangling=True)
     assert rm.strongly_connected_components(g) == helpers.dense_reach_components(raw)
@@ -42,6 +66,10 @@ def test_components_match_dense_oracle(g):
 
 @pytest.mark.parametrize("g", SHAPED, ids=lambda g: f"n{g.n}m{g.num_edges}")
 def test_labels_and_blocks_match_dense_oracle(g):
+    _check_labels_and_blocks(g)
+
+
+def _check_labels_and_blocks(g):
     raw = helpers.dense_link_pattern(g, uniform_dangling=False)
     full = helpers.dense_link_pattern(g, uniform_dangling=True)
     comps = helpers.dense_reach_components(raw)
@@ -95,12 +123,78 @@ def _views(g):
 
 @pytest.mark.parametrize("g", SHAPED, ids=lambda g: f"n{g.n}m{g.num_edges}")
 def test_block_classes_match_dense_oracle(g):
+    _check_block_classes(g)
+
+
+def _check_block_classes(g):
     for view in _views(g):
         adj = view.matrix.toarray() > 0.0
         adj[view.dangling_local, :] = True
         classes = component_lists(
             scc_labels(view.matrix.indptr, view.matrix.indices, view.dangling_local))
         assert classes == helpers.dense_reach_components(adj)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2])
+@pytest.mark.parametrize("g", SHAPED + PIVOT_OUTSIDE, ids=lambda g: f"n{g.n}m{g.num_edges}")
+def test_list_walk_past_the_level_cap_matches_dense_oracle(g, cap, monkeypatch):
+    """A closure still open after ``LEVEL_CAP`` numpy levels finishes as a
+    list walk; with the cap at 0, 1 and 2 that tail does most of the work."""
+    monkeypatch.setattr(bowtie, "LEVEL_CAP", cap)
+    _check_components(g)
+    _check_labels_and_blocks(g)
+    _check_block_classes(g)
+
+
+@pytest.mark.parametrize("g", PIVOT_OUTSIDE, ids=["hub_out", "hub_in", "tie"])
+def test_pivot_outside_the_giant_matches_dense_oracle(g):
+    pivot = int(np.argmax(g.out_degree * np.diff(g.in_indptr)))
+    labels = rm.bowtie_labeling(g)
+    assert labels.component_of[pivot] != labels.giant_scc_id
+    _check_components(g)
+    _check_labels_and_blocks(g)
+    _check_block_classes(g)
+
+
+@st.composite
+def _digraphs(draw):
+    n = draw(st.integers(1, 30))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=4 * n))
+    hub_rows = draw(st.lists(node, max_size=3, unique=True))
+    return rm.build_graph(n, edges), sorted(hub_rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_digraphs())
+def test_scc_labels_are_numbered_by_smallest_member(case):
+    g, hub_rows = case
+    adj = helpers.dense_link_pattern(g, uniform_dangling=False)
+    for rows in ((), hub_rows):
+        adj[list(rows), :] = True
+        expected = np.empty(g.n, dtype=np.int64)
+        for k, comp in enumerate(helpers.dense_reach_components(adj)):
+            expected[comp] = k
+        labels = scc_labels(g.out_indptr, g.out_indices, np.asarray(rows, dtype=np.int64))
+        assert labels.tolist() == expected.tolist()
+
+
+def test_tarjan_never_walks_the_giant(monkeypatch):
+    """The giant SCC comes from the pivot's two closures: Tarjan sees at most
+    the n - |giant| other nodes, and never the giant itself."""
+    g = helpers.random_suite(seed=7, count=1)[0]
+    sizes = []
+    tarjan = bowtie._tarjan
+
+    def spy(indptr, indices):
+        sizes.append(len(indptr) - 1)
+        return tarjan(indptr, indices)
+
+    monkeypatch.setattr(bowtie, "_tarjan", spy)
+    labels = rm.bowtie_labeling(g)
+    rm.block_decomposition(g, labels)
+    giant = len(labels.giant_scc)
+    assert giant >= 4 and sizes == [g.n - giant]
 
 
 LONG = 100_000
