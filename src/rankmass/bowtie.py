@@ -24,10 +24,9 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
-from scipy import sparse
 
 from .errors import StructureError
-from .graph import GraphHandle
+from .graph import GraphHandle, _reverse_csr
 
 
 LEVEL_CAP = 64   # numpy levels of a closure before the list walk takes over
@@ -69,12 +68,9 @@ def _pivot_split(indptr, indices, reverse=None):
     intersection of its two :func:`closure` masks, gets label -1.  Iterative
     Tarjan labels only the subgraph induced by the other nodes (the
     "Multistep" scheme of Slota, Rajamanickam and Madduri, 2014).  Without
-    ``reverse``, the reverse adjacency, a CSR -> CSC transpose builds it."""
+    ``reverse``, the reverse adjacency, :func:`graph._reverse_csr` builds it."""
     n = indptr.size - 1
-    if reverse is None:
-        t = sparse.csr_matrix((np.ones(indices.size, dtype=np.int8), indices, indptr),
-                              shape=(n, n)).tocsc()
-        reverse = (t.indptr, t.indices)
+    reverse = reverse or _reverse_csr(indptr, indices)
     pivot = int(np.argmax(np.diff(indptr) * np.diff(reverse[0])))
     forward, backward = closure(indptr, indices, [pivot]), closure(*reverse, [pivot])
     rest = np.flatnonzero(~(forward & backward))
@@ -365,10 +361,13 @@ def dual_path_mask(g: GraphHandle, labels: BowtieLabeling,
                    blocks: BlockDecomposition) -> np.ndarray:
     """Non-dangling OUT nodes whose raw links lead both to a dangling node and
     into a recurrent block.  These sit on the fence between the extended
-    component and the dead-ends; flagged for inspection in CSV output."""
-    reach_dangling = closure(g.in_indptr, g.in_indices, g.dangling)
+    component and the dead-ends; flagged for inspection in CSV output.
+
+    An OUT node reaches a dangling node only if the giant does, and then the
+    extended component is the set of nodes that do, so it stands in for that
+    closure."""
     reach_block = closure(g.in_indptr, g.in_indices, np.flatnonzero(blocks.block_index >= 0))
-    return (labels.labels == Label.OUT) & ~g.dangling_mask & reach_dangling & reach_block
+    return (labels.labels == Label.OUT) & ~g.dangling_mask & blocks.escc_mask & reach_block
 
 
 def dual_path_out_nodes(g: GraphHandle, labels: BowtieLabeling,

@@ -55,12 +55,14 @@ def _fmt(x) -> str:
 
 
 def _column(values) -> list[str]:
-    """``_fmt`` of each entry; in an array one shared string per distinct value but for
-    floats (-0 == 0)."""
+    """``_fmt`` of each entry; in a bool or string array one shared string per
+    distinct value."""
     if not isinstance(values, np.ndarray):
         return [_fmt(x) for x in values]
     if values.dtype.kind == "f":
         return [format(x, ".17g") for x in values.tolist()]
+    if values.dtype.kind in "iu":
+        return list(map(str, values.tolist()))
     distinct, at = np.unique(values, return_inverse=True)
     cells = [_fmt(x) for x in distinct.tolist()]
     return [cells[i] for i in at.tolist()]

@@ -10,7 +10,9 @@ rows are never materialized: matrix products fold them into a single scalar
 :func:`build_graph` is the only code that lays out those arrays.  It sorts an
 ``(m, 2)`` edge array by (source, target) and drops repeated edges, unless the
 array is already strictly increasing, as :func:`dumps` writes it and
-:func:`with_edge` passes it; the reverse arrays come from one counting sort.
+:func:`with_edge` passes it; the reverse arrays come from one key sort
+(:func:`_reverse_csr`), exact for up to ``MAX_NODES`` nodes.  The store is
+numpy-only: the scipy matrix ``w`` is built on first access, for the products.
 
 Edge-list text format::
 
@@ -35,13 +37,15 @@ from __future__ import annotations
 
 import io
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable, Iterator
 
 import numpy as np
-from scipy import sparse
 
 from .errors import GraphParseError, GraphRangeError
+
+MAX_NODES = 3_037_000_498   # (n + 1) ** 2 fits in int64, so a hub-augmented key sort is exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +60,14 @@ class GraphHandle:
     out_degree: np.ndarray
     dangling: np.ndarray          # sorted ids with zero out-degree
     dangling_mask: np.ndarray
-    w: sparse.csr_matrix = field(repr=False)  # link weights only; dangling rows are zero
+
+    @cached_property
+    def w(self) -> sparse.csr_matrix:
+        """Link weights as a scipy CSR matrix, built on first access; dangling rows are zero."""
+        from scipy import sparse
+        weights = 1.0 / np.repeat(self.out_degree, self.out_degree)
+        return sparse.csr_matrix((weights, self.out_indices, self.out_indptr),
+                                 shape=(self.n, self.n))
 
     @property
     def num_edges(self) -> int:
@@ -94,9 +105,20 @@ class HyperlinkRow:
     weight: float
 
 
+def _reverse_csr(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR arrays of the reversed digraph, sources ascending within a target,
+    as scipy's CSR -> CSC transpose lays them out: one sort of ``v * n + u``."""
+    n = indptr.size - 1
+    sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    counts = np.bincount(indices, minlength=n)
+    return np.concatenate(([0], np.cumsum(counts))), np.sort(indices * n + sources) % n
+
+
 def build_graph(n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> GraphHandle:
     """Construct a handle from the node count and an ``(m, 2)`` integer array
     or an iterable of ``(u, v)`` pairs.  Repeated edges collapse to one."""
+    if n > MAX_NODES:
+        raise GraphRangeError(f"node count {n} > graph size limit {MAX_NODES}")
     pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
                        dtype=np.int64).reshape(-1, 2)
     if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
@@ -113,17 +135,14 @@ def build_graph(n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> GraphH
     out_indptr = np.concatenate(([0], np.cumsum(out_degree)))
     dangling_mask = out_degree == 0
     dangling = np.flatnonzero(dangling_mask)
-    weights = 1.0 / np.repeat(out_degree, out_degree)
-    w = sparse.csr_matrix((weights, v, out_indptr), shape=(n, n))
-    wt = w.tocsc()   # a counting sort, so sources stay ascending within a target
-    in_indptr, in_indices = wt.indptr.astype(np.int64), wt.indices.astype(np.int64)
+    in_indptr, in_indices = _reverse_csr(out_indptr, v)
 
     for arr in (out_indptr, v, in_indptr, in_indices, out_degree, dangling, dangling_mask):
         arr.setflags(write=False)
     return GraphHandle(n=int(n), out_indptr=out_indptr, out_indices=v,
                        in_indptr=in_indptr, in_indices=in_indices,
                        out_degree=out_degree, dangling=dangling,
-                       dangling_mask=dangling_mask, w=w)
+                       dangling_mask=dangling_mask)
 
 
 def load_edge_list(stream: IO[str] | Iterable[str]) -> GraphHandle:

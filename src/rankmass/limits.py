@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .bowtie import BlockDecomposition, component_lists, scc_labels
 from .errors import StructureError, _id_list
@@ -103,6 +102,7 @@ def _check_square(a: np.ndarray, cap: int, what: str) -> np.ndarray:
 
 
 def _dense_components(a: np.ndarray) -> list[list[int]]:
+    from scipy import sparse
     pattern = sparse.csr_matrix(a > 0.0)
     return component_lists(scc_labels(pattern.indptr, pattern.indices))
 

@@ -21,7 +21,6 @@ from functools import cached_property
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConvergenceError
 from .graph import GraphHandle
@@ -133,11 +132,15 @@ def solve_left(apply_a: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     ``apply_a(x) = A x`` the same iteration solves ``(I - A) x = b``.
 
     It starts at ``y = b`` with a fixed seeded random shadow residual and
-    recomputes the true residual ``||b - y (I - A)||_1`` every step (three
-    products per step).  It returns ``y`` as soon as that residual is at most
-    ``tol``.  Once it is at most ``tol * ||y||_1`` rounding dominates: from
-    then on the best iterate is kept and returned at the second step in a
-    row where the residual fails to halve.  On a breakdown (a zero or
+    updates the residual by the recurrence ``r = s - omega t``, two products
+    per step.  The true residual ``||b - y (I - A)||_1`` is recomputed only
+    when the updated one claims the stop (at most ``tol`` or ``tol * ||y||_1``)
+    or once floored.  ``y`` is returned as soon as the true residual is at
+    most ``tol``.  A miss above ``tol * ||y||_1`` means the updated residual
+    drifted, and the true one replaces it (van der Vorst & Ye, SISC 2000).
+    At or below that, rounding dominates: the recurrence goes on, and the
+    best iterate is kept and returned at the second step in a row where the
+    true residual fails to halve.  On a breakdown (a zero or
     non-finite ``r_hat . r``, ``r_hat . v`` or ``omega``) or after
     ``min(BICGSTAB_MAX_ITER, max_iter)`` steps it falls back to the sum of
     the walk ``b A^k`` (:func:`walk`), which stops after the first term of L1
@@ -151,19 +154,23 @@ def solve_left(apply_a: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     r_hat = np.random.default_rng(0).random(b.size)
     y, p, v = b.copy(), np.zeros_like(b), np.zeros_like(b)
     rho = alpha = omega = 1.0
-    res, best, best_res, floored, stalls = np.inf, y, np.inf, False, 0
+    prev, best, best_res, floored, stalls = np.inf, y, np.inf, False, 0
+    r = b - (y - apply_a(y))
     for _ in range(min(BICGSTAB_MAX_ITER, max_iter)):
-        r = b - (y - apply_a(y))
-        res, prev = float(np.abs(r).sum()), res
-        if res <= tol:
-            return y
-        floored = floored or res <= tol * float(np.abs(y).sum())
-        if floored:
-            if res < best_res:
-                best, best_res = y, res
-            stalls = stalls + 1 if res > 0.5 * prev else 0
-            if stalls == 2:
-                return best
+        if floored or float(np.abs(r).sum()) <= tol * max(1.0, float(np.abs(y).sum())):
+            true_r = b - (y - apply_a(y))   # a claimed stop: check the true residual
+            res = float(np.abs(true_r).sum())
+            if res <= tol:
+                return y
+            floored = floored or res <= tol * float(np.abs(y).sum())
+            r = r if floored else true_r   # above the floor the updated residual drifted
+            if floored:
+                if res < best_res:
+                    best, best_res = y, res
+                stalls = stalls + 1 if res > 0.5 * prev else 0
+                if stalls == 2:
+                    return best
+                prev = res
         rho_next = float((r_hat * r).sum())
         if not (omega and rho_next and np.isfinite((omega, rho_next)).all()):
             break
@@ -179,6 +186,7 @@ def solve_left(apply_a: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
         tt = float((t * t).sum())
         omega = float((t * s).sum()) / tt if tt else 0.0   # s = 0: the half step solved it
         y = y + alpha * p + omega * s
+        r = s - omega * t
     return sum(walk(apply_a, b, tol=tol, max_iter=max_iter))
 
 
@@ -219,6 +227,7 @@ def shifted_solve(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, pro
     tols = np.broadcast_to(np.asarray(tol, dtype=np.float64), grid.shape)
     for t in np.unique(tols):
         check_tolerance(float(t))
+    from scipy import sparse
     x0 = np.asarray(x0, dtype=np.float64)
     probes_t = sparse.csr_matrix(probes.T if sparse.issparse(probes)
                                  else np.reshape(probes, (x0.size, -1)).T)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .bowtie import BlockDecomposition, BowtieLabeling, Label
 from .errors import ConvergenceError
@@ -168,6 +167,7 @@ def _component_probes(labels: BowtieLabeling, blocks: BlockDecomposition):
     """Sparse indicator matrix, one column per node set of a breakdown: the
     four labels, the extended component, pure OUT, DN, the transient set, and
     each recurrent block, in :class:`MassBreakdown` field order."""
+    from scipy import sparse
     sets = [np.flatnonzero(labels.labels == label) for label in Label]
     sets += [np.flatnonzero(blocks.escc_mask), np.flatnonzero(blocks.pure_out_mask),
              blocks.dangling_ids, np.flatnonzero(blocks.block_index < 0)]

@@ -1,7 +1,7 @@
 import numpy as np
 
 import rankmass as rm
-from rankmass.bowtie import dual_path_out_nodes, w_components
+from rankmass.bowtie import Label, dual_path_mask, dual_path_out_nodes, w_components
 from rankmass.sample_graphs import BOWTIE_EDGES
 
 import helpers
@@ -176,3 +176,25 @@ def test_pure_out_nodes(bowtie_labels, bowtie_blocks):
 def test_dual_path_flag(bowtie, bowtie_labels, bowtie_blocks):
     # node 4 feeds both the dangling node 5 and (through 6, 7) the dead-ends
     assert dual_path_out_nodes(bowtie, bowtie_labels, bowtie_blocks) == {4}
+
+
+def test_dual_path_mask_matches_its_definition_on_random_digraphs():
+    """The extended component stands in for the closure from the dangling
+    nodes, whether the giant reaches a dangling node or not: the mask must be
+    the non-dangling OUT nodes that reach a dangling node and a block."""
+    rng = np.random.default_rng(22)
+    giant_reaches_dangling, flagged = set(), 0
+    for k in range(400):
+        g = helpers.random_digraph(rng, int(rng.integers(1, 12)), float(rng.uniform(0.05, 0.4)))
+        if k % 3 == 0:   # self-loops on the dangling nodes leave none
+            g = rm.build_graph(g.n, list(g.edges()) + [(d, d) for d in g.dangling.tolist()])
+        labels = rm.bowtie_labeling(g)
+        blocks = rm.block_decomposition(g, labels)
+        reach = helpers.dense_reach(helpers.dense_w(g) * ~g.dangling_mask[:, None] > 0)
+        expected = ((labels.labels == Label.OUT) & ~g.dangling_mask
+                    & reach[:, g.dangling].any(axis=1)
+                    & reach[:, blocks.block_index >= 0].any(axis=1))
+        assert np.array_equal(dual_path_mask(g, labels, blocks), expected)
+        flagged += bool(expected.any())
+        giant_reaches_dangling.add(bool(g.dangling.size and blocks.escc_mask[g.dangling[0]]))
+    assert giant_reaches_dangling == {False, True} and flagged

@@ -151,6 +151,16 @@ def test_ids_past_int64_exit_one_without_traceback(tmp_path, capsys):
         assert out == ""
 
 
+def test_graphs_past_the_size_limit_exit_one(tmp_path, capsys):
+    path = tmp_path / "huge.edges"
+    for text, count in (("n 3037000500\n0 1\n", 3037000500),
+                        ("0 9223372036854775806\n", 9223372036854775807)):
+        path.write_text(text)
+        code, out, err = run_cli(["decompose", "--graph", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"rankmass: error: node count {count} > graph size limit 3037000498\n"
+
+
 def test_out_of_memory_exits_one_without_traceback(graph_files, monkeypatch, capsys):
     for exc, message in ((MemoryError("Unable to allocate 7.45 GiB for an array"),
                           "Unable to allocate 7.45 GiB for an array"),

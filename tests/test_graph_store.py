@@ -2,8 +2,11 @@ import io
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import rankmass as rm
+from rankmass import bowtie
+from rankmass.graph import MAX_NODES, _reverse_csr
 from rankmass.sample_graphs import BOWTIE_EDGES
 
 import helpers
@@ -424,3 +427,49 @@ def test_sorted_edges_skip_the_sort(bowtie, monkeypatch):
     rm.build_graph(bowtie.n, list(bowtie.edges()))
     with pytest.raises(AssertionError, match="sorted"):
         rm.build_graph(3, [(1, 0), (0, 1)])
+
+
+def test_reverse_csr_matches_the_scipy_transpose(monkeypatch):
+    """The key sort equals scipy's CSR -> CSC counting sort: on n = 0 and 1,
+    self-loops, repeated edges, empty rows and unsorted rows, and on the
+    hub-augmented arrays that ``scc_labels`` passes it."""
+    rng = np.random.default_rng(16)
+    cases = [(np.zeros(1, np.int64), np.zeros(0, np.int64)),
+             (np.zeros(2, np.int64), np.zeros(0, np.int64)),
+             (np.array([0, 2]), np.array([0, 0]))]
+    for _ in range(60):
+        n = int(rng.integers(1, 20))
+        degree = rng.integers(0, 5, size=n) * (rng.random(n) < 0.7)
+        cases.append((np.r_[0, np.cumsum(degree)], rng.integers(0, n, size=degree.sum())))
+
+    def recorded(indptr, indices):
+        cases.append((indptr, indices))
+        return _reverse_csr(indptr, indices)
+    monkeypatch.setattr(bowtie, "_reverse_csr", recorded)
+    hubs = 0
+    for _ in range(30):
+        g = helpers.random_digraph(rng, int(rng.integers(1, 15)), 0.2)
+        bowtie.scc_labels(g.out_indptr, g.out_indices, g.dangling)
+        hubs += bool(g.dangling.size)
+    assert hubs and len(cases) == 63 + 30
+    for indptr, indices in cases:
+        n = indptr.size - 1
+        t = sparse.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n)).tocsc()
+        in_indptr, in_indices = _reverse_csr(indptr, indices)
+        assert in_indptr.dtype == in_indices.dtype == np.int64
+        assert np.array_equal(in_indptr, t.indptr) and np.array_equal(in_indices, t.indices)
+
+
+def test_node_counts_past_the_limit_raise_before_allocating():
+    """``MAX_NODES`` is the largest count whose hub-augmented keys ``v * (n + 1) + u``
+    stay in int64; a larger count raises before any per-node array is made."""
+    assert (MAX_NODES + 1) ** 2 - 1 <= np.iinfo(np.int64).max < (MAX_NODES + 2) ** 2 - 1
+    for n in (MAX_NODES + 1, 2 ** 63 - 1):
+        with pytest.raises(rm.GraphRangeError, match=rf"^node count {n} > graph size limit"):
+            rm.build_graph(n, [(0, 1)])
+    for text, n in (("n 3037000500\n0 1\n", 3037000500), ("n 3037000500\r\n0 1\r\n", 3037000500),
+                    ("0 9223372036854775806\n", 2 ** 63 - 1),
+                    ("# c\n0 9223372036854775806\n", 2 ** 63 - 1)):
+        with pytest.raises(rm.GraphRangeError) as err:
+            rm.loads(text)
+        assert str(err.value) == f"node count {n} > graph size limit {MAX_NODES}"

@@ -1,3 +1,9 @@
+"""What a fresh process loads.  The graph store and the bow-tie layer are
+numpy-only, so ``import rankmass``, the structure calls and ``rankmass
+decompose`` never load scipy; ``scipy.sparse`` comes in at the first matrix
+product, and scipy's graph and linear-algebra submodules never.  Each check
+runs in a subprocess, since this test process has scipy loaded already."""
+
 import ast
 import os
 import subprocess
@@ -5,8 +11,37 @@ import sys
 from pathlib import Path
 
 import rankmass
+from rankmass.sample_graphs import bowtie_sample
 
 HEAVY = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
+
+
+def _run(code: str) -> str:
+    """Standard output of ``python -c code`` with this checkout's package on the path."""
+    env = dict(os.environ)
+    src = str(Path(rankmass.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    return done.stdout
+
+
+def test_structure_and_decompose_load_no_scipy(tmp_path):
+    graph = tmp_path / "g.edges"
+    graph.write_text(rankmass.dumps(bowtie_sample()))
+    out = _run("import sys, rankmass as rm\n"
+               "from rankmass import cli\n"
+               "from rankmass.bowtie import dual_path_mask\n"
+               f"g = rm.load_path({str(graph)!r})\n"
+               "labels = rm.bowtie_labeling(g)\n"
+               "blocks = rm.block_decomposition(g, labels)\n"
+               "dual_path_mask(g, labels, blocks)\n"
+               f"cli.main(['decompose', '--graph', {str(graph)!r}, "
+               f"'--out', {str(tmp_path / 'd.csv')!r}])\n"
+               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+               "rm.pagerank(g, rm.PageRankConfig(0.85))\n"
+               "print('scipy.sparse' in sys.modules)")
+    assert out.split("\n")[:2] == ["[]", "True"]
 
 
 def test_import_loads_no_heavy_scipy_submodules():
@@ -16,9 +51,6 @@ def test_import_loads_no_heavy_scipy_submodules():
     ``scipy.sparse.linalg`` and ``scipy.linalg``, which adds about 10 MB to
     every process, 13-17% of the benchmark's ``peak_rss_mb`` on each
     workload, against a regression bound of 10%."""
-    env = dict(os.environ)
-    src = str(Path(rankmass.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     code = ("import sys, rankmass as rm\n"
             "from rankmass.sample_graphs import bowtie_sample\n"
             "from rankmass.bowtie import dual_path_mask\n"
@@ -28,9 +60,7 @@ def test_import_loads_no_heavy_scipy_submodules():
             "dual_path_mask(g, labels, blocks)\n"
             "rm.spectral_summary(g, labels, blocks)\n"
             f"print([m for m in {HEAVY!r} if m in sys.modules])")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True, timeout=120)
-    assert done.stdout.strip() == "[]"
+    assert _run(code).strip() == "[]"
 
 
 def test_no_module_reads_the_environment():

@@ -12,8 +12,8 @@ from scipy import sparse
 import rankmass as rm
 from rankmass import escc, operators
 from rankmass.escc import transient_view
-from rankmass.operators import (BICGSTAB_MAX_ITER, SubstochasticBlock, block_view, chain_view,
-                                perron_irreducible, shifted_solve, solve_left, walk)
+from rankmass.operators import (SubstochasticBlock, block_view, chain_view, perron_irreducible,
+                                shifted_solve, solve_left, walk)
 
 import helpers
 
@@ -77,9 +77,11 @@ def test_solve_matches_dense_on_transient_blocks(random_graphs):
                 assert residual <= max(tol, tol * np.abs(y).sum())
 
 
-def test_solve_falls_back_to_the_walk_on_a_leaky_ring():
+def test_solve_falls_back_to_the_walk_on_a_leaky_ring(monkeypatch):
     # the ring's spectrum lies on a circle of radius 0.998, where BiCGSTAB
-    # runs to its step cap; the walk then sums the series
+    # converges slowly; at a small step cap the walk then sums the series
+    cap = 20
+    monkeypatch.setattr(operators, "BICGSTAB_MAX_ITER", cap)
     size = 300
     ring = SubstochasticBlock(matrix=sparse.csr_matrix(0.998 * np.roll(np.eye(size), 1, axis=1)),
                               dangling_local=np.array([], dtype=np.int64), n_total=size,
@@ -96,7 +98,26 @@ def test_solve_falls_back_to_the_walk_on_a_leaky_ring():
     expected = np.linalg.solve((np.eye(size) - ring.matrix.toarray()).T, b)
     assert np.abs(y - expected).sum() <= 1e-12 * np.abs(expected).sum()
     terms = sum(1 for _ in walk(ring.mul_left, b)) - 1
-    assert 3 * BICGSTAB_MAX_ITER < products <= 1 + 3 * BICGSTAB_MAX_ITER + terms
+    assert 2 * cap + terms < products <= 1 + 3 * cap + terms
+
+
+def test_solve_goes_on_from_the_true_residual_when_the_updated_one_drifts():
+    # one product off by 1e-6 leaves the updated residual off the true one for
+    # good; the check at its claimed stop catches that, and the solve goes on
+    # from the true residual
+    rng = np.random.default_rng(6)
+    a = sparse.csr_matrix(rng.random((40, 40)) * 0.02)
+    b = rng.random(40)
+    products = 0
+
+    def apply(y):
+        nonlocal products
+        products += 1
+        return a.T @ y + (1e-6 if products == 4 else 0.0)
+
+    y = solve_left(apply, b, tol=1e-12)
+    assert np.abs(b - (y - a.T @ y)).sum() <= 1e-12
+    assert products < 40
 
 
 @pytest.fixture(scope="module")
