@@ -192,17 +192,6 @@ def strongly_connected_components(g: GraphHandle) -> list[list[int]]:
     return component_lists(scc_labels(g.out_indptr, g.out_indices))
 
 
-def w_components(g: GraphHandle) -> list[list[int]]:
-    """SCCs of the graph induced by the transition matrix.
-
-    Under row semantics a dangling node links to every node, so all nodes
-    with a path to any dangling node collapse into one component; the rest
-    decompose exactly as in the raw graph.  The uniform rows go through the
-    hub node of :func:`scc_labels` and are never materialized.
-    """
-    return component_lists(scc_labels(g.out_indptr, g.out_indices, g.dangling))
-
-
 @dataclass(frozen=True, eq=False)
 class BowtieLabeling:
     """Per-node IN/SCC/OUT/OTHER labels around the giant strongly connected

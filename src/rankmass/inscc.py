@@ -264,10 +264,6 @@ def sherman_morrison_split(view: ThreeBlockView, c: float,
     return inscc_curve(view, [c], tol=tol)[0]
 
 
-def main_term_mass(view: ThreeBlockView, c: float, tol: float = SOLVE_TOL) -> float:
-    return sherman_morrison_split(view, c, tol=tol).main_term
-
-
 def curvature_form(view: ThreeBlockView, c: float, tol: float = SOLVE_TOL) -> float:
     """The quadratic form a(c) driving the single-peak argument; nonnegative
     because the internal block only loses mass."""

@@ -1,7 +1,8 @@
 import numpy as np
 
 import rankmass as rm
-from rankmass.bowtie import Label, dual_path_mask, dual_path_out_nodes, w_components
+from rankmass.bowtie import (Label, component_lists, dual_path_mask, dual_path_out_nodes,
+                             scc_labels)
 from rankmass.sample_graphs import BOWTIE_EDGES
 
 import helpers
@@ -164,7 +165,8 @@ def test_transient_nodes_reach_a_block(random_graphs):
 
 
 def test_transition_graph_components_merge_dangling(bowtie):
-    comps = as_sets(w_components(bowtie))
+    comps = as_sets(component_lists(scc_labels(bowtie.out_indptr, bowtie.out_indices,
+                                               bowtie.dangling)))
     assert {0, 1, 2, 3, 4, 5} in comps
     assert {8, 9} in comps and {10, 11} in comps
 

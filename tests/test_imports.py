@@ -45,20 +45,25 @@ def test_structure_and_decompose_load_no_scipy(tmp_path):
 
 
 def test_import_loads_no_heavy_scipy_submodules():
-    """``import rankmass``, and the structure and spectral calls after it,
-    must not pull in scipy's graph or linear-algebra submodules, not even
+    """``import rankmass``, and the structure, spectral and damping-grid calls
+    after it, must not pull in scipy's graph or linear-algebra submodules, not even
     lazily inside a call.  Importing ``scipy.sparse.csgraph`` also loads
     ``scipy.sparse.linalg`` and ``scipy.linalg``, which adds about 10 MB to
     every process, 13-17% of the benchmark's ``peak_rss_mb`` on each
     workload, against a regression bound of 10%."""
     code = ("import sys, rankmass as rm\n"
-            "from rankmass.sample_graphs import bowtie_sample\n"
+            "from rankmass.sample_graphs import bowtie_sample, three_block_sample\n"
             "from rankmass.bowtie import dual_path_mask\n"
             "g = bowtie_sample()\n"
             "labels = rm.bowtie_labeling(g)\n"
             "blocks = rm.block_decomposition(g, labels)\n"
             "dual_path_mask(g, labels, blocks)\n"
             "rm.spectral_summary(g, labels, blocks)\n"
+            "rm.damping_sweep(g, labels, blocks, [0.0, 0.5, 0.85])\n"
+            "rm.prop3_bounds(g, labels, blocks, [0.5, 0.85])\n"
+            "rm.cstar_solve(g, labels, blocks)\n"
+            "three = three_block_sample()\n"
+            "rm.inscc_curve(rm.three_block_view(three, rm.bowtie_labeling(three)), [0.5, 0.85])\n"
             f"print([m for m in {HEAVY!r} if m in sys.modules])")
     assert _run(code).strip() == "[]"
 

@@ -9,7 +9,6 @@ from scipy import sparse
 import rankmass as rm
 from rankmass import operators
 from rankmass.escc import transient_view
-from rankmass.inscc import main_term_mass
 from rankmass.operators import SubstochasticBlock, chain_view, shifted_solve, solve_left
 
 import helpers
@@ -275,7 +274,7 @@ def test_split_parts_against_dense_solve(threeblock, heavy, random_graphs):
                 assert p.main_term == pytest.approx(main, abs=1e-13)
                 assert p.correction == pytest.approx(correction, abs=1e-13)
                 assert p.mass == p.main_term + p.correction
-            assert main_term_mass(view, c) == pytest.approx(main, abs=1e-13)
+            assert rm.sherman_morrison_split(view, c).main_term == pytest.approx(main, abs=1e-13)
         scan = rm.unimodality_scan(view, GRID)
         assert scan.main_masses == pytest.approx([_dense_split(g, view, c)[0] for c in GRID],
                                                  abs=1e-13)
