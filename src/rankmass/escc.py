@@ -295,22 +295,27 @@ def cstar_solve(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecompositi
 
     sample_grid = np.arange(0.0, 0.991, 0.05)
     basis = _uniform_basis(view, np.append(sample_grid, [lo, hi]), SOLVE_TOL)
+    *sample_visits, lo_visits, hi_visits = basis.values[:, 0].tolist()
 
-    def mass(c: float) -> float:
-        return (1.0 - c) * gamma * float(basis.at(c)[0])
+    def mass(c: float, visits: float) -> float:
+        return (1.0 - c) * gamma * visits
+
+    def gap(c: float) -> float:   # off the grid the basis was built on: a replay
+        return mass(c, float(basis.at(c)[0])) - target(c)
 
     c1, c2 = cstar_interval_closed_form(summary.p1, summary.lambda1, v_mode)
-    samples = tuple((float(c), mass(float(c)), target(float(c))) for c in sample_grid)
+    samples = tuple((c, mass(c, visits), target(c))
+                    for c, visits in zip(sample_grid.tolist(), sample_visits))
 
-    f_lo = mass(lo) - target(lo)
-    f_hi = mass(hi) - target(hi)
+    f_lo = mass(lo, lo_visits) - target(lo)
+    f_hi = mass(hi, hi_visits) - target(hi)
     no_crossing = not (f_lo > 0.0 > f_hi or f_lo < 0.0 < f_hi)
     c_star = residual = float("nan")
     if not no_crossing:
         width_goal = max(tolerance * 1e-4, 1e-12)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            f_mid = mass(mid) - target(mid)
+            f_mid = gap(mid)
             if (f_mid > 0.0) == (f_lo > 0.0):
                 lo, f_lo = mid, f_mid
             else:
@@ -318,7 +323,7 @@ def cstar_solve(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecompositi
             if hi - lo <= width_goal:
                 break
         c_star = 0.5 * (lo + hi)
-        residual = abs(mass(c_star) - target(c_star))
+        residual = abs(gap(c_star))
     vt_norm = summary.lambda1 if v_mode == "quasi" else summary.p1
     if v_mode == "self":   # the target at c*; nan without a crossing
         vt_norm = target(c_star) / gamma

@@ -11,7 +11,8 @@ spectrum, not the largest c.  A single resolvent vector ``b [I - A]^{-1}`` is
 ``||b - y (I - A)||_1`` is within the tolerance (or, at the rounding floor,
 once it stops halving) and falls back to summing the series :func:`walk` on a
 breakdown or at its step cap.  Dominant and stationary vectors come from
-:func:`perron_irreducible`.
+:func:`perron_irreducible`: power steps while the residual keeps falling,
+then half-step blends, which converge on periodic classes too.
 """
 
 from __future__ import annotations
@@ -215,12 +216,14 @@ def shifted_solve(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, pro
     ``y_c = x0 [I - cA]^{-1}``, ``apply(x) = x A``, for each c in ``grid``
     from one restarted left-Arnoldi basis ``v_j A = sum_i H[i, j] v_i``
     (shifted FOM: Frommer & Glaessner, SISC 1998; Simoncini, BIT 2003), by
-    classical Gram-Schmidt run twice in einsum (a BLAS ``@`` threads).  All
-    residuals stay multiples of the next cycle's start ``v_{k+1}``, so each
-    costs O(1).  Once every c meets its ``tol`` (one, or one per c), one
-    product checks the largest c, allowed up to :func:`solve_left`'s rounding
-    floor ``tol ||y||_1``; a c still above after ``MAX_CYCLES`` cycles takes
-    one :func:`solve_left`.  A zero or non-finite start raises
+    classical Gram-Schmidt in einsum (a BLAS ``@`` threads), with a second
+    pass only where the first leaves less than ``1/sqrt(2)`` of the norm
+    (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 1976).  All residuals
+    stay multiples of the next cycle's start ``v_{k+1}``, so each costs O(1).
+    Once every c meets its ``tol`` (one, or one per c), one product checks
+    the largest c, allowed up to :func:`solve_left`'s rounding floor
+    ``tol ||y||_1``; a c still above after ``MAX_CYCLES`` cycles takes one
+    :func:`solve_left`.  A zero or non-finite start raises
     :class:`ConvergenceError` before any product.
     """
     grid = np.asarray(grid, dtype=np.float64)
@@ -243,11 +246,13 @@ def shifted_solve(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, pro
         for j in range(RESTART):
             w = apply(basis[j])
             scale = float(np.sqrt((w * w).sum()))
-            for _ in range(2):
+            for _ in range(2):   # the second pass only on a norm drop
                 coef = np.einsum("ij,j->i", basis[:j + 1], w)
                 w = w - np.einsum("ij,i->j", basis[:j + 1], coef)
                 h[:j + 1, j] += coef
-            norm = float(np.sqrt((w * w).sum()))
+                norm = float(np.sqrt((w * w).sum()))
+                if norm >= np.sqrt(0.5) * scale:
+                    break
             if not np.isfinite(norm):
                 raise ConvergenceError("the shifted basis reached a non-finite value", norm, j + 1)
             if norm <= np.finfo(np.float64).eps * scale:   # an invariant subspace
@@ -305,16 +310,20 @@ def perron_irreducible(block: SubstochasticBlock, tol: float = 1e-13,
     irreducible nonnegative block; for a stochastic block, its stationary
     vector.
 
-    Iterates the half-step blend ``y <- (y + y B) / 2``, normalised, which
-    shares the eigenvector but is immune to periodic cycling, until the
-    residual ``||y B - lam y||_1`` is at most ``tol``; a single node stops
-    after one step with its self-transition weight.  Raises ValueError
+    Iterates power steps ``y <- y B``, normalised, until the residual
+    ``||y B - lam y||_1`` is at most ``tol``.  From the first step whose
+    residual exceeds 0.9 times the last one (a periodic class, or an
+    eigenvalue near ``-lam``, keeps plain steps from converging) it blends
+    ``y <- (y + y B) / 2`` instead, which shares the eigenvector and makes
+    the class primitive, at half the rate.  A single node stops after one
+    step with its self-transition weight.  Raises ValueError
     unless ``0 < tol < inf`` and :class:`ConvergenceError` at the first
     non-finite residual.
     """
     check_tolerance(tol)
     size = block.shape[0]
     y = np.full(size, 1.0 / size)
+    blend, prev = False, np.inf
     for it in range(1, max_iter + 1):
         z = block.mul_left(y)
         lam = float(z.sum())
@@ -322,12 +331,13 @@ def perron_irreducible(block: SubstochasticBlock, tol: float = 1e-13,
         if not np.isfinite(residual):
             raise ConvergenceError("eigenvector iteration reached a non-finite value",
                                    residual, it)
-        y_next = 0.5 * (y + z)
-        s = y_next.sum()
+        blend = blend or residual > 0.9 * prev
+        prev = residual
+        y = 0.5 * (y + z) if blend else z
+        s = y.sum()
         if s <= 0.0:
             return 0.0, np.full(size, 1.0 / size)
-        y_next /= s
-        y = y_next
+        y /= s
         if residual <= tol:
             return lam, y
     raise ConvergenceError("eigenvector iteration stagnated", residual, max_iter)

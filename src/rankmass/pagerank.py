@@ -202,7 +202,10 @@ def damping_sweep(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecomposi
     stops at a residual of ``(1 - c) tol / 2`` (the largest c at most at its
     rounding floor ``tol / 2``); as ``||[I - cW]^{-1}||_1 = 1/(1 - c)``, that
     bounds the L1 error of ``(1 - c) y_c``, and normalising at most doubles
-    it, so ``tol`` bounds the error of the masses.
+    it, so ``tol`` bounds the error of the masses.  A residual of ``tol / 2``
+    would bound it too, but the ``(1 - c)`` keeps the floor, ``||y_c||_1 =
+    1/(1 - c)`` times the top point's residual target, at ``tol / 2``: without
+    it the top point could stop at ``tol / (2 (1 - c))``, 50 tol at c = 0.99.
     """
     grid = np.array([PageRankConfig(damping=float(c), tolerance=tolerance).damping
                      for c in grid])

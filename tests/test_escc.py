@@ -279,6 +279,36 @@ def test_cstar_samples_cover_grid(bowtie, bowtie_labels, bowtie_blocks):
     assert cs[0] == 0.0 and len(cs) == 20
 
 
+def test_cstar_reads_its_samples_off_the_basis_and_replays_only_the_bisection(near_one,
+                                                                            monkeypatch):
+    # the basis is built on the sample grid and the bracket, so those values
+    # need no replay, and a replay at them would return the same bits
+    g, labels, blocks = near_one
+    built, replayed = [], []
+    uniform_basis = escc._uniform_basis
+
+    def recording(view, grid, tol):
+        basis = uniform_basis(view, grid, tol)
+        built.append((basis, grid))
+
+        def at(c):
+            replayed.append(c)
+            return basis.at(c)
+        return basis._replace(at=at)
+
+    monkeypatch.setattr(escc, "_uniform_basis", recording)
+    for mode in escc.V_MODES:
+        built.clear()
+        replayed.clear()
+        report = rm.cstar_solve(g, labels, blocks, v_mode=mode)
+        (basis, grid), = built
+        lo, hi = grid[-2:]
+        assert [mass for _, mass, _ in report.samples] == [
+            (1.0 - c) * report.gamma * float(basis.at(c)[0]) for c, _, _ in report.samples]
+        assert not report.no_crossing and report.c_star in replayed
+        assert all(lo < c < hi for c in replayed)   # bisection midpoints and c* only
+
+
 def test_unfairness_uniform_is_one(bowtie, bowtie_labels, bowtie_blocks):
     pi = rm.pagerank(bowtie, rm.PageRankConfig(damping=0.0))
     assert rm.pure_out_unfairness(pi, bowtie_labels, bowtie_blocks) == pytest.approx(

@@ -1,6 +1,8 @@
 """Block products and the iteration primitives of ``operators``: the series
-walk, the BiCGSTAB solve, the shifted basis behind every damping grid and the
-Perron blend; plus counts of the products that the analyses spend near one."""
+walk, the BiCGSTAB solve, the shifted basis behind every damping grid (with
+its second Gram-Schmidt pass on a norm drop) and the Perron iteration (plain
+power steps until they stall, then the half-step blend); plus counts of the
+products that the analyses spend near one."""
 
 import resource
 import time
@@ -208,3 +210,129 @@ def test_grid_analyses_take_fewer_products_than_the_walk(near_one, monkeypatch):
         analysis()
         assert counts["solve_left"] == 0
         assert counts["mul_left"] - summary_products < terms / 4
+
+
+def _square_block(m) -> SubstochasticBlock:
+    size = m.shape[0]
+    return SubstochasticBlock(matrix=sparse.csr_matrix(m),
+                              dangling_local=np.array([], dtype=np.int64), n_total=size,
+                              rows=np.arange(size), cols=np.arange(size))
+
+
+def _record_passes(monkeypatch, apply):
+    """``apply`` wrapped so that each product opens a list, and every
+    Gram-Schmidt pass after it appends ``(||w||, ||w - projection||)``,
+    computed by the same einsum calls as the pass itself."""
+    steps = []
+    einsum = np.einsum
+
+    def recording(subscripts, *operands, **kwargs):
+        if subscripts == "ij,j->i":   # the coefficients: one call per pass
+            basis, w = operands
+            rest = w - einsum("ij,i->j", basis, einsum("ij,j->i", basis, w))
+            steps[-1].append((np.sqrt((w * w).sum()), np.sqrt((rest * rest).sum())))
+        return einsum(subscripts, *operands, **kwargs)
+
+    def counted(y):
+        steps.append([])
+        return apply(y)
+
+    monkeypatch.setattr(np, "einsum", recording)
+    return steps, counted
+
+
+def test_second_pass_keeps_a_nearly_closing_basis_to_one_cycle(monkeypatch):
+    # five distinct weights close the Krylov space after five steps, up to a
+    # 1e-8 coupling: the first pass loses most of the norm there, and without
+    # the second the basis drifts from orthogonal and takes a second cycle
+    size = 80
+    m = np.diag(np.repeat([0.1, 0.3, 0.5, 0.7, 0.9], size // 5))
+    m += 1e-8 * sparse.random(size, size, density=0.05, random_state=4).toarray()
+    x0 = np.random.default_rng(4).random(size)
+    steps, apply = _record_passes(monkeypatch, _square_block(m).mul_left)
+    grid = [0.0, 0.5, 0.9, 0.99, 1.0]
+    got = shifted_solve(apply, x0, np.eye(size), grid)
+    monkeypatch.undo()
+    assert any(len(passes) == 2 for passes in steps)
+    assert len(got.cycles) == 1
+    for c, values in zip(grid, got.values):
+        exact = np.linalg.solve((np.eye(size) - c * m).T, x0)
+        assert np.abs(values - exact).sum() <= 1e-12 * exact.sum()
+
+
+def test_a_basis_step_takes_the_second_pass_only_on_a_norm_drop(near_one, monkeypatch):
+    g, _, blocks = near_one
+    view = transient_view(g, blocks)
+    size = view.rows.size
+    steps, apply = _record_passes(monkeypatch, view.mul_left)
+    shifted_solve(apply, np.full(size, 1.0 / size), np.ones((size, 1)), np.arange(0.0, 1.001, 0.05))
+    monkeypatch.undo()
+    steps = [passes for passes in steps if passes]   # the last product checks, not extends
+    for passes in steps:
+        scale, after_first = passes[0]
+        assert len(passes) == (2 if after_first < np.sqrt(0.5) * scale else 1)
+    two_pass = sum(len(passes) == 2 for passes in steps)
+    assert 1 <= two_pass < len(steps) / 10
+
+
+def _cyclic_class(rng, sizes) -> np.ndarray:
+    """Adjacency of a strongly connected class whose nodes fall into
+    ``len(sizes)`` groups, every edge leading from one group to the next:
+    its period is the number of groups."""
+    starts = np.cumsum([0] + list(sizes))
+    adj = np.zeros((starts[-1], starts[-1]))
+    for k in range(len(sizes)):
+        nxt = (k + 1) % len(sizes)
+        src = np.arange(starts[k], starts[k + 1])
+        dst = np.arange(starts[nxt], starts[nxt + 1])
+        for u in src:
+            adj[u, rng.choice(dst, size=3)] = 1.0
+        reach = max(src.size, dst.size)   # every node gets an in- and an out-edge
+        adj[src[np.arange(reach) % src.size], dst[np.arange(reach) % dst.size]] = 1.0
+    return adj
+
+
+def _blend_products(block: SubstochasticBlock, tol: float = 1e-13) -> int:
+    """Products that the half-step blend ``y <- (y + y B) / 2`` alone takes
+    to a residual ``||y B - lam y||_1`` of ``tol``."""
+    y = np.full(block.shape[0], 1.0 / block.shape[0])
+    for products in range(1, 100_000):
+        z = block.mul_left(y)
+        if np.abs(z - z.sum() * y).sum() <= tol:
+            return products
+        y = 0.5 * (y + z)
+        y /= y.sum()
+    raise AssertionError("the blend did not converge")
+
+
+@pytest.mark.parametrize("case, most", [("bipartite", 1.0), ("one odd edge", 1.0),
+                                        ("period 3", 1.0), ("aperiodic", 0.6)])
+def test_perron_stalls_into_the_blend_and_matches_dense(case, most, monkeypatch):
+    # plain power steps do not converge on a periodic class; the stall guard
+    # hands those to the blend, and a bipartite class with one odd edge,
+    # aperiodic but with an eigenvalue near -1, goes the same way
+    rng = np.random.default_rng(9)
+    if case == "aperiodic":
+        adj = (rng.random((200, 200)) < 0.02).astype(float)
+        adj[np.arange(200), (np.arange(200) + 1) % 200] = 1.0
+    else:
+        adj = _cyclic_class(rng, [60, 70, 70] if case == "period 3" else [100, 100])
+        if case == "one odd edge":
+            adj[0, 1] = 1.0   # 0 and 1 share a side
+    m = 0.98 * adj / adj.sum(axis=1, keepdims=True)
+    block = _square_block(m)
+    blend = _blend_products(block)
+    products = 0
+    mul_left = SubstochasticBlock.mul_left
+
+    def counted(self, y):
+        nonlocal products
+        products += 1
+        return mul_left(self, y)
+
+    monkeypatch.setattr(SubstochasticBlock, "mul_left", counted)
+    lam, vec = perron_irreducible(block)
+    lam_ref, vec_ref = helpers.dense_perron_left(m)
+    assert lam == pytest.approx(lam_ref, abs=1e-13)
+    assert np.abs(vec - vec_ref).sum() <= 1e-11
+    assert products <= most * blend
