@@ -4,12 +4,12 @@ recurrent/transient block split.
 
 All structure comes from two routines over CSR arrays, both O(n + m).
 :func:`closure` searches level by level in numpy and hands a long path to a
-list walk.  :func:`scc_labels` takes the component of a high-degree pivot
-from its forward and backward closures and runs an iterative Tarjan walk only
-on the nodes left over.  The transition-matrix graph gives every dangling
-node a uniform row, i.e. an edge to every node.  Those rows are modelled as
-one edge each to a virtual hub node that links to every node of the view, so
-a walk costs O(n + m) instead of O(|dangling| * n).
+list walk.  :func:`scc_labels` takes one component from closures, that of a
+high-degree pivot, and runs an iterative Tarjan walk only on the nodes left
+over.  The transition-matrix graph gives every dangling node a uniform row,
+i.e. an edge to every node, so every node that reaches a dangling node lies in
+one component: one reverse closure from the dangling nodes finds it, and no
+uniform row is ever walked.
 
 Components are numbered deterministically by their smallest member and
 every node collection is sorted, so downstream CSV output is reproducible
@@ -41,47 +41,48 @@ class Label(IntEnum):
 
 def scc_labels(indptr, indices, hub_rows=()) -> np.ndarray:
     """Strongly connected component of every node of a CSR digraph, numbered
-    by smallest member, in O(n + m) (:func:`_pivot_split`).  The graph is
-    strongly connected exactly when every label is 0.
+    by smallest member, in O(n + m).  The graph is strongly connected exactly
+    when every label is 0.
 
-    ``hub_rows`` are rows that link to every node (dangling rows under the
-    uniform convention).  Each gets one edge to a virtual hub node that links
-    to every node, so they cost O(n) in total instead of O(|hub_rows| * n).
+    One component comes from closures and Tarjan labels the rest
+    (:func:`_split`).  Without ``hub_rows`` it is the pivot's
+    (:func:`_pivot_reach`).  ``hub_rows`` are rows that link to every node
+    (dangling rows under the uniform convention): a node that reaches one
+    reaches every node, so the nodes that do, the reverse :func:`closure` of
+    the hub rows, are the component.  A path between two other nodes never
+    passes through it, so they keep their raw components.
     """
     indptr = np.asarray(indptr, dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int64)
-    n = indptr.size - 1
+    if indptr.size == 1:
+        return np.zeros(0, np.int64)
+    reverse = _reverse_csr(indptr, indices)
     hub_rows = np.asarray(hub_rows, dtype=np.int64)
-    if hub_rows.size:
-        shift = np.zeros(n + 1, dtype=np.int64)
-        shift[hub_rows + 1] = 1
-        indices = np.concatenate((np.insert(indices, indptr[hub_rows + 1], n), np.arange(n)))
-        indptr = indptr + np.cumsum(shift)
-        indptr = np.append(indptr, indptr[-1] + n)
-    return by_smallest_member(_pivot_split(indptr, indices)[0][:n]) if n else np.zeros(0, np.int64)
+    known = (closure(*reverse, hub_rows) if hub_rows.size
+             else np.logical_and(*_pivot_reach(indptr, indices, reverse)))
+    return by_smallest_member(_split(indptr, indices, known))
 
 
-def _pivot_split(indptr, indices, reverse=None):
-    """Raw component labels plus the pivot's forward and backward reach.
-
-    The pivot is the node of largest out- times in-degree; its component, the
-    intersection of its two :func:`closure` masks, gets label -1.  Iterative
-    Tarjan labels only the subgraph induced by the other nodes (the
-    "Multistep" scheme of Slota, Rajamanickam and Madduri, 2014).  Without
-    ``reverse``, the reverse adjacency, :func:`graph._reverse_csr` builds it."""
-    n = indptr.size - 1
-    reverse = reverse or _reverse_csr(indptr, indices)
+def _pivot_reach(indptr, indices, reverse):
+    """Forward and backward :func:`closure` of the pivot, the node of largest
+    out- times in-degree; ``reverse`` is the reverse adjacency."""
     pivot = int(np.argmax(np.diff(indptr) * np.diff(reverse[0])))
-    forward, backward = closure(indptr, indices, [pivot]), closure(*reverse, [pivot])
-    rest = np.flatnonzero(~(forward & backward))
-    local = np.full(n, -1, dtype=np.int64)
+    return closure(indptr, indices, [pivot]), closure(*reverse, [pivot])
+
+
+def _split(indptr, indices, known):
+    """Raw component labels: -1 on the mask ``known``, one whole component, and
+    iterative Tarjan on the subgraph induced by the other nodes (the
+    "Multistep" scheme of Slota, Rajamanickam and Madduri, 2014)."""
+    rest = np.flatnonzero(~known)
+    local = np.full(known.size, -1, dtype=np.int64)
     local[rest] = np.arange(rest.size)
     pos, ends = _out_edges(indptr, rest)
     targets = local[indices[pos]]
     keep = targets >= 0
     sub_indptr = np.concatenate(([0], np.cumsum(keep)))[np.concatenate(([0], ends))]
     local[rest] = _tarjan(sub_indptr.tolist(), targets[keep].tolist())
-    return local, forward, backward
+    return local
 
 
 def _tarjan(indptr: list, indices: list) -> list:
@@ -188,7 +189,7 @@ def closure(indptr, indices, seeds) -> np.ndarray:
 
 
 def strongly_connected_components(g: GraphHandle) -> list[list[int]]:
-    """SCCs of the raw link graph (no dangling-row augmentation)."""
+    """SCCs of the raw link graph (dangling rows have no edges)."""
     return component_lists(scc_labels(g.out_indptr, g.out_indices))
 
 
@@ -236,8 +237,8 @@ def bowtie_labeling(g: GraphHandle) -> BowtieLabeling:
     """Classify every node as IN, SCC, OUT, or OTHER relative to the giant SCC."""
     if g.n == 0:
         raise StructureError("empty graph has no components")
-    comp, from_scc, to_scc = _pivot_split(g.out_indptr, g.out_indices, (g.in_indptr, g.in_indices))
-    component_of = by_smallest_member(comp)
+    from_scc, to_scc = _pivot_reach(g.out_indptr, g.out_indices, (g.in_indptr, g.in_indices))
+    component_of = by_smallest_member(_split(g.out_indptr, g.out_indices, from_scc & to_scc))
     giant_id = int(np.argmax(np.bincount(component_of)))  # first maximum: smallest member
     giant = np.flatnonzero(component_of == giant_id)
     if not (from_scc[giant[0]] and to_scc[giant[0]]):   # the pivot lies outside the giant

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import GraphParseError, GraphRangeError
 
-MAX_NODES = 3_037_000_498   # (n + 1) ** 2 fits in int64, so a hub-augmented key sort is exact
+MAX_NODES = 3_037_000_498   # the _reverse_csr key v * n + u, below n ** 2, stays in int64
 
 
 @dataclass(frozen=True, eq=False)

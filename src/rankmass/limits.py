@@ -102,9 +102,9 @@ def _check_square(a: np.ndarray, cap: int, what: str) -> np.ndarray:
 
 
 def _dense_components(a: np.ndarray) -> list[list[int]]:
-    from scipy import sparse
-    pattern = sparse.csr_matrix(a > 0.0)
-    return component_lists(scc_labels(pattern.indptr, pattern.indices))
+    rows, cols = np.nonzero(a > 0.0)   # row-major, so already the CSR pattern
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=a.shape[0]))))
+    return component_lists(scc_labels(indptr, cols))
 
 
 @dataclass(frozen=True, eq=False)

@@ -304,8 +304,7 @@ def dense_stationary(p: np.ndarray) -> np.ndarray:
     return mu
 
 
-def perron_irreducible(block: SubstochasticBlock, tol: float = 1e-13,
-                       max_iter: int = DEFAULT_MAX_ITER) -> tuple[float, np.ndarray]:
+def perron_irreducible(block: SubstochasticBlock, tol: float = 1e-13) -> tuple[float, np.ndarray]:
     """Dominant eigenvalue and probability-normed left eigenvector of an
     irreducible nonnegative block; for a stochastic block, its stationary
     vector.
@@ -318,13 +317,13 @@ def perron_irreducible(block: SubstochasticBlock, tol: float = 1e-13,
     the class primitive, at half the rate.  A single node stops after one
     step with its self-transition weight.  Raises ValueError
     unless ``0 < tol < inf`` and :class:`ConvergenceError` at the first
-    non-finite residual.
+    non-finite residual or after ``DEFAULT_MAX_ITER`` steps.
     """
     check_tolerance(tol)
     size = block.shape[0]
     y = np.full(size, 1.0 / size)
     blend, prev = False, np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, DEFAULT_MAX_ITER + 1):
         z = block.mul_left(y)
         lam = float(z.sum())
         residual = float(np.abs(z - lam * y).sum())
@@ -340,4 +339,4 @@ def perron_irreducible(block: SubstochasticBlock, tol: float = 1e-13,
         y /= s
         if residual <= tol:
             return lam, y
-    raise ConvergenceError("eigenvector iteration stagnated", residual, max_iter)
+    raise ConvergenceError("eigenvector iteration stagnated", residual, DEFAULT_MAX_ITER)

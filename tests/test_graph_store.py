@@ -432,7 +432,7 @@ def test_sorted_edges_skip_the_sort(bowtie, monkeypatch):
 def test_reverse_csr_matches_the_scipy_transpose(monkeypatch):
     """The key sort equals scipy's CSR -> CSC counting sort: on n = 0 and 1,
     self-loops, repeated edges, empty rows and unsorted rows, and on the
-    hub-augmented arrays that ``scc_labels`` passes it."""
+    arrays that ``scc_labels`` passes it for graphs with dangling rows."""
     rng = np.random.default_rng(16)
     cases = [(np.zeros(1, np.int64), np.zeros(0, np.int64)),
              (np.zeros(2, np.int64), np.zeros(0, np.int64)),
@@ -461,8 +461,9 @@ def test_reverse_csr_matches_the_scipy_transpose(monkeypatch):
 
 
 def test_node_counts_past_the_limit_raise_before_allocating():
-    """``MAX_NODES`` is the largest count whose hub-augmented keys ``v * (n + 1) + u``
-    stay in int64; a larger count raises before any per-node array is made."""
+    """``MAX_NODES`` keeps every ``_reverse_csr`` key ``v * n + u`` in int64,
+    one node inside the exact bound; a larger count raises before any
+    per-node array is made."""
     assert (MAX_NODES + 1) ** 2 - 1 <= np.iinfo(np.int64).max < (MAX_NODES + 2) ** 2 - 1
     for n in (MAX_NODES + 1, 2 ** 63 - 1):
         with pytest.raises(rm.GraphRangeError, match=rf"^node count {n} > graph size limit"):

@@ -1,8 +1,9 @@
 """What a fresh process loads.  The graph store and the bow-tie layer are
-numpy-only, so ``import rankmass``, the structure calls and ``rankmass
-decompose`` never load scipy; ``scipy.sparse`` comes in at the first matrix
-product, and scipy's graph and linear-algebra submodules never.  Each check
-runs in a subprocess, since this test process has scipy loaded already."""
+numpy-only, so ``import rankmass``, the structure calls, the dense
+instruments and ``rankmass decompose`` never load scipy; ``scipy.sparse``
+comes in at the first matrix product, and scipy's graph and linear-algebra
+submodules never.  Each check runs in a subprocess, since this test process
+has scipy loaded already."""
 
 import ast
 import os
@@ -42,6 +43,16 @@ def test_structure_and_decompose_load_no_scipy(tmp_path):
                "rm.pagerank(g, rm.PageRankConfig(0.85))\n"
                "print('scipy.sparse' in sys.modules)")
     assert out.split("\n")[:2] == ["[]", "True"]
+
+
+def test_dense_instruments_load_no_scipy():
+    """The dense instruments find their classes on numpy arrays alone."""
+    out = _run("import sys, rankmass as rm\n"
+               "for a, c in (rm.laurent_example_2state(), rm.laurent_example_5state()):\n"
+               "    rm.laurent_check(a, c, [0.1, 0.05])\n"
+               "    rm.aggregated_chain_limit(a, c)\n"
+               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out.strip() == "[]"
 
 
 def test_import_loads_no_heavy_scipy_submodules():

@@ -6,6 +6,7 @@ products that the analyses spend near one."""
 
 import resource
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +121,21 @@ def test_solve_goes_on_from_the_true_residual_when_the_updated_one_drifts():
     y = solve_left(apply, b, tol=1e-12)
     assert np.abs(b - (y - a.T @ y)).sum() <= 1e-12
     assert products < 40
+
+
+@pytest.mark.parametrize("c", [0.85, 0.95, 0.99])
+def test_chain_solve_meets_its_tolerance_on_the_bowtie_large_graph(c, monkeypatch):
+    # the benchmark's seed-1 bowtie-large chain: a solve counts as floored once
+    # its true residual is at most tol * ||y||_1, about 100 tol at c = 0.99, so
+    # this pins that the returned residual still meets tol itself
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import bowtiegen
+    from workloads import WORKLOADS
+    gen = bowtiegen.generate(WORKLOADS["bowtie-large"].profile, 1)
+    chain = chain_view(rm.build_graph(gen.n, gen.edges.tolist()))
+    b = np.full(gen.n, 1.0 / gen.n)
+    y = solve_left(lambda v: c * chain.mul_left(v), b, tol=1e-12)
+    assert np.abs(b - (y - c * chain.mul_left(y))).sum() <= 1e-12
 
 
 @pytest.fixture(scope="module")

@@ -198,6 +198,33 @@ def test_tarjan_never_walks_the_giant(monkeypatch):
     assert giant >= 4 and sizes == [g.n - giant]
 
 
+def test_dangling_rows_split_off_by_one_reverse_closure(monkeypatch):
+    """On T's view, the nodes that reach a dangling row form one component
+    without any extra node: ``_reverse_csr`` gets the view's own n nodes, and
+    Tarjan sees only the nodes that reach no dangling row."""
+    g = helpers.random_suite(seed=7, count=1)[0]
+    view = transient_view(g, rm.block_decomposition(g, rm.bowtie_labeling(g)))
+    reach = helpers.dense_reach(view.matrix.toarray() > 0.0)
+    outside = int((~reach[:, view.dangling_local].any(axis=1)).sum())
+    reversed_sizes, tarjan_sizes = [], []
+    reverse_csr, tarjan = bowtie._reverse_csr, bowtie._tarjan
+
+    def reverse_spy(indptr, indices):
+        reversed_sizes.append(indptr.size - 1)
+        return reverse_csr(indptr, indices)
+
+    def tarjan_spy(indptr, indices):
+        tarjan_sizes.append(len(indptr) - 1)
+        return tarjan(indptr, indices)
+
+    monkeypatch.setattr(bowtie, "_reverse_csr", reverse_spy)
+    monkeypatch.setattr(bowtie, "_tarjan", tarjan_spy)
+    scc_labels(view.matrix.indptr, view.matrix.indices, view.dangling_local)
+    n = view.rows.size
+    assert view.dangling_local.size and 0 < outside < n
+    assert reversed_sizes == [n] and tarjan_sizes == [outside]
+
+
 LONG = 100_000
 
 
