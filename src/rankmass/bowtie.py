@@ -7,9 +7,9 @@ All structure comes from two routines over CSR arrays, both O(n + m).
 list walk.  :func:`scc_labels` takes one component from closures, that of a
 high-degree pivot, and runs an iterative Tarjan walk only on the nodes left
 over.  The transition-matrix graph gives every dangling node a uniform row,
-i.e. an edge to every node, so every node that reaches a dangling node lies in
-one component: one reverse closure from the dangling nodes finds it, and no
-uniform row is ever walked.
+an edge to every node, so the nodes that reach a dangling node form one
+component, one reverse closure away.  :func:`block_decomposition` keeps these
+components; the transient block's classes are read off them, not re-split.
 
 Components are numbered deterministically by their smallest member and
 every node collection is sorted, so downstream CSV output is reproducible
@@ -50,7 +50,8 @@ def scc_labels(indptr, indices, hub_rows=()) -> np.ndarray:
     (dangling rows under the uniform convention): a node that reaches one
     reaches every node, so the nodes that do, the reverse :func:`closure` of
     the hub rows, are the component.  A path between two other nodes never
-    passes through it, so they keep their raw components.
+    passes through it, so they keep their raw components.  Hub rows serve
+    :func:`limits.block_stationary`'s irreducibility check.
     """
     indptr = np.asarray(indptr, dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int64)
@@ -268,9 +269,11 @@ def extended_scc(g: GraphHandle, labels: BowtieLabeling) -> frozenset:
 class BlockDecomposition:
     """Recurrent dead-end blocks plus the single transient remainder.
 
-    ``recurrent_blocks`` are the closed components of the transition-matrix
-    graph (each strongly connected, no mass leaving).  Everything else,
-    including transient states on the pure-OUT side, forms ``transient_set``.
+    ``component_of`` numbers the components of the transition-matrix graph,
+    where a dangling row links to every node; they are not the raw SCCs of
+    ``BowtieLabeling.component_of``.  ``recurrent_blocks`` are the closed ones
+    (no mass leaving).  Everything else, including transient states on the
+    pure-OUT side, forms ``transient_set``, so its classes are whole components.
     ``permutation`` lists block nodes first, block by block, then transient
     nodes, realizing the block-triangular matrix layout.
     """
@@ -280,6 +283,7 @@ class BlockDecomposition:
     escc_mask: np.ndarray         # node lies in the extended component
     pure_out_mask: np.ndarray     # OUT-labeled node outside the extended component
     dangling_ids: np.ndarray      # the graph's dangling nodes, sorted
+    component_of: np.ndarray      # node -> transition-graph component, by smallest member
 
     @property
     def block_sizes(self) -> tuple[int, ...]:
@@ -335,11 +339,11 @@ def block_decomposition(g: GraphHandle, labels: BowtieLabeling) -> BlockDecompos
     block_index = np.where(closed, np.cumsum(closed) - 1, -1)[comp_of]
     escc_mask = comp_of == comp_of[np.argmax(labels.component_of == labels.giant_scc_id)]
     pure_out_mask = (labels.labels == Label.OUT) & ~escc_mask
-    for arr in (block_index, escc_mask, pure_out_mask):
+    for arr in (comp_of, block_index, escc_mask, pure_out_mask):
         arr.setflags(write=False)
     return BlockDecomposition(block_index=block_index, num_blocks=int(closed.sum()),
                               escc_mask=escc_mask, pure_out_mask=pure_out_mask,
-                              dangling_ids=g.dangling)
+                              dangling_ids=g.dangling, component_of=comp_of)
 
 
 def pure_out_nodes(labels: BowtieLabeling, blocks: BlockDecomposition) -> frozenset:

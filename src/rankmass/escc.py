@@ -19,9 +19,9 @@ every ``c*`` sample and bisection step, reads ``u [I - cT]^{-1} 1`` off one
 shifted basis of T from ``u`` (:func:`operators.shifted_solve`), which
 replays any c from the small data of its cycles.  A single mass and the
 visits alone are one BiCGSTAB solve (:func:`operators.solve_left`), which
-stops on the true residual.  ``lambda1`` and the quasi-stationary vector take
-one split of T into classes and one solve below the winning class, whatever
-the class count.
+stops on the true residual.  ``lambda1`` and the quasi-stationary vector read
+T's classes off :func:`bowtie.block_decomposition`'s components, and take one
+solve below the winning class, whatever the class count.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bowtie import BlockDecomposition, BowtieLabeling, closure, scc_labels
+from .bowtie import BlockDecomposition, BowtieLabeling, by_smallest_member, closure
 from .errors import ConvergenceError, StructureError
 from .graph import GraphHandle
 from .operators import (ShiftedSolve, SubstochasticBlock, block_view, check_tolerance,
@@ -69,16 +69,15 @@ class SpectralSummary:
     nodes: np.ndarray
 
 
-def _perron_left(view: SubstochasticBlock, tol: float = EIG_TOL) -> tuple[float, np.ndarray]:
+def _perron_left(view: SubstochasticBlock, ids: np.ndarray, tol: float) -> tuple[float, np.ndarray]:
     """Dominant eigenvalue and probability-normed left eigenvector of T, exact
-    also when T is reducible.  Singleton classes read the eigenvalue off the
-    diagonal and larger ones run :func:`perron_irreducible`; the largest wins,
-    the smallest member on ties.  The vector below the winner is one solve
-    ``x_down (lam I - T_down) = x_win T_win,down``.  Raises
-    :class:`ConvergenceError` on a tie below the winner or an overflow there.
+    also when T is reducible; ``ids`` numbers T's classes 0..k-1.  Singletons
+    read the eigenvalue off the diagonal, larger classes run
+    :func:`perron_irreducible`; the largest wins, the smallest member on ties.
+    Below the winner it is one solve ``x_down (lam I - T_down) = x_win T_win,down``;
+    a tie or an overflow there raises :class:`ConvergenceError`.
     """
     dangling = view.dangling_local
-    ids = scc_labels(view.matrix.indptr, view.matrix.indices, dangling)
     sizes = np.bincount(ids)
     members = np.split(np.argsort(ids, kind="stable"), np.cumsum(sizes)[:-1])
     diag = view.matrix.diagonal()
@@ -123,7 +122,7 @@ def spectral_summary(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecomp
 
 def _summary_of(g: GraphHandle, blocks: BlockDecomposition, view: SubstochasticBlock,
                 tol: float = EIG_TOL) -> SpectralSummary:
-    lam, quasi = _perron_left(view, tol=tol)
+    lam, quasi = _perron_left(view, by_smallest_member(blocks.component_of[view.rows]), tol)
     p1 = float(view.row_sums().mean())
     delta = np.count_nonzero(blocks.pure_out_mask) / g.n
     quasi.setflags(write=False)

@@ -80,7 +80,9 @@ class SubstochasticBlock:
         return out
 
     def cut(self, rows: np.ndarray, cols: np.ndarray) -> "SubstochasticBlock":
-        """The sub-block on the increasing local positions ``rows`` x ``cols``."""
+        """The sub-block on the increasing local positions ``rows`` x ``cols`` (self if all)."""
+        if (len(rows), len(cols)) == self.shape:
+            return self
         return SubstochasticBlock(matrix=self.matrix[rows][:, cols],
                                   dangling_local=np.flatnonzero(np.isin(rows, self.dangling_local)),
                                   n_total=self.n_total, rows=self.rows[rows], cols=self.cols[cols])

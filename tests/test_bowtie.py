@@ -164,11 +164,12 @@ def test_transient_nodes_reach_a_block(random_graphs):
             assert reached, f"transient node {start} cannot reach any recurrent block"
 
 
-def test_transition_graph_components_merge_dangling(bowtie):
-    comps = as_sets(component_lists(scc_labels(bowtie.out_indptr, bowtie.out_indices,
-                                               bowtie.dangling)))
+def test_transition_graph_components_merge_dangling(bowtie, bowtie_blocks):
+    ids = scc_labels(bowtie.out_indptr, bowtie.out_indices, bowtie.dangling)
+    comps = as_sets(component_lists(ids))
     assert {0, 1, 2, 3, 4, 5} in comps
     assert {8, 9} in comps and {10, 11} in comps
+    assert bowtie_blocks.component_of.tolist() == ids.tolist()
 
 
 def test_pure_out_nodes(bowtie_labels, bowtie_blocks):

@@ -138,15 +138,38 @@ def test_spectral_summary_cost_does_not_grow_with_classes(monkeypatch):
 
 
 def test_envelope_and_cstar_slice_t_once(near_one, monkeypatch):
+    """Each analysis cuts T once, in both T modes, and reads T's classes off
+    the block decomposition: it builds no reverse adjacency and walks no
+    Tarjan."""
     g, labels, blocks = near_one
-    calls = []
+    calls, walks = [], []
     monkeypatch.setattr(escc, "block_view",
                         lambda *args: calls.append(args) or block_view(*args))
-    for analysis in (lambda: rm.prop3_bounds(g, labels, blocks, [0.5, 0.85]),
-                     lambda: rm.cstar_solve(g, labels, blocks)):
-        calls.clear()
-        analysis()
-        assert len(calls) == 1
+    for name in ("_reverse_csr", "_tarjan"):
+        routine = getattr(rm.bowtie, name)
+        monkeypatch.setattr(rm.bowtie, name,
+                            lambda *args, name=name, routine=routine:
+                            walks.append(name) or routine(*args))
+    for escc_only in (False, True):
+        for analysis in (lambda: rm.spectral_summary(g, labels, blocks, escc_only),
+                         lambda: rm.prop3_bounds(g, labels, blocks, [0.5, 0.85], escc_only),
+                         lambda: rm.cstar_solve(g, labels, blocks, escc_only=escc_only)):
+            calls.clear()
+            analysis()
+            assert len(calls) == 1
+    assert walks == []
+
+
+def test_classes_are_renumbered_to_the_transient_block():
+    """The closed sink {0} holds the smallest component id, so T = {1, 2}
+    numbers its classes afresh: an unused id would be an empty class that
+    wins the tie of all-zero eigenvalues."""
+    g = rm.build_graph(3, [(0, 0), (1, 0), (2, 1)])
+    labels = rm.bowtie_labeling(g)
+    summary = rm.spectral_summary(g, labels, rm.block_decomposition(g, labels))
+    assert summary.nodes.tolist() == [1, 2]
+    assert summary.lambda1 == 0.0
+    assert summary.quasi_stationary.tolist() == [1.0, 0.0]
 
 
 def test_spectral_summary_refuses_an_overflowing_vector():

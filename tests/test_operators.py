@@ -42,6 +42,26 @@ def test_chain_view_is_the_transition_matrix(random_graphs):
         assert np.abs(chain_view(g).mul_left(x) - x @ helpers.dense_w(g)).max() <= 1e-15
 
 
+def test_cut_over_every_position_is_the_block_itself(random_graphs):
+    """A full cut returns the block uncopied; a proper one is a new block
+    equal to the dense slice, its dangling rows folded in."""
+    rng = np.random.default_rng(13)
+    for g in random_graphs:
+        rows = rng.choice(g.n, size=max(2, g.n // 2), replace=False)
+        cols = rng.choice(g.n, size=max(2, g.n // 3), replace=False)
+        for view in (block_view(g, rows, cols), chain_view(g)):
+            n_rows, n_cols = view.shape
+            assert view.cut(np.arange(n_rows), np.arange(n_cols)) is view
+            some_rows = np.sort(rng.choice(n_rows, size=n_rows - 1, replace=False))
+            some_cols = np.sort(rng.choice(n_cols, size=n_cols - 1, replace=False))
+            for sub in (view.cut(some_rows, np.arange(n_cols)),
+                        view.cut(np.arange(n_rows), some_cols)):
+                assert sub is not view and sub.shape != view.shape
+                dense = sub.matrix.toarray()
+                dense[sub.dangling_local, :] += 1.0 / g.n
+                assert np.abs(dense - helpers.dense_w(g)[np.ix_(sub.rows, sub.cols)]).max() <= 1e-15
+
+
 def test_non_finite_walk_stops_at_first_term():
     nan = np.full(2, np.nan)
     half = lambda y: 0.5 * y

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import rankmass as rm
 from rankmass import bowtie
-from rankmass.bowtie import Label, component_lists, scc_labels
+from rankmass.bowtie import Label, by_smallest_member, component_lists, scc_labels
 from rankmass.escc import transient_view
 from rankmass.operators import block_view
 
@@ -95,6 +95,8 @@ def _check_labels_and_blocks(g):
     assert labels.components == tuple(map(tuple, comps))
     assert labels.giant_scc == frozenset(giant)
     blocks = rm.block_decomposition(g, labels)
+    assert component_lists(blocks.component_of) == w_comps
+    assert not blocks.component_of.flags.writeable
     assert [list(b) for b in blocks.recurrent_blocks] == closed
     block_nodes = {v for b in closed for v in b}
     assert blocks.transient_set == set(range(g.n)) - block_nodes
@@ -114,12 +116,15 @@ def _check_labels_and_blocks(g):
 
 
 def _views(g):
-    """The whole graph and, when there is one, its transient block."""
+    """The block decomposition and the views: the whole graph, its transient
+    block when there is one, and the extended component alone when it is open."""
     blocks = rm.block_decomposition(g, rm.bowtie_labeling(g))
     views = [block_view(g, range(g.n), range(g.n))]
     if blocks.transient_set:
         views.append(transient_view(g, blocks))
-    return views
+    if not np.any(blocks.escc_mask & (blocks.block_index >= 0)):
+        views.append(transient_view(g, blocks, escc_only=True))
+    return blocks, views
 
 
 @pytest.mark.parametrize("g", SHAPED, ids=lambda g: f"n{g.n}m{g.num_edges}")
@@ -128,12 +133,21 @@ def test_block_classes_match_dense_oracle(g):
 
 
 def _check_block_classes(g):
-    for view in _views(g):
+    """Each view's classes, by ``scc_labels`` and as read off the block
+    decomposition's components, against the dense oracle."""
+    blocks, views = _views(g)
+    for view in views:
         adj = view.matrix.toarray() > 0.0
         adj[view.dangling_local, :] = True
+        expected = helpers.dense_reach_components(adj)
         classes = component_lists(
             scc_labels(view.matrix.indptr, view.matrix.indices, view.dangling_local))
-        assert classes == helpers.dense_reach_components(adj)
+        assert classes == expected
+        expected_ids = np.empty(view.rows.size, dtype=np.int64)
+        for k, members in enumerate(expected):
+            expected_ids[members] = k
+        ids = by_smallest_member(blocks.component_of[view.rows])
+        assert ids.tolist() == expected_ids.tolist()
 
 
 @pytest.mark.parametrize("cap", [0, 1, 2])
