@@ -4,12 +4,15 @@ recurrent/transient block split.
 
 All structure comes from two routines over CSR arrays, both O(n + m).
 :func:`closure` searches level by level in numpy and hands a long path to a
-list walk.  :func:`scc_labels` takes one component from closures, that of a
-high-degree pivot, and runs an iterative Tarjan walk only on the nodes left
-over.  The transition-matrix graph gives every dangling node a uniform row,
-an edge to every node, so the nodes that reach a dangling node form one
-component, one reverse closure away.  :func:`block_decomposition` keeps these
-components; the transient block's classes are read off them, not re-split.
+list walk.  :func:`bowtie_labeling` is the one SCC routine: it takes the
+component of a high-degree pivot from two closures and runs an iterative
+Tarjan walk only on the nodes left over; :func:`strongly_connected_components`
+lists its components.  The transition-matrix graph gives every dangling node
+a uniform row, an edge to every node, so the nodes that reach a dangling node
+form one component, one reverse closure away.  :func:`block_decomposition`
+keeps these components; the transient block's classes are read off them, not
+re-split, and a block's irreducibility takes at most two closures
+(:meth:`operators.SubstochasticBlock.irreducible`).
 
 Components are numbered deterministically by their smallest member and
 every node collection is sorted, so downstream CSV output is reproducible
@@ -26,7 +29,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import StructureError
-from .graph import GraphHandle, _reverse_csr
+from .graph import GraphHandle
 
 
 LEVEL_CAP = 64   # numpy levels of a closure before the list walk takes over
@@ -39,44 +42,15 @@ class Label(IntEnum):
     OTHER = 3
 
 
-def scc_labels(indptr, indices, hub_rows=()) -> np.ndarray:
-    """Strongly connected component of every node of a CSR digraph, numbered
-    by smallest member, in O(n + m).  The graph is strongly connected exactly
-    when every label is 0.
-
-    One component comes from closures and Tarjan labels the rest
-    (:func:`_split`).  Without ``hub_rows`` it is the pivot's
-    (:func:`_pivot_reach`).  ``hub_rows`` are rows that link to every node
-    (dangling rows under the uniform convention): a node that reaches one
-    reaches every node, so the nodes that do, the reverse :func:`closure` of
-    the hub rows, are the component.  A path between two other nodes never
-    passes through it, so they keep their raw components.  Hub rows serve
-    :func:`limits.block_stationary`'s irreducibility check.
-    """
-    indptr = np.asarray(indptr, dtype=np.int64)
-    indices = np.asarray(indices, dtype=np.int64)
-    if indptr.size == 1:
-        return np.zeros(0, np.int64)
-    reverse = _reverse_csr(indptr, indices)
-    hub_rows = np.asarray(hub_rows, dtype=np.int64)
-    known = (closure(*reverse, hub_rows) if hub_rows.size
-             else np.logical_and(*_pivot_reach(indptr, indices, reverse)))
-    return by_smallest_member(_split(indptr, indices, known))
-
-
-def _pivot_reach(indptr, indices, reverse):
-    """Forward and backward :func:`closure` of the pivot, the node of largest
-    out- times in-degree; ``reverse`` is the reverse adjacency."""
-    pivot = int(np.argmax(np.diff(indptr) * np.diff(reverse[0])))
-    return closure(indptr, indices, [pivot]), closure(*reverse, [pivot])
-
-
 def _split(indptr, indices, known):
-    """Raw component labels: -1 on the mask ``known``, one whole component, and
-    iterative Tarjan on the subgraph induced by the other nodes (the
-    "Multistep" scheme of Slota, Rajamanickam and Madduri, 2014)."""
+    """Raw component labels: -1 on the mask ``known``, the pivot's component
+    in :func:`bowtie_labeling`, and iterative Tarjan on the subgraph induced by
+    the other nodes, if any (the "Multistep" scheme of Slota, Rajamanickam and
+    Madduri, 2014)."""
     rest = np.flatnonzero(~known)
     local = np.full(known.size, -1, dtype=np.int64)
+    if not rest.size:
+        return local
     local[rest] = np.arange(rest.size)
     pos, ends = _out_edges(indptr, rest)
     targets = local[indices[pos]]
@@ -191,7 +165,7 @@ def closure(indptr, indices, seeds) -> np.ndarray:
 
 def strongly_connected_components(g: GraphHandle) -> list[list[int]]:
     """SCCs of the raw link graph (dangling rows have no edges)."""
-    return component_lists(scc_labels(g.out_indptr, g.out_indices))
+    return component_lists(bowtie_labeling(g).component_of) if g.n else []
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,7 +212,9 @@ def bowtie_labeling(g: GraphHandle) -> BowtieLabeling:
     """Classify every node as IN, SCC, OUT, or OTHER relative to the giant SCC."""
     if g.n == 0:
         raise StructureError("empty graph has no components")
-    from_scc, to_scc = _pivot_reach(g.out_indptr, g.out_indices, (g.in_indptr, g.in_indices))
+    pivot = int(np.argmax(g.out_degree * np.diff(g.in_indptr)))   # largest out- times in-degree
+    from_scc = closure(g.out_indptr, g.out_indices, [pivot])
+    to_scc = closure(g.in_indptr, g.in_indices, [pivot])
     component_of = by_smallest_member(_split(g.out_indptr, g.out_indices, from_scc & to_scc))
     giant_id = int(np.argmax(np.bincount(component_of)))  # first maximum: smallest member
     giant = np.flatnonzero(component_of == giant_id)

@@ -91,9 +91,10 @@ def _perron_left(view: SubstochasticBlock, ids: np.ndarray, tol: float) -> tuple
 
     x = np.zeros(view.rows.size)
     x[win] = vecs.get(winner, 1.0)
-    below = closure(view.matrix.indptr, view.matrix.indices, win)
-    below |= below[dangling].any()   # a dangling row reaches all of T
-    down = np.flatnonzero(below & (ids != winner))
+    down = np.flatnonzero(ids != winner)
+    if down.size:   # nothing lies below a class that is all of T
+        below = closure(view.matrix.indptr, view.matrix.indices, win)
+        down = down[below[down] | below[dangling].any()]   # a dangling row reaches all of T
     if down.size:
         rival = float(lams[ids[down]].max())
         if rival >= lam - 1e-14:

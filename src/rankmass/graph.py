@@ -107,8 +107,10 @@ class HyperlinkRow:
 
 def _reverse_csr(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The CSR arrays of the reversed digraph, sources ascending within a target,
-    as scipy's CSR -> CSC transpose lays them out: one sort of ``v * n + u``."""
+    as scipy's CSR -> CSC transpose lays them out: one sort of ``v * n + u``,
+    in int64 whatever the input width (scipy narrows its index arrays to int32)."""
     n = indptr.size - 1
+    indices = np.asarray(indices, dtype=np.int64)
     sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     counts = np.bincount(indices, minlength=n)
     return np.concatenate(([0], np.cumsum(counts))), np.sort(indices * n + sources) % n

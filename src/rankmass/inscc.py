@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bowtie import BowtieLabeling, Label, scc_labels
+from .bowtie import BowtieLabeling, Label
 from .errors import AssumptionViolationError, StructureError, _id_list
 from .graph import GraphHandle
 from .operators import (SubstochasticBlock, block_view, perron_irreducible, shifted_solve,
@@ -233,7 +233,7 @@ def _internal_stationary(view: ThreeBlockView, tol: float = SOLVE_TOL) -> np.nda
         dead = view.inscc_nodes[np.flatnonzero(sums <= 0.0)].tolist()
         raise StructureError(
             f"IN+SCC nodes {_id_list(dead)} have no internal links; the internal walk is reducible")
-    if scc_labels(p.indptr, p.indices).any():
+    if not view.p.irreducible():   # a dangling row has no internal link, so none is left
         raise StructureError("internal IN+SCC walk is reducible")
     internal = p.multiply(1.0 / sums[:, None]).tocsr()
     return perron_irreducible(replace(view.p, matrix=internal), tol=tol)[1]

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bowtie import BlockDecomposition, component_lists, scc_labels
+from .bowtie import BlockDecomposition, strongly_connected_components
 from .errors import StructureError, _id_list
-from .graph import GraphHandle
+from .graph import GraphHandle, build_graph
 from .operators import block_view, chain_view, dense_stationary, perron_irreducible, solve_left
 
 LAURENT_MAX_SIZE = 20
@@ -33,11 +33,10 @@ def block_stationary(g: GraphHandle, block, tol: float = 1e-14) -> np.ndarray:
     connected.
     """
     view = block_view(g, block, block)
-    sums = view.row_sums()
-    if np.any(np.abs(sums - 1.0) > 1e-12):
-        leaky = [int(view.rows[i]) for i in np.flatnonzero(np.abs(sums - 1.0) > 1e-12)]
-        raise StructureError(f"block is not closed: nodes {_id_list(leaky)} leak mass")
-    if scc_labels(view.matrix.indptr, view.matrix.indices, view.dangling_local).any():
+    leaks = np.abs(view.row_sums() - 1.0) > 1e-12
+    if leaks.any():
+        raise StructureError(f"block is not closed: nodes {_id_list(view.rows[leaks])} leak mass")
+    if not view.irreducible():
         raise StructureError("block is not strongly connected")
     return perron_irreducible(view, tol=tol)[1]
 
@@ -102,9 +101,7 @@ def _check_square(a: np.ndarray, cap: int, what: str) -> np.ndarray:
 
 
 def _dense_components(a: np.ndarray) -> list[list[int]]:
-    rows, cols = np.nonzero(a > 0.0)   # row-major, so already the CSR pattern
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=a.shape[0]))))
-    return component_lists(scc_labels(indptr, cols))
+    return strongly_connected_components(build_graph(a.shape[0], np.argwhere(a > 0.0)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,8 +23,9 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
+from .bowtie import closure
 from .errors import ConvergenceError
-from .graph import GraphHandle
+from .graph import GraphHandle, _reverse_csr
 
 DEFAULT_MAX_ITER = 500_000
 BICGSTAB_MAX_ITER = 500
@@ -92,6 +93,18 @@ class SubstochasticBlock:
         if self.dangling_local.size:
             sums[self.dangling_local] += self.cols.size / self.n_total
         return sums
+
+    def irreducible(self) -> bool:
+        """Whether the square block's graph, where a dangling row links to
+        every node, is strongly connected, in O(n + m): with dangling rows,
+        when every node reaches one; without, when the first node reaches
+        every node and every node reaches it."""
+        indptr, indices = self.matrix.indptr, self.matrix.indices
+        reverse = _reverse_csr(indptr, indices)
+        if self.dangling_local.size:
+            return bool(closure(*reverse, self.dangling_local).all())
+        first = np.arange(self.shape[0])[:1]   # none in an empty block
+        return bool(closure(*reverse, first).all() and closure(indptr, indices, first).all())
 
 
 def block_view(g: GraphHandle, rows, cols) -> SubstochasticBlock:

@@ -1,8 +1,7 @@
 import numpy as np
 
 import rankmass as rm
-from rankmass.bowtie import (Label, component_lists, dual_path_mask, dual_path_out_nodes,
-                             scc_labels)
+from rankmass.bowtie import Label, dual_path_mask, dual_path_out_nodes
 from rankmass.sample_graphs import BOWTIE_EDGES
 
 import helpers
@@ -165,11 +164,12 @@ def test_transient_nodes_reach_a_block(random_graphs):
 
 
 def test_transition_graph_components_merge_dangling(bowtie, bowtie_blocks):
-    ids = scc_labels(bowtie.out_indptr, bowtie.out_indices, bowtie.dangling)
-    comps = as_sets(component_lists(ids))
-    assert {0, 1, 2, 3, 4, 5} in comps
-    assert {8, 9} in comps and {10, 11} in comps
-    assert bowtie_blocks.component_of.tolist() == ids.tolist()
+    full = helpers.dense_link_pattern(bowtie, uniform_dangling=True)
+    comps = helpers.dense_reach_components(full)
+    assert {0, 1, 2, 3, 4, 5} in as_sets(comps)
+    assert {8, 9} in as_sets(comps) and {10, 11} in as_sets(comps)
+    for k, comp in enumerate(comps):   # numbered by smallest member
+        assert bowtie_blocks.component_of[comp].tolist() == [k] * len(comp)
 
 
 def test_pure_out_nodes(bowtie_labels, bowtie_blocks):

@@ -4,6 +4,7 @@ from scipy import sparse
 
 import rankmass as rm
 from rankmass import escc
+from rankmass.bowtie import closure
 from rankmass.escc import transient_view
 from rankmass.operators import SubstochasticBlock, block_view, perron_irreducible
 
@@ -145,9 +146,10 @@ def test_envelope_and_cstar_slice_t_once(near_one, monkeypatch):
     calls, walks = [], []
     monkeypatch.setattr(escc, "block_view",
                         lambda *args: calls.append(args) or block_view(*args))
-    for name in ("_reverse_csr", "_tarjan"):
-        routine = getattr(rm.bowtie, name)
-        monkeypatch.setattr(rm.bowtie, name,
+    for module, name in ((rm.graph, "_reverse_csr"), (rm.operators, "_reverse_csr"),
+                         (rm.bowtie, "_tarjan")):
+        routine = getattr(module, name)
+        monkeypatch.setattr(module, name,
                             lambda *args, name=name, routine=routine:
                             walks.append(name) or routine(*args))
     for escc_only in (False, True):
@@ -158,6 +160,17 @@ def test_envelope_and_cstar_slice_t_once(near_one, monkeypatch):
             analysis()
             assert len(calls) == 1
     assert walks == []
+
+
+def test_a_class_that_is_all_of_t_takes_no_closure(near_one, monkeypatch):
+    """T of ``near_one`` is one class, as on the ``deadend-near1`` workload:
+    nothing lies below it, so no closure searches for what does."""
+    g, labels, blocks = near_one
+    calls = []
+    monkeypatch.setattr(escc, "closure", lambda *args: calls.append(args) or closure(*args))
+    summary = rm.spectral_summary(g, labels, blocks)
+    assert len(set(blocks.component_of[summary.nodes].tolist())) == 1
+    assert calls == []
 
 
 def test_classes_are_renumbered_to_the_transient_block():

@@ -5,8 +5,9 @@ import pytest
 from scipy import sparse
 
 import rankmass as rm
-from rankmass import bowtie
+from rankmass import operators
 from rankmass.graph import MAX_NODES, _reverse_csr
+from rankmass.operators import chain_view
 from rankmass.sample_graphs import BOWTIE_EDGES
 
 import helpers
@@ -432,7 +433,8 @@ def test_sorted_edges_skip_the_sort(bowtie, monkeypatch):
 def test_reverse_csr_matches_the_scipy_transpose(monkeypatch):
     """The key sort equals scipy's CSR -> CSC counting sort: on n = 0 and 1,
     self-loops, repeated edges, empty rows and unsorted rows, and on the
-    arrays that ``scc_labels`` passes it for graphs with dangling rows."""
+    int32 arrays of ``g.w`` that ``irreducible()`` passes it for graphs with
+    dangling rows."""
     rng = np.random.default_rng(16)
     cases = [(np.zeros(1, np.int64), np.zeros(0, np.int64)),
              (np.zeros(2, np.int64), np.zeros(0, np.int64)),
@@ -445,11 +447,11 @@ def test_reverse_csr_matches_the_scipy_transpose(monkeypatch):
     def recorded(indptr, indices):
         cases.append((indptr, indices))
         return _reverse_csr(indptr, indices)
-    monkeypatch.setattr(bowtie, "_reverse_csr", recorded)
+    monkeypatch.setattr(operators, "_reverse_csr", recorded)
     hubs = 0
     for _ in range(30):
         g = helpers.random_digraph(rng, int(rng.integers(1, 15)), 0.2)
-        bowtie.scc_labels(g.out_indptr, g.out_indices, g.dangling)
+        chain_view(g).irreducible()
         hubs += bool(g.dangling.size)
     assert hubs and len(cases) == 63 + 30
     for indptr, indices in cases:
@@ -458,6 +460,19 @@ def test_reverse_csr_matches_the_scipy_transpose(monkeypatch):
         in_indptr, in_indices = _reverse_csr(indptr, indices)
         assert in_indptr.dtype == in_indices.dtype == np.int64
         assert np.array_equal(in_indptr, t.indptr) and np.array_equal(in_indices, t.indices)
+
+
+def test_reverse_csr_keys_int32_input_in_int64():
+    """scipy narrows ``g.w``'s index arrays to int32; on a 50,000-node ring the
+    key ``v * n + u`` passes 2^31, so it must be formed in int64."""
+    n = 50_000
+    g = rm.build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    w = g.w
+    assert w.indptr.dtype == w.indices.dtype == np.int32
+    narrow, wide = _reverse_csr(w.indptr, w.indices), _reverse_csr(g.out_indptr, g.out_indices)
+    assert all(np.array_equal(a, b) for a, b in zip(narrow, wide))
+    assert np.array_equal(wide[1], np.roll(np.arange(n), 1))
+    assert chain_view(g).irreducible()
 
 
 def test_node_counts_past_the_limit_raise_before_allocating():

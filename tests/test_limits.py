@@ -37,6 +37,26 @@ def test_block_stationary_rejects_disconnected():
         rm.block_stationary(g, [0, 1, 2, 3])
 
 
+def test_block_stationary_of_the_whole_graph_links_dangling_rows_to_every_node():
+    """0 <-> 1 beside a dangling node 2 is reducible, for nothing reaches 2;
+    in 0 -> 1 -> 2 every node reaches the dangling row, which reaches all."""
+    g = rm.build_graph(3, [(0, 1), (1, 0)])
+    with pytest.raises(rm.StructureError, match="^block is not strongly connected$"):
+        rm.block_stationary(g, range(3))
+    g = rm.build_graph(3, [(0, 1), (1, 2)])
+    got = rm.block_stationary(g, range(3))
+    assert np.abs(got - helpers.dense_stationary(helpers.dense_w(g))).max() <= 1e-12
+
+
+def test_empty_inputs_keep_their_results_and_messages():
+    assert rm.strongly_connected_components(rm.build_graph(0, [])) == []
+    empty = np.zeros((0, 0))
+    with pytest.raises(rm.StructureError, match="^matrix must be irreducible$"):
+        rm.laurent_check(empty, empty, [0.1])
+    with pytest.raises(rm.StructureError, match="^no ergodic class found$"):
+        rm.aggregated_chain_limit(empty, empty)
+
+
 def test_absorption_weights_bowtie_against_dense(bowtie, bowtie_blocks):
     weights = rm.absorption_weights(bowtie, bowtie_blocks)
     w = helpers.dense_w(bowtie)

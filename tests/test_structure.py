@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rankmass as rm
-from rankmass import bowtie
-from rankmass.bowtie import Label, by_smallest_member, component_lists, scc_labels
+from rankmass import bowtie, graph, inscc, limits, operators
+from rankmass.bowtie import Label, by_smallest_member, component_lists
 from rankmass.escc import transient_view
-from rankmass.operators import block_view
+from rankmass.operators import block_view, chain_view
 
 import helpers
 
@@ -59,10 +59,7 @@ def test_components_match_dense_oracle(g):
 
 def _check_components(g):
     raw = helpers.dense_link_pattern(g, uniform_dangling=False)
-    full = helpers.dense_link_pattern(g, uniform_dangling=True)
     assert rm.strongly_connected_components(g) == helpers.dense_reach_components(raw)
-    full_components = component_lists(scc_labels(g.out_indptr, g.out_indices, g.dangling))
-    assert full_components == helpers.dense_reach_components(full)
 
 
 @pytest.mark.parametrize("g", SHAPED, ids=lambda g: f"n{g.n}m{g.num_edges}")
@@ -133,16 +130,14 @@ def test_block_classes_match_dense_oracle(g):
 
 
 def _check_block_classes(g):
-    """Each view's classes, by ``scc_labels`` and as read off the block
-    decomposition's components, against the dense oracle."""
+    """Each view's classes, as read off the block decomposition's components,
+    and its irreducibility, against the dense oracle."""
     blocks, views = _views(g)
     for view in views:
         adj = view.matrix.toarray() > 0.0
         adj[view.dangling_local, :] = True
         expected = helpers.dense_reach_components(adj)
-        classes = component_lists(
-            scc_labels(view.matrix.indptr, view.matrix.indices, view.dangling_local))
-        assert classes == expected
+        assert view.irreducible() == (len(expected) == 1)
         expected_ids = np.empty(view.rows.size, dtype=np.int64)
         for k, members in enumerate(expected):
             expected_ids[members] = k
@@ -172,26 +167,37 @@ def test_pivot_outside_the_giant_matches_dense_oracle(g):
 
 
 @st.composite
-def _digraphs(draw):
+def _sub_blocks(draw):
+    """A random digraph, dangling rows likely at this density, and a nonempty
+    node subset for a sub-block of its transition matrix."""
     n = draw(st.integers(1, 30))
     node = st.integers(0, n - 1)
     edges = draw(st.lists(st.tuples(node, node), max_size=4 * n))
-    hub_rows = draw(st.lists(node, max_size=3, unique=True))
-    return rm.build_graph(n, edges), sorted(hub_rows)
+    subset = draw(st.lists(node, min_size=1, max_size=n, unique=True))
+    return rm.build_graph(n, edges), sorted(subset)
 
 
 @settings(max_examples=150, deadline=None)
-@given(_digraphs())
-def test_scc_labels_are_numbered_by_smallest_member(case):
-    g, hub_rows = case
-    adj = helpers.dense_link_pattern(g, uniform_dangling=False)
-    for rows in ((), hub_rows):
-        adj[list(rows), :] = True
-        expected = np.empty(g.n, dtype=np.int64)
-        for k, comp in enumerate(helpers.dense_reach_components(adj)):
-            expected[comp] = k
-        labels = scc_labels(g.out_indptr, g.out_indices, np.asarray(rows, dtype=np.int64))
-        assert labels.tolist() == expected.tolist()
+@given(_sub_blocks())
+def test_irreducible_and_component_numbering_match_dense_oracle(case):
+    """``irreducible()`` on a random sub-block and on every transition-graph
+    component, where a dangling row links to the whole block, and the raw
+    components numbered by smallest member, against the dense oracle."""
+    g, subset = case
+    raw = helpers.dense_link_pattern(g, uniform_dangling=False)
+    comps = helpers.dense_reach_components(raw)
+    assert rm.strongly_connected_components(g) == comps
+    expected = np.empty(g.n, dtype=np.int64)
+    for k, comp in enumerate(comps):
+        expected[comp] = k
+    assert rm.bowtie_labeling(g).component_of.tolist() == expected.tolist()
+
+    full = helpers.dense_link_pattern(g, uniform_dangling=True)
+    for nodes in [subset] + helpers.dense_reach_components(full):
+        adj = raw[np.ix_(nodes, nodes)]
+        adj[g.dangling_mask[nodes], :] = True
+        view = block_view(g, nodes, nodes)
+        assert view.irreducible() == (len(helpers.dense_reach_components(adj)) == 1)
 
 
 def test_tarjan_never_walks_the_giant(monkeypatch):
@@ -212,31 +218,42 @@ def test_tarjan_never_walks_the_giant(monkeypatch):
     assert giant >= 4 and sizes == [g.n - giant]
 
 
-def test_dangling_rows_split_off_by_one_reverse_closure(monkeypatch):
-    """On T's view, the nodes that reach a dangling row form one component
-    without any extra node: ``_reverse_csr`` gets the view's own n nodes, and
-    Tarjan sees only the nodes that reach no dangling row."""
-    g = helpers.random_suite(seed=7, count=1)[0]
-    view = transient_view(g, rm.block_decomposition(g, rm.bowtie_labeling(g)))
-    reach = helpers.dense_reach(view.matrix.toarray() > 0.0)
-    outside = int((~reach[:, view.dangling_local].any(axis=1)).sum())
-    reversed_sizes, tarjan_sizes = [], []
-    reverse_csr, tarjan = bowtie._reverse_csr, bowtie._tarjan
+def test_irreducibility_checks_walk_no_tarjan(threeblock, threeblock_view, monkeypatch):
+    """``block_stationary``, ``derivative_at_one`` and ``laurent_check`` decide
+    irreducibility by closures alone: a block with dangling rows by the reverse
+    closure of those rows, a block without by the two closures of one node."""
+    g = rm.build_graph(3, [(0, 1), (1, 2)])   # node 2 dangles; its row links to every node
+    blocks = rm.block_decomposition(threeblock, rm.bowtie_labeling(threeblock))
+    tarjan, sizes = bowtie._tarjan, []
 
-    def reverse_spy(indptr, indices):
-        reversed_sizes.append(indptr.size - 1)
-        return reverse_csr(indptr, indices)
-
-    def tarjan_spy(indptr, indices):
-        tarjan_sizes.append(len(indptr) - 1)
+    def spy(indptr, indices):
+        sizes.append(len(indptr) - 1)
         return tarjan(indptr, indices)
 
-    monkeypatch.setattr(bowtie, "_reverse_csr", reverse_spy)
-    monkeypatch.setattr(bowtie, "_tarjan", tarjan_spy)
-    scc_labels(view.matrix.indptr, view.matrix.indices, view.dangling_local)
-    n = view.rows.size
-    assert view.dangling_local.size and 0 < outside < n
-    assert reversed_sizes == [n] and tarjan_sizes == [outside]
+    monkeypatch.setattr(bowtie, "_tarjan", spy)
+    limits.block_stationary(g, range(3))
+    for block in blocks.recurrent_blocks:
+        limits.block_stationary(threeblock, block)
+    inscc.derivative_at_one(threeblock_view)
+    limits.laurent_check(*limits.laurent_example_5state(), [0.1, 0.01])
+    assert sizes == []
+
+
+def test_raw_components_build_no_reverse_adjacency(monkeypatch):
+    """``strongly_connected_components`` reads the reverse arrays the handle
+    stores: no module sorts a reverse adjacency of its own."""
+    g = helpers.random_suite(seed=7, count=1)[0]
+    reverse_csr, sizes = graph._reverse_csr, []
+
+    def spy(indptr, indices):
+        sizes.append(indptr.size - 1)
+        return reverse_csr(indptr, indices)
+
+    for module in (graph, operators, bowtie):   # wherever the name is bound
+        monkeypatch.setattr(module, "_reverse_csr", spy, raising=False)
+    raw = helpers.dense_link_pattern(g, uniform_dangling=False)
+    assert rm.strongly_connected_components(g) == helpers.dense_reach_components(raw)
+    assert sizes == []
 
 
 LONG = 100_000
@@ -246,14 +263,13 @@ def test_long_path_has_no_recursion_limit():
     g = rm.build_graph(LONG, [(i, i + 1) for i in range(LONG - 1)])
     comps = rm.strongly_connected_components(g)
     assert len(comps) == LONG and comps[-1] == [LONG - 1]
-    # the last node dangles and every node reaches it: one transition component
-    assert (component_lists(scc_labels(g.out_indptr, g.out_indices, g.dangling))
-            == [list(range(LONG))])
     labels = rm.bowtie_labeling(g)
     assert labels.giant_scc == {0}
     assert labels.out_nodes == set(range(1, LONG))
     blocks = rm.block_decomposition(g, labels)
     assert blocks.num_blocks == 1 and not blocks.transient_set
+    # the last node dangles and every node reaches it: one transition component
+    assert not blocks.component_of.any() and chain_view(g).irreducible()
 
 
 def test_long_cycle_is_one_component():
@@ -267,6 +283,7 @@ def test_long_cycle_is_one_component():
 def test_many_dangling_rows_stay_linear():
     # a star whose leaves all dangle: |dangling| x n would be 10^10 entries
     g = rm.build_graph(LONG, [(0, i) for i in range(1, LONG)])
-    assert (component_lists(scc_labels(g.out_indptr, g.out_indices, g.dangling))
-            == [list(range(LONG))])
+    labels = rm.bowtie_labeling(g)
+    assert not rm.block_decomposition(g, labels).component_of.any()
+    assert chain_view(g).irreducible()
     assert len(rm.strongly_connected_components(g)) == LONG
