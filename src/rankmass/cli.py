@@ -29,7 +29,6 @@ from .graph import load_path
 from .inscc import (derivative_at_one, derivative_at_zero, inscc_curve,
                     three_block_view)
 from .limits import limit_vector
-from .operators import DEFAULT_MAX_ITER
 from .pagerank import PageRankConfig, damping_sweep, pagerank
 
 USAGE_ERROR = 1
@@ -115,13 +114,11 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"grid STEP must be positive and finite, got {text!r}")
     if (stop - start + 1e-12) / step >= MAX_GRID_POINTS:
         raise ValueError(f"grid has more than {MAX_GRID_POINTS} points, got {text!r}")
-    values = []
-    k = 0
-    while True:
-        c = start + k * step
-        if c > stop + 1e-12:
-            break
-        values.append(min(c, stop))
+    values = [start]
+    k = 1
+    while (c := start + k * step) <= stop + 1e-12:
+        if min(c, stop) > values[-1]:   # a STEP below the slack, or the ulp, repeats a value
+            values.append(min(c, stop))
         k += 1
     return values
 
@@ -180,12 +177,10 @@ def cmd_decompose(args):
 
 def cmd_pagerank(args):
     g = load_path(args.graph)
-    cfg = PageRankConfig(damping=args.damping, tolerance=args.tol,
-                         max_iterations=args.max_iter)
+    cfg = PageRankConfig(damping=args.damping, tolerance=args.tol)
     result = pagerank(g, cfg)
     report = CsvReport(args.graph, {
         "command": "pagerank", "damping": cfg.damping, "tol": cfg.tolerance,
-        "max_iter": cfg.max_iterations,
         "iterations_used": result.iterations_used})
     report.table(["node_id", "score"], np.arange(g.n), result.values)
     report.save(args.out)
@@ -363,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--damping", type=_damping_arg, default=0.85)
     p.add_argument("--tol", type=float, default=1e-12, help="L1 tolerance (default 1e-12)")
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
-                   help=f"cap on solve steps and walk terms (default {DEFAULT_MAX_ITER})")
     p.set_defaults(fn=cmd_pagerank)
 
     p = sub.add_parser("sweep", help="component masses across a damping grid")

@@ -29,10 +29,12 @@ def block_stationary(g: GraphHandle, block, tol: float = 1e-14) -> np.ndarray:
     """Stationary distribution of one closed recurrent block.
 
     Index order follows the sorted ids of the array-like ``block``.  Raises
-    :class:`StructureError` if the block leaks mass or is not strongly
-    connected.
+    :class:`StructureError` if the block is empty, leaks mass or is not
+    strongly connected.
     """
     view = block_view(g, block, block)
+    if not view.rows.size:
+        raise StructureError("block is empty")
     leaks = np.abs(view.row_sums() - 1.0) > 1e-12
     if leaks.any():
         raise StructureError(f"block is not closed: nodes {_id_list(view.rows[leaks])} leak mass")
@@ -91,13 +93,23 @@ def limit_vector(g: GraphHandle, blocks: BlockDecomposition,
 # Dense verification instruments (small matrices only).
 # ---------------------------------------------------------------------------
 
-def _check_square(a: np.ndarray, cap: int, what: str) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{what} must be square")
-    if a.shape[0] > cap:
-        raise ValueError(f"{what} capped at {cap}x{cap}; this is a verification instrument")
-    return a
+def _check_pair(a: np.ndarray, c: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """A dense instrument's matrix and perturbation as float arrays: square,
+    at most ``cap`` x ``cap``, of one shape, and the matrix row-stochastic."""
+    pair = []
+    for m, what in ((a, "matrix"), (c, "perturbation")):
+        m = np.asarray(m, dtype=np.float64)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"{what} must be square")
+        if m.shape[0] > cap:
+            raise ValueError(f"{what} capped at {cap}x{cap}; this is a verification instrument")
+        pair.append(m)
+    a, c = pair
+    if a.shape != c.shape:
+        raise ValueError("matrix and perturbation shapes differ")
+    if np.any(np.abs(a.sum(axis=1) - 1.0) > 1e-12) or np.any(a < -1e-15):
+        raise StructureError("matrix must be row-stochastic")
+    return a, c
 
 
 def _dense_components(a: np.ndarray) -> list[list[int]]:
@@ -121,16 +133,11 @@ def laurent_check(a: np.ndarray, c: np.ndarray, epsilons) -> LaurentCheck:
     ``a`` must be irreducible and stochastic; ``a - eps*c`` substochastic on
     the grid.  Errors shrink linearly in epsilon.
     """
-    a = _check_square(a, LAURENT_MAX_SIZE, "matrix")
-    c = _check_square(c, LAURENT_MAX_SIZE, "perturbation")
-    if a.shape != c.shape:
-        raise ValueError("matrix and perturbation shapes differ")
-    if np.any(np.abs(a.sum(axis=1) - 1.0) > 1e-12) or np.any(a < -1e-15):
-        raise StructureError("matrix must be row-stochastic")
+    a, c = _check_pair(a, c, LAURENT_MAX_SIZE)
     if len(_dense_components(a)) != 1:
         raise StructureError("matrix must be irreducible")
     eps_grid = np.asarray(sorted((float(e) for e in epsilons), reverse=True))
-    if eps_grid.size == 0 or eps_grid[-1] <= 0.0:
+    if not (eps_grid.size and np.all((eps_grid > 0.0) & (eps_grid < np.inf))):
         raise ValueError("need a positive epsilon grid")
     for eps in eps_grid:
         perturbed = a - eps * c
@@ -163,12 +170,7 @@ def aggregated_chain_limit(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     then solves nu (D + I) = nu and expands class weights by the class
     stationaries.
     """
-    a = _check_square(a, AGGREGATED_MAX_SIZE, "matrix")
-    c = _check_square(c, AGGREGATED_MAX_SIZE, "perturbation")
-    if a.shape != c.shape:
-        raise ValueError("matrix and perturbation shapes differ")
-    if np.any(np.abs(a.sum(axis=1) - 1.0) > 1e-12) or np.any(a < -1e-15):
-        raise StructureError("matrix must be row-stochastic")
+    a, c = _check_pair(a, c, AGGREGATED_MAX_SIZE)
     n = a.shape[0]
 
     comps = _dense_components(a)

@@ -27,7 +27,7 @@ from .bowtie import closure
 from .errors import ConvergenceError
 from .graph import GraphHandle, _reverse_csr
 
-DEFAULT_MAX_ITER = 500_000
+MAX_ITER = 500_000
 BICGSTAB_MAX_ITER = 500
 RESTART = 20       # basis vectors per cycle of shifted_solve
 MAX_CYCLES = 25    # its cycles before a value above its bound takes solve_left
@@ -119,19 +119,19 @@ def chain_view(g: GraphHandle) -> SubstochasticBlock:
                               rows=every, cols=every)
 
 
-def walk(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, tol: float = 1e-14,
-         max_iter: int = DEFAULT_MAX_ITER) -> Iterator[np.ndarray]:
+def walk(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
+         tol: float = 1e-14) -> Iterator[np.ndarray]:
     """Yield ``x_k = x0 A^k``, with ``apply(x) = x A``, for k = 0..K.
 
     K is the first k >= 1 with ``||x_k||_1 <= tol``.  Raises ValueError
     before the first product unless ``0 < tol < inf``,
     :class:`ConvergenceError` at the first non-finite term, and past
-    ``max_iter`` steps with the last ``||x_k||_1``.
+    ``MAX_ITER`` steps with the last ``||x_k||_1``.
     """
     check_tolerance(tol)
     x = np.asarray(x0, dtype=np.float64)
     yield x
-    for k in range(1, max_iter + 1):
+    for k in range(1, MAX_ITER + 1):
         x = apply(x)
         term = float(np.abs(x).sum())
         if not np.isfinite(term):
@@ -139,11 +139,11 @@ def walk(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, tol: float =
         yield x
         if term <= tol:
             return
-    raise ConvergenceError("series did not converge", term, max_iter)
+    raise ConvergenceError("series did not converge", term, MAX_ITER)
 
 
 def solve_left(apply_a: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
-               tol: float = 1e-14, max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
+               tol: float = 1e-14) -> np.ndarray:
     """Solve ``y (I - A) = b`` by BiCGSTAB (van der Vorst, 1992); with
     ``apply_a(x) = A x`` the same iteration solves ``(I - A) x = b``.
 
@@ -158,10 +158,10 @@ def solve_left(apply_a: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     best iterate is kept and returned at the second step in a row where the
     true residual fails to halve.  On a breakdown (a zero or
     non-finite ``r_hat . r``, ``r_hat . v`` or ``omega``) or after
-    ``min(BICGSTAB_MAX_ITER, max_iter)`` steps it falls back to the sum of
-    the walk ``b A^k`` (:func:`walk`), which stops after the first term of L1
-    norm at most ``tol`` and raises :class:`ConvergenceError` at a non-finite
-    term or past ``max_iter`` terms.  The walk needs the spectral radius of A below
+    ``BICGSTAB_MAX_ITER`` steps it falls back to the sum of the walk
+    ``b A^k`` (:func:`walk`), which stops after the first term of L1 norm at
+    most ``tol`` and raises :class:`ConvergenceError` at a non-finite term or
+    past ``MAX_ITER`` terms.  The walk needs the spectral radius of A below
     one; BiCGSTAB only needs ``I - A`` nonsingular.  The inner products are
     numpy reductions: a BLAS ``@`` would run threaded on long vectors.
     """
@@ -172,7 +172,7 @@ def solve_left(apply_a: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     rho = alpha = omega = 1.0
     prev, best, best_res, floored, stalls = np.inf, y, np.inf, False, 0
     r = b - (y - apply_a(y))
-    for _ in range(min(BICGSTAB_MAX_ITER, max_iter)):
+    for _ in range(BICGSTAB_MAX_ITER):
         if floored or float(np.abs(r).sum()) <= tol * max(1.0, float(np.abs(y).sum())):
             true_r = b - (y - apply_a(y))   # a claimed stop: check the true residual
             res = float(np.abs(true_r).sum())
@@ -203,7 +203,7 @@ def solve_left(apply_a: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
         omega = float((t * s).sum()) / tt if tt else 0.0   # s = 0: the half step solved it
         y = y + alpha * p + omega * s
         r = s - omega * t
-    return sum(walk(apply_a, b, tol=tol, max_iter=max_iter))
+    return sum(walk(apply_a, b, tol=tol))
 
 
 class ShiftedSolve(NamedTuple):
@@ -332,13 +332,13 @@ def perron_irreducible(block: SubstochasticBlock, tol: float = 1e-13) -> tuple[f
     the class primitive, at half the rate.  A single node stops after one
     step with its self-transition weight.  Raises ValueError
     unless ``0 < tol < inf`` and :class:`ConvergenceError` at the first
-    non-finite residual or after ``DEFAULT_MAX_ITER`` steps.
+    non-finite residual or after ``MAX_ITER`` steps.
     """
     check_tolerance(tol)
     size = block.shape[0]
     y = np.full(size, 1.0 / size)
     blend, prev = False, np.inf
-    for it in range(1, DEFAULT_MAX_ITER + 1):
+    for it in range(1, MAX_ITER + 1):
         z = block.mul_left(y)
         lam = float(z.sum())
         residual = float(np.abs(z - lam * y).sum())
@@ -354,4 +354,4 @@ def perron_irreducible(block: SubstochasticBlock, tol: float = 1e-13) -> tuple[f
         y /= s
         if residual <= tol:
             return lam, y
-    raise ConvergenceError("eigenvector iteration stagnated", residual, DEFAULT_MAX_ITER)
+    raise ConvergenceError("eigenvector iteration stagnated", residual, MAX_ITER)

@@ -1,11 +1,12 @@
 """PageRank two ways, plus the bookkeeping that attributes score mass to
 structural components.
 
-:func:`pagerank` corrects a start ``x0`` by one :func:`operators.solve_left`
-of ``y (I - cW) = r0``, where ``r0 = c x0 W + (1 - c)/n - x0`` is its
-residual; :func:`pagerank_via_resolvent` sums the series walk
-``((1 - c)/n) 1^T (c W)^k``.  Both bound their L1 error by the tolerance, so
-the two agree to within twice the tolerance.
+:func:`pagerank` corrects the uniform start ``x0`` by one
+:func:`operators.solve_left` of ``y (I - cW) = r0``, where
+``r0 = c x0 W + (1 - c)/n - x0`` is its residual;
+:func:`pagerank_via_resolvent` sums the series walk ``((1 - c)/n) 1^T (c W)^k``.
+Both bound their L1 error by the tolerance, so the two agree to within twice
+the tolerance.
 """
 
 from __future__ import annotations
@@ -17,19 +18,16 @@ import numpy as np
 from .bowtie import BlockDecomposition, BowtieLabeling, Label
 from .errors import ConvergenceError
 from .graph import GraphHandle
-from .operators import (DEFAULT_MAX_ITER, check_tolerance, chain_view, shifted_solve,
-                        solve_left, walk)
+from .operators import check_tolerance, chain_view, shifted_solve, solve_left, walk
 
 
 @dataclass(frozen=True)
 class PageRankConfig:
-    """Damping factor in [0, 1), a bound on the L1 error of the returned
-    vector, and a cap on the steps of the solve and of its walk fallback
-    (:func:`operators.solve_left`)."""
+    """Damping factor in [0, 1) and a bound on the L1 error of the returned
+    vector."""
 
     damping: float
     tolerance: float = 1e-12
-    max_iterations: int = DEFAULT_MAX_ITER
 
     def __post_init__(self):
         if not 0.0 <= self.damping < 1.0:
@@ -37,8 +35,6 @@ class PageRankConfig:
                 f"damping must lie in [0, 1); got {self.damping} "
                 "(the c -> 1 limit has its own analytic path)")
         check_tolerance(self.tolerance)
-        if self.max_iterations <= 0:
-            raise ValueError("max_iterations must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,16 +63,12 @@ def rank_of(values: np.ndarray, node: int) -> int:
     return better + 1
 
 
-def pagerank(g: GraphHandle, cfg: PageRankConfig,
-             start: np.ndarray | None = None) -> RankVector:
-    """Stationary vector of the damped surfer chain, ``x0 + y`` with
-    ``y (I - cW) = r0`` solved by :func:`solve_left` to a residual of
-    ``(1 - c) tol``: ``[I - cW]^{-1}`` has L1 norm ``1/(1 - c)``, so ``tol``
-    bounds the L1 error.  ``x0`` is ``start`` rescaled to a probability
-    vector, or the uniform one; a ``start`` that is not nonnegative, finite
-    and length n with a positive sum raises ValueError before any product.
-    A failed solve or a residual above ``tol`` raises :class:`ConvergenceError`
-    naming ``c``.
+def pagerank(g: GraphHandle, cfg: PageRankConfig) -> RankVector:
+    """Stationary vector of the damped surfer chain, ``x0 + y`` with ``x0``
+    uniform and ``y (I - cW) = r0`` solved by :func:`solve_left` to a
+    residual of ``(1 - c) tol``: ``[I - cW]^{-1}`` has L1 norm ``1/(1 - c)``,
+    so ``tol`` bounds the L1 error.  A failed solve or a residual above
+    ``tol`` raises :class:`ConvergenceError` naming ``c``.
     """
     if g.n == 0:
         raise ValueError("empty graph")
@@ -85,19 +77,8 @@ def pagerank(g: GraphHandle, cfg: PageRankConfig,
     chain = chain_view(g)
     fixed_point_gap = lambda y: c * chain.mul_left(y) + (1.0 - c) / n - y
 
-    if start is None:
-        x = np.full(n, 1.0 / n)
-    else:
-        x = np.array(start, dtype=np.float64)
-        if x.shape != (n,):
-            raise ValueError(f"start vector has shape {x.shape}; expected ({n},)")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("start vector has non-finite entries")
-        if np.any(x < 0.0):
-            raise ValueError("start vector has negative entries")
-        if x.sum() == 0.0:
-            raise ValueError("start vector sums to zero")
-    x /= x.sum()
+    x = np.full(n, 1.0 / n)
+    x /= x.sum()   # not a no-op: the entries can sum to 1 + 2e-16
     products = 0
 
     def damped(y: np.ndarray) -> np.ndarray:
@@ -106,8 +87,7 @@ def pagerank(g: GraphHandle, cfg: PageRankConfig,
         return c * chain.mul_left(y)
 
     try:
-        x = x + solve_left(damped, fixed_point_gap(x), tol=(1.0 - c) * cfg.tolerance,
-                           max_iter=cfg.max_iterations)
+        x = x + solve_left(damped, fixed_point_gap(x), tol=(1.0 - c) * cfg.tolerance)
     except ConvergenceError as err:
         raise ConvergenceError(f"pagerank at c={c} did not converge",
                                err.residual, products) from None
@@ -119,15 +99,14 @@ def pagerank(g: GraphHandle, cfg: PageRankConfig,
     return RankVector(values=x, damping=c, iterations_used=products, residual=residual)
 
 
-def pagerank_via_resolvent(g: GraphHandle, damping: float, tolerance: float = 1e-12,
-                           max_iterations: int = DEFAULT_MAX_ITER) -> RankVector:
+def pagerank_via_resolvent(g: GraphHandle, damping: float,
+                           tolerance: float = 1e-12) -> RankVector:
     """Same vector through the restart-weighted sum of walk distributions.
 
     Sums the walk ((1-c)/n) 1^T (c W)^k, stopping once a term falls below the
     tolerance.  Cross-validates :func:`pagerank`.
     """
-    cfg = PageRankConfig(damping=damping, tolerance=tolerance,
-                         max_iterations=max_iterations)
+    cfg = PageRankConfig(damping=damping, tolerance=tolerance)
     c = cfg.damping
     n = g.n
     if n == 0:
@@ -136,8 +115,7 @@ def pagerank_via_resolvent(g: GraphHandle, damping: float, tolerance: float = 1e
     total = np.zeros(n)
     # the tail after a term of norm ``step`` is at most c/(1-c) * step
     step_tol = cfg.tolerance * min(1.0, (1.0 - c) / c) if c else cfg.tolerance
-    terms = walk(lambda x: c * chain.mul_left(x), np.full(n, (1.0 - c) / n),
-                 tol=step_tol, max_iter=cfg.max_iterations)
+    terms = walk(lambda x: c * chain.mul_left(x), np.full(n, (1.0 - c) / n), tol=step_tol)
     for terms_used, term in enumerate(terms, start=1):
         total += term
     total /= total.sum()

@@ -7,6 +7,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import rankmass as rm
@@ -114,6 +116,30 @@ def test_bad_grid_is_validation_error(graph_files, capsys):
                                 "--grid", grid], capsys)
         assert code == 1
         assert "grid" in err
+
+
+def test_step_below_the_end_slack_gives_each_grid_value_once(graph_files, tmp_path, capsys):
+    assert cli._parse_grid("0:1e-13:1e-13") == [0.0, 1e-13]
+    out = tmp_path / "curve.csv"
+    code, _, err = run_cli(["inscc-curve", "--graph", graph_files["threeblock"],
+                            "--grid", "0:1e-13:1e-13", "--out", str(out)], capsys)
+    assert code == 0 and err == ""
+    _, rows = read_csv(out)
+    assert [row[0] for row in rows[1:]] == ["0", "1e-13"]
+    assert "nan" not in out.read_text()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 0.999), st.floats(0.0, 0.999), st.floats(1e-17, 1.0))
+def test_grid_is_strictly_increasing_from_start_to_at_most_stop(a, b, step):
+    start, stop = min(a, b), max(a, b)
+    try:
+        grid = cli._parse_grid(f"{start!r}:{stop!r}:{step!r}")
+    except ValueError as exc:
+        assert "more than" in str(exc)
+        return
+    assert grid[0] == start and grid[-1] <= stop
+    assert all(x < y for x, y in zip(grid, grid[1:]))
 
 
 def test_usage_errors_exit_one_with_their_message(graph_files, capsys):
@@ -317,10 +343,15 @@ def test_missing_graph_file(capsys):
 
 
 def test_nonconvergence_exit_code(graph_files, capsys):
-    code, _, err = run_cli(["pagerank", "--graph", graph_files["bowtie"],
-                            "--damping", "0.85", "--max-iter", "2"], capsys)
+    code, out, err = run_cli(["pagerank", "--graph", graph_files["bowtie"],
+                              "--damping", "0.85", "--tol", "1e-17"], capsys)
     assert code == 2
-    assert "non-convergence" in err
+    assert "non-convergence" in err and "missed the tolerance" in err
+    assert out == ""
+    with pytest.raises(SystemExit) as exc:   # the step caps are no option
+        main(["pagerank", "--graph", graph_files["bowtie"], "--max-iter", "2"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --max-iter 2" in capsys.readouterr().err
 
 
 def test_bad_tolerance_fails_fast(graph_files, capsys):

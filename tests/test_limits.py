@@ -48,8 +48,10 @@ def test_block_stationary_of_the_whole_graph_links_dangling_rows_to_every_node()
     assert np.abs(got - helpers.dense_stationary(helpers.dense_w(g))).max() <= 1e-12
 
 
-def test_empty_inputs_keep_their_results_and_messages():
+def test_empty_inputs_keep_their_results_and_messages(bowtie):
     assert rm.strongly_connected_components(rm.build_graph(0, [])) == []
+    with pytest.raises(rm.StructureError, match="^block is empty$"):
+        rm.block_stationary(bowtie, [])
     empty = np.zeros((0, 0))
     with pytest.raises(rm.StructureError, match="^matrix must be irreducible$"):
         rm.laurent_check(empty, empty, [0.1])
@@ -163,6 +165,13 @@ def test_laurent_errors_shrink_with_epsilon():
         chk = rm.laurent_check(a, c, [0.1, 0.05, 0.025, 0.0125])
         assert np.all(np.diff(chk.errors) < 0.0)
         assert chk.errors[-1] / chk.epsilons[-1] <= chk.errors[0] / chk.epsilons[0] * 1.5
+
+
+def test_laurent_rejects_non_finite_epsilons():
+    a, c = rm.laurent_example_2state()
+    for eps in ([0.1, np.nan], [np.nan], [np.inf], [0.1, np.inf], [0.1, 0.0], []):
+        with pytest.raises(ValueError, match="^need a positive epsilon grid$"):
+            rm.laurent_check(a, c, eps)
 
 
 def test_laurent_zero_perturbation_guard():
