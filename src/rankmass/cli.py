@@ -29,6 +29,7 @@ from .graph import load_path
 from .inscc import (derivative_at_one, derivative_at_zero, inscc_curve,
                     three_block_view)
 from .limits import limit_vector
+from .operators import SOLVE_TOL, check_tolerance
 from .pagerank import PageRankConfig, damping_sweep, pagerank
 
 USAGE_ERROR = 1
@@ -187,8 +188,8 @@ def cmd_pagerank(args):
 
 
 def cmd_sweep(args):
-    g, labels, blocks = _structures(args.graph)
     grid = _parse_grid(args.grid)
+    g, labels, blocks = _structures(args.graph)
     curve = damping_sweep(g, labels, blocks, grid, tolerance=args.tol)
     report = CsvReport(args.graph, {"command": "sweep", "grid": args.grid, "tol": args.tol})
     report.table(["c", "mass_IN", "mass_SCC", "mass_INSCC", "mass_ESCC",
@@ -219,8 +220,8 @@ def _three_block(args):
 
 
 def cmd_inscc_curve(args):
-    view = _three_block(args)
     grid = _parse_grid(args.grid)
+    view = _three_block(args)
     points = inscc_curve(view, grid, tol=args.tol)
     report = CsvReport(args.graph, {
         "command": "inscc-curve", "grid": args.grid, "tol": args.tol,
@@ -248,8 +249,8 @@ def cmd_inscc_derivatives(args):
 
 
 def cmd_escc_bounds(args):
-    g, labels, blocks = _structures(args.graph)
     grid = _parse_grid(args.grid)
+    g, labels, blocks = _structures(args.graph)
     bounds = prop3_bounds(g, labels, blocks, grid, tol=args.tol,
                           escc_only=args.exclude_pureout_transients)
     report = CsvReport(args.graph, {
@@ -289,10 +290,10 @@ def cmd_cstar(args):
 
 
 def cmd_link_experiment(args):
-    g, labels, blocks = _structures(args.graph)
     damping_values = [_damping_arg(tok) for tok in args.damping_list.split(",") if tok]
     if not damping_values:
         raise ValueError("damping-list is empty")
+    g, labels, blocks = _structures(args.graph)
     click_position = None
     if args.clicks:   # a bad clicks file fails before the PageRank solves
         click_position = click_rank(_read_clicks(args.clicks), args.source, g.n)
@@ -342,6 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "of sparse directed graphs")
     parser.add_argument("--version", action="version", version=f"rankmass {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    solve_tol_help = f"L1 residual tolerance of the inner solves (default {SOLVE_TOL})"
 
     def common(p, grid_default=None):
         p.add_argument("--graph", required=True, help="edge-list file")
@@ -368,8 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limit", help="damping -> 1 limiting masses per dead-end block")
     common(p)
     p.add_argument("--vector-out", default=None, help="also write the full limit vector")
-    p.add_argument("--tol", type=float, default=1e-14,
-                   help="L1 residual tolerance of the inner solves (default 1e-14)")
+    p.add_argument("--tol", type=float, default=SOLVE_TOL, help=solve_tol_help)
     p.set_defaults(fn=cmd_limit)
 
     p = sub.add_parser("inscc-curve", help="IN+SCC mass split along a damping grid")
@@ -378,24 +379,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="proceed despite OUT links into dangling nodes")
     p.add_argument("--fold-other", action="store_true",
                    help="treat nodes outside the bow-tie as OUT")
-    p.add_argument("--tol", type=float, default=1e-14,
-                   help="L1 residual tolerance of the inner solves (default 1e-14)")
+    p.add_argument("--tol", type=float, default=SOLVE_TOL, help=solve_tol_help)
     p.set_defaults(fn=cmd_inscc_curve)
 
     p = sub.add_parser("inscc-derivatives", help="IN+SCC mass slopes at both ends")
     common(p)
     p.add_argument("--force-dn-merge", action="store_true")
     p.add_argument("--fold-other", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-14,
-                   help="L1 residual tolerance of the inner solves (default 1e-14)")
+    p.add_argument("--tol", type=float, default=SOLVE_TOL, help=solve_tol_help)
     p.set_defaults(fn=cmd_inscc_derivatives)
 
     p = sub.add_parser("escc-bounds", help="mass of the transient block with envelope bounds")
     common(p, grid_default="0.05:0.95:0.05")
     p.add_argument("--exclude-pureout-transients", action="store_true",
                    help="restrict the block to the extended component proper")
-    p.add_argument("--tol", type=float, default=1e-14,
-                   help="L1 residual tolerance of the inner solves (default 1e-14)")
+    p.add_argument("--tol", type=float, default=SOLVE_TOL, help=solve_tol_help)
     p.set_defaults(fn=cmd_escc_bounds)
 
     p = sub.add_parser("cstar", help="damping value balancing mass share and retention")
@@ -430,6 +428,8 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning   # restored when the block exits
         try:
+            if "tol" in vars(args):   # a bad tolerance fails before the graph is read
+                check_tolerance(args.tol)
             args.fn(args)
         except ConvergenceError as exc:
             sys.stderr.write(f"rankmass: non-convergence: {exc}\n")

@@ -33,12 +33,9 @@ import numpy as np
 from .bowtie import BlockDecomposition, BowtieLabeling, by_smallest_member, closure
 from .errors import ConvergenceError, StructureError
 from .graph import GraphHandle
-from .operators import (ShiftedSolve, SubstochasticBlock, block_view, check_tolerance,
-                        perron_irreducible, shifted_solve, solve_left)
+from .operators import (EIG_TOL, SOLVE_TOL, ShiftedSolve, SubstochasticBlock, block_view,
+                        check_tolerance, perron_irreducible, shifted_solve, solve_left)
 from .pagerank import mass_breakdown
-
-EIG_TOL = 1e-13
-SOLVE_TOL = 1e-14
 
 
 def transient_view(g: GraphHandle, blocks: BlockDecomposition,
@@ -69,13 +66,13 @@ class SpectralSummary:
     nodes: np.ndarray
 
 
-def _perron_left(view: SubstochasticBlock, ids: np.ndarray, tol: float) -> tuple[float, np.ndarray]:
+def _perron_left(view: SubstochasticBlock, ids: np.ndarray) -> tuple[float, np.ndarray]:
     """Dominant eigenvalue and probability-normed left eigenvector of T, exact
     also when T is reducible; ``ids`` numbers T's classes 0..k-1.  Singletons
     read the eigenvalue off the diagonal, larger classes run
     :func:`perron_irreducible`; the largest wins, the smallest member on ties.
     Below the winner it is one solve ``x_down (lam I - T_down) = x_win T_win,down``;
-    a tie or an overflow there raises :class:`ConvergenceError`.
+    a tie or an overflow there raises :class:`ConvergenceError`.  Both run to ``EIG_TOL``.
     """
     dangling = view.dangling_local
     sizes = np.bincount(ids)
@@ -85,7 +82,7 @@ def _perron_left(view: SubstochasticBlock, ids: np.ndarray, tol: float) -> tuple
     lams = np.bincount(ids, weights=diag)   # a singleton's eigenvalue is its diagonal entry
     vecs = {}
     for k in np.flatnonzero(sizes > 1).tolist():
-        lams[k], vecs[k] = perron_irreducible(view.cut(members[k], members[k]), tol=tol)
+        lams[k], vecs[k] = perron_irreducible(view.cut(members[k], members[k]))
     winner = int(np.argmax(lams))
     lam, win = float(lams[winner]), members[winner]
 
@@ -103,7 +100,7 @@ def _perron_left(view: SubstochasticBlock, ids: np.ndarray, tol: float) -> tuple
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 x[down] = solve_left(lambda y: sub.mul_left(y) / lam,
-                                     view.mul_left(x)[down] / lam, tol=tol)
+                                     view.mul_left(x)[down] / lam, tol=EIG_TOL)
             except ConvergenceError as exc:   # the walk fallback met a non-finite term
                 if np.isfinite(exc.residual):
                     raise
@@ -116,14 +113,14 @@ def _perron_left(view: SubstochasticBlock, ids: np.ndarray, tol: float) -> tuple
 
 
 def spectral_summary(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecomposition,
-                     escc_only: bool = False, tol: float = EIG_TOL) -> SpectralSummary:
+                     escc_only: bool = False) -> SpectralSummary:
     """Compute p1, lambda1, and the quasi-stationary vector of T."""
-    return _summary_of(g, blocks, transient_view(g, blocks, escc_only), tol)
+    return _summary_of(g, blocks, transient_view(g, blocks, escc_only))
 
 
-def _summary_of(g: GraphHandle, blocks: BlockDecomposition, view: SubstochasticBlock,
-                tol: float = EIG_TOL) -> SpectralSummary:
-    lam, quasi = _perron_left(view, by_smallest_member(blocks.component_of[view.rows]), tol)
+def _summary_of(g: GraphHandle, blocks: BlockDecomposition,
+                view: SubstochasticBlock) -> SpectralSummary:
+    lam, quasi = _perron_left(view, by_smallest_member(blocks.component_of[view.rows]))
     p1 = float(view.row_sums().mean())
     delta = np.count_nonzero(blocks.pure_out_mask) / g.n
     quasi.setflags(write=False)
@@ -138,11 +135,10 @@ def _uniform_basis(view: SubstochasticBlock, grid, tol: float) -> ShiftedSolve:
     return shifted_solve(view.mul_left, np.full(size, 1.0 / size), np.ones(size), grid, tol)
 
 
-def _uniform_visits(view: SubstochasticBlock, c: float, tol: float) -> float:
+def _uniform_visits(view: SubstochasticBlock, c: float) -> float:
     """``u [I - cT]^{-1} 1`` by one solve."""
     size = view.rows.size
-    return float(solve_left(lambda y: c * view.mul_left(y), np.full(size, 1.0 / size),
-                            tol=tol).sum())
+    return float(solve_left(lambda y: c * view.mul_left(y), np.full(size, 1.0 / size)).sum())
 
 
 def _damping(c: float) -> float:
@@ -152,19 +148,18 @@ def _damping(c: float) -> float:
 
 
 def escc_mass(g: GraphHandle, blocks: BlockDecomposition, c: float,
-              escc_only: bool = False, tol: float = SOLVE_TOL) -> float:
+              escc_only: bool = False) -> float:
     """Mass held by the transient block at damping ``c``, by one solve; 0 at c = 1."""
     if _damping(c) == 1.0:
         return 0.0
     view = transient_view(g, blocks, escc_only)
-    return (1.0 - c) * (view.rows.size / g.n) * _uniform_visits(view, c, tol)
+    return (1.0 - c) * (view.rows.size / g.n) * _uniform_visits(view, c)
 
 
-def expected_visits(g: GraphHandle, blocks: BlockDecomposition,
-                    escc_only: bool = False, tol: float = SOLVE_TOL) -> float:
+def expected_visits(g: GraphHandle, blocks: BlockDecomposition, escc_only: bool = False) -> float:
     """u [I - T]^{-1} 1: mean number of in-block steps from a uniform start,
     by one solve (:func:`operators.solve_left`)."""
-    return _uniform_visits(transient_view(g, blocks, escc_only), 1.0, tol)
+    return _uniform_visits(transient_view(g, blocks, escc_only), 1.0)
 
 
 @dataclass(frozen=True)

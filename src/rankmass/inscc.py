@@ -29,12 +29,12 @@ import numpy as np
 from .bowtie import BowtieLabeling, Label
 from .errors import AssumptionViolationError, StructureError, _id_list
 from .graph import GraphHandle
-from .operators import (SubstochasticBlock, block_view, perron_irreducible, shifted_solve,
-                        solve_left)
+from .operators import (SOLVE_TOL, SubstochasticBlock, block_view, perron_irreducible,
+                        shifted_solve, solve_left)
 
-SOLVE_TOL = 1e-14
 FD_STEP_AT_ZERO = 1e-5     # central difference step at c = 0
-FD_STEP_AT_ONE = 1e-4      # one-sided step evaluated at c = 0.999
+FD_NEAR_ONE = 0.999        # where the one-sided difference below c = 1 is taken
+FD_STEP_AT_ONE = 1e-4      # its step
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,16 +125,24 @@ def _damping(c: float) -> float:
     return c
 
 
-def inscc_vector(view: ThreeBlockView, c: float, tol: float = SOLVE_TOL) -> np.ndarray:
+def _grid(grid) -> np.ndarray:
+    """The damping values of ``grid`` as an array; each in [0, 1), strictly increasing."""
+    values = np.array([_damping(float(c)) for c in grid])
+    if np.any(np.diff(values) <= 0.0):
+        raise ValueError("damping grid must be strictly increasing")
+    return values
+
+
+def inscc_vector(view: ThreeBlockView, c: float) -> np.ndarray:
     """Evaluate the closed form at damping ``c``; indexed like inscc_nodes.
 
-    ``tol`` bounds the L1 residual of the one solve ``y [I - cP] = u``."""
-    return _inscc_at(view, _damping(c), tol)
+    ``SOLVE_TOL`` bounds the L1 residual of the one solve ``y [I - cP] = u``."""
+    return _inscc_at(view, _damping(c))
 
 
-def _inscc_at(view: ThreeBlockView, c: float, tol: float = SOLVE_TOL) -> np.ndarray:
+def _inscc_at(view: ThreeBlockView, c: float) -> np.ndarray:
     # interior evaluation; also accepts small negative c for difference stencils
-    return _restart_coeff(view, c) * _with_rank_one(view, c, _rank_one_coeff(view, c), tol)
+    return _restart_coeff(view, c) * _with_rank_one(view, c, _rank_one_coeff(view, c), SOLVE_TOL)
 
 
 def _with_rank_one(view: ThreeBlockView, c: float, w: float, tol: float) -> np.ndarray:
@@ -146,8 +154,8 @@ def _with_rank_one(view: ThreeBlockView, c: float, w: float, tol: float) -> np.n
     return y / (1.0 - q)
 
 
-def reconstruct_out_and_dn(view: ThreeBlockView, c: float, pi_inscc: np.ndarray,
-                           tol: float = SOLVE_TOL) -> tuple[np.ndarray, np.ndarray]:
+def reconstruct_out_and_dn(view: ThreeBlockView, c: float,
+                           pi_inscc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Back-substitute the OUT and DN segments from the IN+SCC segment."""
     n = view.n
     n_dn = view.dn_nodes.size
@@ -162,14 +170,14 @@ def reconstruct_out_and_dn(view: ThreeBlockView, c: float, pi_inscc: np.ndarray,
     pi_out = np.zeros(view.out_nodes.size)
     if view.out_nodes.size:
         b = c * view.r.mul_left(pi_inscc) + ((1.0 - c) / n + (c / n) * dn_total)
-        pi_out = solve_left(lambda y: c * view.q.mul_left(y), b, tol=tol)
+        pi_out = solve_left(lambda y: c * view.q.mul_left(y), b)
     return pi_out, pi_dn
 
 
-def full_rank_vector(view: ThreeBlockView, c: float, tol: float = SOLVE_TOL) -> np.ndarray:
+def full_rank_vector(view: ThreeBlockView, c: float) -> np.ndarray:
     """Closed-form rank vector over all nodes, assembled from the three segments."""
-    pi_inscc = inscc_vector(view, c, tol=tol)
-    pi_out, pi_dn = reconstruct_out_and_dn(view, c, pi_inscc, tol=tol)
+    pi_inscc = inscc_vector(view, c)
+    pi_out, pi_dn = reconstruct_out_and_dn(view, c, pi_inscc)
     full = np.zeros(view.n)
     full[view.inscc_nodes] = pi_inscc
     full[view.out_nodes] = pi_out
@@ -226,7 +234,7 @@ def derivative_at_one(view: ThreeBlockView, tol: float = SOLVE_TOL) -> Derivativ
                            approx_total=-coeff / leakage, leakage=leakage)
 
 
-def _internal_stationary(view: ThreeBlockView, tol: float = SOLVE_TOL) -> np.ndarray:
+def _internal_stationary(view: ThreeBlockView, tol: float) -> np.ndarray:
     p = view.p.matrix
     sums = np.asarray(p.sum(axis=1)).ravel()
     if np.any(sums <= 0.0):
@@ -257,19 +265,18 @@ def _visits_and_leak(view: ThreeBlockView, grid: np.ndarray, tol: float) -> np.n
     return shifted_solve(view.p.mul_left, view.uniform(), probes, grid, tol).values
 
 
-def sherman_morrison_split(view: ThreeBlockView, c: float,
-                           tol: float = SOLVE_TOL) -> InsccCurvePoint:
+def sherman_morrison_split(view: ThreeBlockView, c: float) -> InsccCurvePoint:
     """Split the closed form into its dangling-free main term and the
     rank-one correction; the two recompose the full mass exactly."""
-    return inscc_curve(view, [c], tol=tol)[0]
+    return inscc_curve(view, [c])[0]
 
 
-def curvature_form(view: ThreeBlockView, c: float, tol: float = SOLVE_TOL) -> float:
+def curvature_form(view: ThreeBlockView, c: float) -> float:
     """The quadratic form a(c) driving the single-peak argument; nonnegative
     because the internal block only loses mass."""
     u = view.uniform()
-    y = solve_left(lambda v: c * view.p.mul_left(v), u, tol=tol)
-    z = solve_left(lambda v: c * view.p.mul_right(v), np.ones(view.size), tol=tol)
+    y = solve_left(lambda v: c * view.p.mul_left(v), u)
+    z = solve_left(lambda v: c * view.p.mul_right(v), np.ones(view.size))
     return view.alpha / (1.0 - c * view.beta) * float(y @ (z - view.p.mul_right(z)))
 
 
@@ -281,16 +288,14 @@ class UnimodalityReport:
     violations: tuple[str, ...]
 
 
-def unimodality_scan(view: ThreeBlockView, grid=None,
-                     tol: float = SOLVE_TOL) -> UnimodalityReport:
+def unimodality_scan(view: ThreeBlockView, grid=None) -> UnimodalityReport:
     """Scan the main-term mass over a dense grid and report any departure
     from the rise-once-then-decay shape (at most one sign change of the
     first difference, concave tail, positive a(c))."""
-    grid = (np.arange(0.0, 0.991, 0.01) if grid is None
-            else np.array([_damping(float(c)) for c in grid]))
+    grid = np.arange(0.0, 0.991, 0.01) if grid is None else _grid(grid)
     if grid.size < 3:
         raise ValueError("grid too coarse for a shape scan")
-    masses = _restart_coeff(view, grid) * _visits_and_leak(view, grid, tol)[:, 0]
+    masses = _restart_coeff(view, grid) * _visits_and_leak(view, grid, SOLVE_TOL)[:, 0]
 
     violations: list[str] = []
     diffs = np.diff(masses)
@@ -308,7 +313,7 @@ def unimodality_scan(view: ThreeBlockView, grid=None,
         if second[idx] >= 1e-12:
             violations.append(f"second difference nonnegative at c={grid[idx + 1]:.4g}")
     for c in (grid[0], grid[grid.size // 2], grid[-1]):
-        if curvature_form(view, float(c), tol=tol) <= 0.0:
+        if curvature_form(view, float(c)) <= 0.0:
             violations.append(f"curvature form nonpositive at c={c:.4g}")
 
     return UnimodalityReport(grid=grid, main_masses=masses,
@@ -331,7 +336,7 @@ def _three_point(grid, values) -> tuple[list, list]:
 
 def inscc_curve(view: ThreeBlockView, grid, tol: float = SOLVE_TOL) -> list[InsccCurvePoint]:
     """Mass split per grid point, with grid-based difference estimates filled in."""
-    grid = np.array([_damping(float(c)) for c in grid])
+    grid = _grid(grid)
     if not grid.size:
         return []
     visits, leak = _visits_and_leak(view, grid, tol).T
@@ -346,17 +351,15 @@ def inscc_curve(view: ThreeBlockView, grid, tol: float = SOLVE_TOL) -> list[Insc
             for point, a, b in zip(zip(grid, mass, main, correction), d1, d2)]
 
 
-def mass_derivative_fd_at_zero(view: ThreeBlockView, h: float = FD_STEP_AT_ZERO,
-                               tol: float = SOLVE_TOL) -> float:
+def mass_derivative_fd_at_zero(view: ThreeBlockView) -> float:
     """Central-difference check value for the slope of the total mass at 0."""
-    hi = float(_inscc_at(view, +h, tol=tol).sum())
-    lo = float(_inscc_at(view, -h, tol=tol).sum())
-    return (hi - lo) / (2.0 * h)
+    hi = float(_inscc_at(view, +FD_STEP_AT_ZERO).sum())
+    lo = float(_inscc_at(view, -FD_STEP_AT_ZERO).sum())
+    return (hi - lo) / (2.0 * FD_STEP_AT_ZERO)
 
 
-def mass_derivative_fd_near_one(view: ThreeBlockView, at: float = 0.999,
-                                h: float = FD_STEP_AT_ONE, tol: float = SOLVE_TOL) -> float:
+def mass_derivative_fd_near_one(view: ThreeBlockView) -> float:
     """One-sided difference of the total mass just below c = 1."""
-    hi = float(_inscc_at(view, at, tol=tol).sum())
-    lo = float(_inscc_at(view, at - h, tol=tol).sum())
-    return (hi - lo) / h
+    hi = float(_inscc_at(view, FD_NEAR_ONE).sum())
+    lo = float(_inscc_at(view, FD_NEAR_ONE - FD_STEP_AT_ONE).sum())
+    return (hi - lo) / FD_STEP_AT_ONE

@@ -19,13 +19,14 @@ import numpy as np
 from .bowtie import BlockDecomposition, strongly_connected_components
 from .errors import StructureError, _id_list
 from .graph import GraphHandle, build_graph
-from .operators import block_view, chain_view, dense_stationary, perron_irreducible, solve_left
+from .operators import (SOLVE_TOL, block_view, chain_view, dense_stationary, perron_irreducible,
+                        solve_left)
 
 LAURENT_MAX_SIZE = 20
 AGGREGATED_MAX_SIZE = 30
 
 
-def block_stationary(g: GraphHandle, block, tol: float = 1e-14) -> np.ndarray:
+def block_stationary(g: GraphHandle, block) -> np.ndarray:
     """Stationary distribution of one closed recurrent block.
 
     Index order follows the sorted ids of the array-like ``block``.  Raises
@@ -40,11 +41,11 @@ def block_stationary(g: GraphHandle, block, tol: float = 1e-14) -> np.ndarray:
         raise StructureError(f"block is not closed: nodes {_id_list(view.rows[leaks])} leak mass")
     if not view.irreducible():
         raise StructureError("block is not strongly connected")
-    return perron_irreducible(view, tol=tol)[1]
+    return perron_irreducible(view, tol=SOLVE_TOL)[1]
 
 
 def absorption_weights(g: GraphHandle, blocks: BlockDecomposition,
-                       tol: float = 1e-14) -> np.ndarray:
+                       tol: float = SOLVE_TOL) -> np.ndarray:
     """Per-block drain terms (1/n) 1^T [I - T]^{-1} R_i 1: the visits x solving
     x (I - T) = 1/n, carried into the blocks by one product ``x W``."""
     transient = np.flatnonzero(blocks.block_index < 0)
@@ -68,7 +69,7 @@ class LimitReport:
 
 
 def limit_vector(g: GraphHandle, blocks: BlockDecomposition,
-                 tol: float = 1e-14) -> LimitReport:
+                 tol: float = SOLVE_TOL) -> LimitReport:
     """Assemble the limiting rank vector from block masses and stationaries,
     cutting every block from one view of all block nodes."""
     if blocks.num_blocks == 0:

@@ -29,6 +29,9 @@ from .graph import GraphHandle, _reverse_csr
 
 MAX_ITER = 500_000
 BICGSTAB_MAX_ITER = 500
+STALL_STEPS = 100  # perron_irreducible's steps without a new least residual before it gives up
+SOLVE_TOL = 1e-14  # default L1 residual of the linear solves
+EIG_TOL = 1e-13    # default L1 residual of the Perron pairs
 RESTART = 20       # basis vectors per cycle of shifted_solve
 MAX_CYCLES = 25    # its cycles before a value above its bound takes solve_left
 
@@ -120,7 +123,7 @@ def chain_view(g: GraphHandle) -> SubstochasticBlock:
 
 
 def walk(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
-         tol: float = 1e-14) -> Iterator[np.ndarray]:
+         tol: float = SOLVE_TOL) -> Iterator[np.ndarray]:
     """Yield ``x_k = x0 A^k``, with ``apply(x) = x A``, for k = 0..K.
 
     K is the first k >= 1 with ``||x_k||_1 <= tol``.  Raises ValueError
@@ -143,7 +146,7 @@ def walk(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
 
 
 def solve_left(apply_a: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
-               tol: float = 1e-14) -> np.ndarray:
+               tol: float = SOLVE_TOL) -> np.ndarray:
     """Solve ``y (I - A) = b`` by BiCGSTAB (van der Vorst, 1992); with
     ``apply_a(x) = A x`` the same iteration solves ``(I - A) x = b``.
 
@@ -226,7 +229,7 @@ def _project(h: np.ndarray, cs: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray
 
 
 def shifted_solve(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, probes,
-                  grid, tol=1e-14) -> ShiftedSolve:
+                  grid, tol=SOLVE_TOL) -> ShiftedSolve:
     """Probes ``y_c @ probes`` and L1 residuals ``||x0 - y_c (I - cA)||_1`` of
     ``y_c = x0 [I - cA]^{-1}``, ``apply(x) = x A``, for each c in ``grid``
     from one restarted left-Arnoldi basis ``v_j A = sum_i H[i, j] v_i``
@@ -319,7 +322,7 @@ def dense_stationary(p: np.ndarray) -> np.ndarray:
     return mu
 
 
-def perron_irreducible(block: SubstochasticBlock, tol: float = 1e-13) -> tuple[float, np.ndarray]:
+def perron_irreducible(block: SubstochasticBlock, tol: float = EIG_TOL) -> tuple[float, np.ndarray]:
     """Dominant eigenvalue and probability-normed left eigenvector of an
     irreducible nonnegative block; for a stochastic block, its stationary
     vector.
@@ -332,12 +335,14 @@ def perron_irreducible(block: SubstochasticBlock, tol: float = 1e-13) -> tuple[f
     the class primitive, at half the rate.  A single node stops after one
     step with its self-transition weight.  Raises ValueError
     unless ``0 < tol < inf`` and :class:`ConvergenceError` at the first
-    non-finite residual or after ``MAX_ITER`` steps.
+    non-finite residual, once ``STALL_STEPS`` steps in a row set no new least
+    residual (a ``tol`` below the rounding floor), or after ``MAX_ITER``
+    steps, with the steps taken.
     """
     check_tolerance(tol)
     size = block.shape[0]
     y = np.full(size, 1.0 / size)
-    blend, prev = False, np.inf
+    blend, prev, least, least_at = False, np.inf, np.inf, 0
     for it in range(1, MAX_ITER + 1):
         z = block.mul_left(y)
         lam = float(z.sum())
@@ -354,4 +359,8 @@ def perron_irreducible(block: SubstochasticBlock, tol: float = 1e-13) -> tuple[f
         y /= s
         if residual <= tol:
             return lam, y
-    raise ConvergenceError("eigenvector iteration stagnated", residual, MAX_ITER)
+        if residual < least:
+            least, least_at = residual, it
+        elif it - least_at == STALL_STEPS:
+            break
+    raise ConvergenceError("eigenvector iteration stagnated", residual, it)

@@ -99,14 +99,13 @@ def pagerank(g: GraphHandle, cfg: PageRankConfig) -> RankVector:
     return RankVector(values=x, damping=c, iterations_used=products, residual=residual)
 
 
-def pagerank_via_resolvent(g: GraphHandle, damping: float,
-                           tolerance: float = 1e-12) -> RankVector:
+def pagerank_via_resolvent(g: GraphHandle, damping: float) -> RankVector:
     """Same vector through the restart-weighted sum of walk distributions.
 
-    Sums the walk ((1-c)/n) 1^T (c W)^k, stopping once a term falls below the
-    tolerance.  Cross-validates :func:`pagerank`.
+    Sums the walk ((1-c)/n) 1^T (c W)^k until its tail is within the default
+    :class:`PageRankConfig` tolerance.  Cross-validates :func:`pagerank`.
     """
-    cfg = PageRankConfig(damping=damping, tolerance=tolerance)
+    cfg = PageRankConfig(damping=damping)
     c = cfg.damping
     n = g.n
     if n == 0:

@@ -142,17 +142,23 @@ def test_grid_is_strictly_increasing_from_start_to_at_most_stop(a, b, step):
     assert all(x < y for x, y in zip(grid, grid[1:]))
 
 
-def test_usage_errors_exit_one_with_their_message(graph_files, capsys):
-    bowtie = graph_files["bowtie"]
-    link = ["link-experiment", "--graph", bowtie, "--source", "8", "--target", "1"]
+def test_usage_errors_exit_one_with_their_message(capsys):
+    # a bad grid or damping list fails before the graph is read
+    missing = "/nonexistent.edges"
+    link = ["link-experiment", "--graph", missing, "--source", "8", "--target", "1"]
     for argv, message in (
-            (["pagerank", "--graph", bowtie, "--damping", "abc"],
+            (["pagerank", "--graph", missing, "--damping", "abc"],
              "argument --damping: not a number: 'abc'"),
-            (["pagerank", "--graph", bowtie, "--damping", "1.5"],
+            (["pagerank", "--graph", missing, "--damping", "1.5"],
              "argument --damping: damping must lie in [0, 1); got 1.5"),
-            (["sweep", "--graph", bowtie, "--grid", "0:0.9"],
+            (["sweep", "--graph", missing, "--grid", "0:0.9"],
              "rankmass: error: grid must be START:STOP:STEP, got '0:0.9'"),
-            (link + ["--damping-list", ","], "rankmass: error: damping-list is empty")):
+            (["inscc-curve", "--graph", missing, "--grid", "0:1.2:0.1"],
+             "rankmass: error: grid must satisfy 0 <= START <= STOP < 1, got '0:1.2:0.1'"),
+            (["escc-bounds", "--graph", missing, "--grid", "0:0.5:0"],
+             "rankmass: error: grid STEP must be positive and finite, got '0:0.5:0'"),
+            (link + ["--damping-list", ","], "rankmass: error: damping-list is empty"),
+            (link + ["--damping-list", "0.5,abc"], "rankmass: error: not a number: 'abc'")):
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -354,14 +360,17 @@ def test_nonconvergence_exit_code(graph_files, capsys):
     assert "unrecognized arguments: --max-iter 2" in capsys.readouterr().err
 
 
-def test_bad_tolerance_fails_fast(graph_files, capsys):
-    for command, graph in (("limit", "bowtie"), ("inscc-derivatives", "threeblock"),
-                           ("pagerank", "bowtie"), ("cstar", "threeblock")):
-        for tol in ("nan", "-1"):
-            code, out, err = run_cli([command, "--graph", graph_files[graph], "--tol", tol],
-                                     capsys)
+def test_bad_tolerance_fails_fast(capsys):
+    # every command with --tol rejects a bad one before it reads the graph
+    for command in ("pagerank", "sweep", "limit", "inscc-curve", "inscc-derivatives",
+                    "escc-bounds", "cstar", "link-experiment"):
+        extra = ["--source", "0", "--target", "1"] if command == "link-experiment" else []
+        for tol in ("nan", "-1", "0", "inf"):
+            code, out, err = run_cli([command, "--graph", "/nonexistent.edges", *extra,
+                                      "--tol", tol], capsys)
             assert code == 1
-            assert f"tolerance must be positive and finite; got {float(tol)}" in err
+            message = f"tolerance must be positive and finite; got {float(tol)}"
+            assert err == f"rankmass: error: {message}\n"
             assert out == ""
 
 

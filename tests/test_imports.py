@@ -92,3 +92,25 @@ def test_no_module_reads_the_environment():
                     alias.name in ("environ", "getenv") for alias in node.names):
                 reads.append(f"{path.name}:{node.lineno}")
     assert reads == []
+
+
+def test_tolerance_defaults_have_one_home():
+    """Every default of a parameter named ``tol`` is ``SOLVE_TOL`` or
+    ``EIG_TOL``, and only ``operators.py`` assigns those two names."""
+    names = ("SOLVE_TOL", "EIG_TOL")
+    stray = []
+    for path in sorted(Path(rankmass.__file__).resolve().parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                pairs = list(zip(positional[len(positional) - len(a.defaults):], a.defaults))
+                pairs += [(arg, d) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+                stray += [f"{path.name}:{node.lineno} tol={ast.unparse(default)}"
+                          for arg, default in pairs if arg.arg == "tol"
+                          and not (isinstance(default, ast.Name) and default.id in names)]
+            if isinstance(node, ast.Name) and node.id in names and path.name != "operators.py" \
+                    and isinstance(node.ctx, ast.Store):
+                stray.append(f"{path.name}:{node.lineno} assigns {node.id}")
+    assert stray == []
+    assert (rankmass.operators.SOLVE_TOL, rankmass.operators.EIG_TOL) == (1e-14, 1e-13)

@@ -322,6 +322,13 @@ def test_inscc_curve_difference_estimates_uneven_grid(threeblock_view):
     assert lopsided.d2_estimate == pytest.approx(fine.d2_estimate, abs=0.5)
 
 
+def test_grids_must_increase_strictly(threeblock_view):
+    for grid in ([0.5, 0.5, 0.6], [0.9, 0.5, 0.1, 0.3], [0.5, 0.5, 0.5]):
+        for analysis in (rm.inscc_curve, rm.unimodality_scan):
+            with pytest.raises(ValueError, match="^damping grid must be strictly increasing$"):
+                analysis(threeblock_view, grid)
+
+
 def test_view_rejects_stray_components(threeblock):
     edges = list(threeblock.edges()) + [(9, 10), (10, 9)]
     g = rm.build_graph(11, edges)

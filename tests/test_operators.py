@@ -82,6 +82,32 @@ def test_perron_stops_at_non_finite_weight():
         assert err.value.iterations == 1
 
 
+def test_perron_below_the_rounding_floor_stops_after_the_stall_steps(monkeypatch):
+    # no tolerance below the floor of ``||y B - lam y||_1`` can be met; the
+    # iteration gives up STALL_STEPS steps after its least residual, not at
+    # the step cap
+    monkeypatch.setattr(operators, "MAX_ITER", 5_000)
+    rng = np.random.default_rng(4)
+    adj = (rng.random((300, 300)) < 0.02).astype(float)
+    adj[np.arange(300), (np.arange(300) + 1) % 300] = 1.0
+    block = _square_block(adj / adj.sum(axis=1, keepdims=True))
+    residuals = []
+    mul_left = SubstochasticBlock.mul_left
+
+    def recorded(self, y):
+        z = mul_left(self, y)
+        residuals.append(float(np.abs(z - z.sum() * y).sum()))
+        return z
+
+    monkeypatch.setattr(SubstochasticBlock, "mul_left", recorded)
+    with pytest.raises(rm.ConvergenceError, match="^eigenvector iteration stagnated") as err:
+        perron_irreducible(block, tol=1e-20)
+    products = len(residuals)
+    assert err.value.iterations == products < 1_000
+    assert int(np.argmin(residuals)) + 1 == products - operators.STALL_STEPS
+    assert perron_irreducible(block, tol=1e-15)[0] == pytest.approx(1.0, abs=1e-14)
+
+
 def test_solve_matches_dense_on_transient_blocks(random_graphs):
     tol = 1e-14
     for g in random_graphs:
