@@ -29,7 +29,7 @@ from .graph import load_path
 from .inscc import (derivative_at_one, derivative_at_zero, inscc_curve,
                     three_block_view)
 from .limits import limit_vector
-from .operators import SOLVE_TOL, check_tolerance
+from .operators import check_tolerance
 from .pagerank import PageRankConfig, damping_sweep, pagerank
 
 USAGE_ERROR = 1
@@ -201,8 +201,8 @@ def cmd_sweep(args):
 
 def cmd_limit(args):
     g, labels, blocks = _structures(args.graph)
-    result = limit_vector(g, blocks, tol=args.tol)
-    report = CsvReport(args.graph, {"command": "limit", "tol": args.tol})
+    result = limit_vector(g, blocks)
+    report = CsvReport(args.graph, {"command": "limit"})
     report.table(["block_id", "size", "fair_share", "absorption_weight", "limit_mass"],
                  range(len(blocks.block_sizes)), blocks.block_sizes,
                  result.fair_shares, result.drain_weights, result.block_masses)
@@ -222,9 +222,9 @@ def _three_block(args):
 def cmd_inscc_curve(args):
     grid = _parse_grid(args.grid)
     view = _three_block(args)
-    points = inscc_curve(view, grid, tol=args.tol)
+    points = inscc_curve(view, grid)
     report = CsvReport(args.graph, {
-        "command": "inscc-curve", "grid": args.grid, "tol": args.tol,
+        "command": "inscc-curve", "grid": args.grid,
         "force_dn_merge": args.force_dn_merge, "alpha": view.alpha, "beta": view.beta})
     report.table(["c", "mass", "main_term", "correction", "d1_estimate", "d2_estimate"],
                  *zip(*[(p.c, p.mass, p.main_term, p.correction,
@@ -236,10 +236,9 @@ def cmd_inscc_curve(args):
 def cmd_inscc_derivatives(args):
     view = _three_block(args)
     at_zero = derivative_at_zero(view)
-    at_one = derivative_at_one(view, tol=args.tol)
+    at_one = derivative_at_one(view)
     report = CsvReport(args.graph, {
-        "command": "inscc-derivatives", "tol": args.tol,
-        "force_dn_merge": args.force_dn_merge})
+        "command": "inscc-derivatives", "force_dn_merge": args.force_dn_merge})
     report.table(["quantity", "value"],
                  ["alpha", "beta", "retention_p1", "mass_slope_at_zero",
                   "mass_slope_at_one_exact", "mass_slope_at_one_approx", "leakage"],
@@ -251,10 +250,9 @@ def cmd_inscc_derivatives(args):
 def cmd_escc_bounds(args):
     grid = _parse_grid(args.grid)
     g, labels, blocks = _structures(args.graph)
-    bounds = prop3_bounds(g, labels, blocks, grid, tol=args.tol,
-                          escc_only=args.exclude_pureout_transients)
+    bounds = prop3_bounds(g, labels, blocks, grid, escc_only=args.exclude_pureout_transients)
     report = CsvReport(args.graph, {
-        "command": "escc-bounds", "grid": args.grid, "tol": args.tol,
+        "command": "escc-bounds", "grid": args.grid,
         "exclude_pureout_transients": args.exclude_pureout_transients,
         "p1": bounds.p1, "lambda1": bounds.lambda1, "gamma": bounds.gamma})
     report.table(["c", "mass", "lower_bound", "upper_bound", "cond_i", "cond_ii"],
@@ -343,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "of sparse directed graphs")
     parser.add_argument("--version", action="version", version=f"rankmass {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    solve_tol_help = f"L1 residual tolerance of the inner solves (default {SOLVE_TOL})"
 
     def common(p, grid_default=None):
         p.add_argument("--graph", required=True, help="edge-list file")
@@ -359,18 +356,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pagerank", help="score vector at one damping value")
     common(p)
     p.add_argument("--damping", type=_damping_arg, default=0.85)
-    p.add_argument("--tol", type=float, default=1e-12, help="L1 tolerance (default 1e-12)")
+    p.add_argument("--tol", type=float, default=1e-12,
+                   help="bound on the L1 error of the scores (default 1e-12)")
     p.set_defaults(fn=cmd_pagerank)
 
     p = sub.add_parser("sweep", help="component masses across a damping grid")
     common(p, grid_default="0:0.95:0.05")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=1e-12,
+                   help="bound on the L1 error of the masses (default 1e-12)")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("limit", help="damping -> 1 limiting masses per dead-end block")
     common(p)
     p.add_argument("--vector-out", default=None, help="also write the full limit vector")
-    p.add_argument("--tol", type=float, default=SOLVE_TOL, help=solve_tol_help)
     p.set_defaults(fn=cmd_limit)
 
     p = sub.add_parser("inscc-curve", help="IN+SCC mass split along a damping grid")
@@ -379,27 +377,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="proceed despite OUT links into dangling nodes")
     p.add_argument("--fold-other", action="store_true",
                    help="treat nodes outside the bow-tie as OUT")
-    p.add_argument("--tol", type=float, default=SOLVE_TOL, help=solve_tol_help)
     p.set_defaults(fn=cmd_inscc_curve)
 
     p = sub.add_parser("inscc-derivatives", help="IN+SCC mass slopes at both ends")
     common(p)
     p.add_argument("--force-dn-merge", action="store_true")
     p.add_argument("--fold-other", action="store_true")
-    p.add_argument("--tol", type=float, default=SOLVE_TOL, help=solve_tol_help)
     p.set_defaults(fn=cmd_inscc_derivatives)
 
     p = sub.add_parser("escc-bounds", help="mass of the transient block with envelope bounds")
     common(p, grid_default="0.05:0.95:0.05")
     p.add_argument("--exclude-pureout-transients", action="store_true",
                    help="restrict the block to the extended component proper")
-    p.add_argument("--tol", type=float, default=SOLVE_TOL, help=solve_tol_help)
     p.set_defaults(fn=cmd_escc_bounds)
 
     p = sub.add_parser("cstar", help="damping value balancing mass share and retention")
     common(p)
     p.add_argument("--mode", choices=sorted(V_MODES), default="uniform")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=1e-6,
+                   help="bound max(1e-4 x tol, 1e-12) on the c* bisection bracket (default 1e-6)")
     p.add_argument("--exclude-pureout-transients", action="store_true")
     p.set_defaults(fn=cmd_cstar)
 
@@ -409,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", type=int, required=True, help="node in a recurrent block")
     p.add_argument("--target", type=int, required=True, help="node in the giant SCC")
     p.add_argument("--damping-list", default="0.5,0.85,0.95")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=1e-12,
+                   help="bound on the L1 error of each PageRank vector (default 1e-12)")
     p.add_argument("--clicks", default=None,
                    help="optional CSV node_id,clicks for a click-rank column")
     p.set_defaults(fn=cmd_link_experiment)

@@ -33,7 +33,7 @@ import numpy as np
 from .bowtie import BlockDecomposition, BowtieLabeling, by_smallest_member, closure
 from .errors import ConvergenceError, StructureError
 from .graph import GraphHandle
-from .operators import (EIG_TOL, SOLVE_TOL, ShiftedSolve, SubstochasticBlock, block_view,
+from .operators import (EIG_TOL, ShiftedSolve, SubstochasticBlock, block_view,
                         check_tolerance, perron_irreducible, shifted_solve, solve_left)
 from .pagerank import mass_breakdown
 
@@ -129,10 +129,10 @@ def _summary_of(g: GraphHandle, blocks: BlockDecomposition,
                            nodes=view.rows)
 
 
-def _uniform_basis(view: SubstochasticBlock, grid, tol: float) -> ShiftedSolve:
+def _uniform_basis(view: SubstochasticBlock, grid) -> ShiftedSolve:
     """``u [I - cT]^{-1} 1`` for each c in ``grid`` from one shifted basis."""
     size = view.rows.size
-    return shifted_solve(view.mul_left, np.full(size, 1.0 / size), np.ones(size), grid, tol)
+    return shifted_solve(view.mul_left, np.full(size, 1.0 / size), np.ones(size), grid)
 
 
 def _uniform_visits(view: SubstochasticBlock, c: float) -> float:
@@ -185,17 +185,17 @@ class Prop3Bounds:
 
 
 def prop3_bounds(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecomposition,
-                 grid, escc_only: bool = False, tol: float = SOLVE_TOL) -> Prop3Bounds:
+                 grid, escc_only: bool = False) -> Prop3Bounds:
     """Evaluate the envelope on a grid and report where each side binds.
 
     The masses and the expected visits, the value at c = 1, come from one
-    shifted basis (the mass at c = 1 is 0).
+    shifted basis to an L1 residual of ``SOLVE_TOL`` (the mass at c = 1 is 0).
     """
     grid = [_damping(float(v)) for v in grid]
     view = transient_view(g, blocks, escc_only)
     summary = _summary_of(g, blocks, view)
     p1, lam, gamma = summary.p1, summary.lambda1, summary.gamma
-    *grid_visits, visits = _uniform_basis(view, grid + [1.0], tol).values[:, 0].tolist()
+    *grid_visits, visits = _uniform_basis(view, grid + [1.0]).values[:, 0].tolist()
     cond_i = p1 < lam
     cond_ii = 1.0 / (1.0 - p1) < visits
 
@@ -289,7 +289,7 @@ def cstar_solve(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecompositi
         target = lambda c: gamma * w
 
     sample_grid = np.arange(0.0, 0.991, 0.05)
-    basis = _uniform_basis(view, np.append(sample_grid, [lo, hi]), SOLVE_TOL)
+    basis = _uniform_basis(view, np.append(sample_grid, [lo, hi]))
     *sample_visits, lo_visits, hi_visits = basis.values[:, 0].tolist()
 
     def mass(c: float, visits: float) -> float:

@@ -142,12 +142,12 @@ def inscc_vector(view: ThreeBlockView, c: float) -> np.ndarray:
 
 def _inscc_at(view: ThreeBlockView, c: float) -> np.ndarray:
     # interior evaluation; also accepts small negative c for difference stencils
-    return _restart_coeff(view, c) * _with_rank_one(view, c, _rank_one_coeff(view, c), SOLVE_TOL)
+    return _restart_coeff(view, c) * _with_rank_one(view, c, _rank_one_coeff(view, c))
 
 
-def _with_rank_one(view: ThreeBlockView, c: float, w: float, tol: float) -> np.ndarray:
+def _with_rank_one(view: ThreeBlockView, c: float, w: float) -> np.ndarray:
     """``u [I - cP - w S1 u]^{-1}`` as ``y / (1 - w y S1)`` with ``y = u [I - cP]^{-1}``."""
-    y = solve_left(lambda v: c * view.p.mul_left(v), view.uniform(), tol=tol)
+    y = solve_left(lambda v: c * view.p.mul_left(v), view.uniform())
     q = w * float(y @ view.s_leak())
     if q >= 1.0:
         raise StructureError("rank-one correction is not contractive")
@@ -212,7 +212,7 @@ class DerivativeAtOne:
     leakage: float      # pi_bar R 1 + (1-beta-alpha)/(1-beta) pi_bar S 1
 
 
-def derivative_at_one(view: ThreeBlockView, tol: float = SOLVE_TOL) -> DerivativeAtOne:
+def derivative_at_one(view: ThreeBlockView) -> DerivativeAtOne:
     """Evaluate the near-singular slope ``-coeff u [I - P - coeff S1 u]^{-1}``
     at c = 1, ``coeff = alpha / (1 - beta)``.
 
@@ -220,21 +220,21 @@ def derivative_at_one(view: ThreeBlockView, tol: float = SOLVE_TOL) -> Derivativ
     renormalized) to be irreducible; its stationary vector weighs the leak
     terms in the approximation.  A core that never leaks (no OUT share and
     no link to OUT) raises :class:`StructureError` before any solve.
-    ``tol`` bounds the L1 residual of the solve ``y [I - P] = u``.
+    ``SOLVE_TOL`` bounds the L1 residual of the solve ``y [I - P] = u`` and of ``pi_bar``.
     """
-    pi_bar = _internal_stationary(view, tol=tol)
+    pi_bar = _internal_stationary(view)
     out_share = view.out_nodes.size / view.n   # exact: 1 - alpha - beta need not round to 0
     leakage = float(pi_bar @ view.r.row_sums()) \
         + out_share / (1.0 - view.beta) * float(pi_bar @ view.s_leak())
     if leakage <= 0.0:
         raise StructureError("IN+SCC never leaks; the slope at c = 1 diverges")
     coeff = view.alpha / (1.0 - view.beta)
-    vector = -coeff * _with_rank_one(view, 1.0, coeff, tol)
+    vector = -coeff * _with_rank_one(view, 1.0, coeff)
     return DerivativeAtOne(vector=vector, total=float(vector.sum()),
                            approx_total=-coeff / leakage, leakage=leakage)
 
 
-def _internal_stationary(view: ThreeBlockView, tol: float) -> np.ndarray:
+def _internal_stationary(view: ThreeBlockView) -> np.ndarray:
     p = view.p.matrix
     sums = np.asarray(p.sum(axis=1)).ravel()
     if np.any(sums <= 0.0):
@@ -244,7 +244,7 @@ def _internal_stationary(view: ThreeBlockView, tol: float) -> np.ndarray:
     if not view.p.irreducible():   # a dangling row has no internal link, so none is left
         raise StructureError("internal IN+SCC walk is reducible")
     internal = p.multiply(1.0 / sums[:, None]).tocsr()
-    return perron_irreducible(replace(view.p, matrix=internal), tol=tol)[1]
+    return perron_irreducible(replace(view.p, matrix=internal), tol=SOLVE_TOL)[1]
 
 
 @dataclass(frozen=True)
@@ -259,10 +259,10 @@ class InsccCurvePoint:
     d2_estimate: float | None = None
 
 
-def _visits_and_leak(view: ThreeBlockView, grid: np.ndarray, tol: float) -> np.ndarray:
+def _visits_and_leak(view: ThreeBlockView, grid: np.ndarray) -> np.ndarray:
     """Rows ``(y_c 1, y_c S1)`` of ``y_c = u [I - cP]^{-1}``, one per grid value."""
     probes = np.column_stack([np.ones(view.size), view.s_leak()])
-    return shifted_solve(view.p.mul_left, view.uniform(), probes, grid, tol).values
+    return shifted_solve(view.p.mul_left, view.uniform(), probes, grid).values
 
 
 def sherman_morrison_split(view: ThreeBlockView, c: float) -> InsccCurvePoint:
@@ -295,7 +295,7 @@ def unimodality_scan(view: ThreeBlockView, grid=None) -> UnimodalityReport:
     grid = np.arange(0.0, 0.991, 0.01) if grid is None else _grid(grid)
     if grid.size < 3:
         raise ValueError("grid too coarse for a shape scan")
-    masses = _restart_coeff(view, grid) * _visits_and_leak(view, grid, SOLVE_TOL)[:, 0]
+    masses = _restart_coeff(view, grid) * _visits_and_leak(view, grid)[:, 0]
 
     violations: list[str] = []
     diffs = np.diff(masses)
@@ -334,12 +334,12 @@ def _three_point(grid, values) -> tuple[list, list]:
     return d1, d2
 
 
-def inscc_curve(view: ThreeBlockView, grid, tol: float = SOLVE_TOL) -> list[InsccCurvePoint]:
-    """Mass split per grid point, with grid-based difference estimates filled in."""
+def inscc_curve(view: ThreeBlockView, grid) -> list[InsccCurvePoint]:
+    """Mass split per grid point to ``SOLVE_TOL``, with grid-based difference estimates."""
     grid = _grid(grid)
     if not grid.size:
         return []
-    visits, leak = _visits_and_leak(view, grid, tol).T
+    visits, leak = _visits_and_leak(view, grid).T
     main = _restart_coeff(view, grid) * visits
     q = _rank_one_coeff(view, grid) * leak
     if np.any(q >= 1.0):

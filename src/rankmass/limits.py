@@ -44,14 +44,13 @@ def block_stationary(g: GraphHandle, block) -> np.ndarray:
     return perron_irreducible(view, tol=SOLVE_TOL)[1]
 
 
-def absorption_weights(g: GraphHandle, blocks: BlockDecomposition,
-                       tol: float = SOLVE_TOL) -> np.ndarray:
+def absorption_weights(g: GraphHandle, blocks: BlockDecomposition) -> np.ndarray:
     """Per-block drain terms (1/n) 1^T [I - T]^{-1} R_i 1: the visits x solving
-    x (I - T) = 1/n, carried into the blocks by one product ``x W``."""
+    x (I - T) = 1/n to an L1 residual of ``SOLVE_TOL``, carried into the blocks by ``x W``."""
     transient = np.flatnonzero(blocks.block_index < 0)
     t_view = block_view(g, transient, transient)
     visits = np.zeros(g.n)
-    visits[transient] = solve_left(t_view.mul_left, np.full(transient.size, 1.0 / g.n), tol=tol)
+    visits[transient] = solve_left(t_view.mul_left, np.full(transient.size, 1.0 / g.n))
     inside = np.flatnonzero(blocks.block_index >= 0)
     inflow = chain_view(g).mul_left(visits)[inside]
     return np.bincount(blocks.block_index[inside], weights=inflow, minlength=blocks.num_blocks)
@@ -68,20 +67,19 @@ class LimitReport:
     vector: np.ndarray                # full length-n limit; zero on transient nodes
 
 
-def limit_vector(g: GraphHandle, blocks: BlockDecomposition,
-                 tol: float = SOLVE_TOL) -> LimitReport:
+def limit_vector(g: GraphHandle, blocks: BlockDecomposition) -> LimitReport:
     """Assemble the limiting rank vector from block masses and stationaries,
-    cutting every block from one view of all block nodes."""
+    each to an L1 residual of ``SOLVE_TOL``, cutting every block from one view."""
     if blocks.num_blocks == 0:
         raise StructureError("no recurrent blocks: the limit is undefined")
     inside = np.flatnonzero(blocks.block_index >= 0)
     sizes = np.bincount(blocks.block_index[inside])
     fair = sizes / g.n
-    drain = absorption_weights(g, blocks, tol=tol)
+    drain = absorption_weights(g, blocks)
     masses = fair + drain
     view = block_view(g, inside, inside)
     order = np.argsort(blocks.block_index[inside], kind="stable")   # view positions by block
-    stationaries = tuple(perron_irreducible(view.cut(pos, pos), tol=tol)[1]
+    stationaries = tuple(perron_irreducible(view.cut(pos, pos), tol=SOLVE_TOL)[1]
                          for pos in np.split(order, np.cumsum(sizes)[:-1]))
     vector = np.zeros(g.n)
     vector[inside[order]] = np.repeat(masses, sizes) * np.concatenate(stationaries)

@@ -176,20 +176,24 @@ def damping_sweep(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecomposi
     The PageRank vector at ``c`` is ``(1-c) y_c``, ``y_c (I - cW) = u``, so
     every point reads the component masses of ``y_c`` off one shifted basis
     (:func:`operators.shifted_solve`), normalised by their label total.  Each
-    stops at a residual of ``(1 - c) tol / 2`` (the largest c at most at its
-    rounding floor ``tol / 2``); as ``||[I - cW]^{-1}||_1 = 1/(1 - c)``, that
-    bounds the L1 error of ``(1 - c) y_c``, and normalising at most doubles
-    it, so ``tol`` bounds the error of the masses.  A residual of ``tol / 2``
-    would bound it too, but the ``(1 - c)`` keeps the floor, ``||y_c||_1 =
-    1/(1 - c)`` times the top point's residual target, at ``tol / 2``: without
-    it the top point could stop at ``tol / (2 (1 - c))``, 50 tol at c = 0.99.
+    point targets a residual of ``(1 - c) tol / 2``, which puts the top
+    point's rounding floor, ``||y_c||_1 = 1/(1 - c)`` times its target, at
+    ``tol / 2``.  A residual above ``tol / 2`` raises :class:`ConvergenceError`
+    naming its ``c``, with the basis cycles as the iterations; at or below it,
+    as ``||[I - cW]^{-1}||_1 = 1/(1 - c)``, the L1 error of ``(1 - c) y_c`` is
+    within ``tol / 2``, and normalising at most doubles it, so ``tol`` bounds
+    the error of the masses.
     """
     grid = np.array([PageRankConfig(damping=float(c), tolerance=tolerance).damping
                      for c in grid])
     if not grid.size:
         return []
-    masses = shifted_solve(chain_view(g).mul_left, np.full(g.n, 1.0 / g.n),
+    solved = shifted_solve(chain_view(g).mul_left, np.full(g.n, 1.0 / g.n),
                            _component_probes(labels, blocks), grid,
-                           tol=0.5 * (1.0 - grid) * tolerance).values
-    masses /= masses[:, :4].sum(axis=1, keepdims=True)
+                           tol=0.5 * (1.0 - grid) * tolerance)
+    worst = int(np.argmax(solved.residuals))
+    if solved.residuals[worst] > 0.5 * tolerance:
+        raise ConvergenceError(f"sweep at c={grid[worst]} missed the tolerance {tolerance}",
+                               float(solved.residuals[worst]), len(solved.cycles))
+    masses = solved.values / solved.values[:, :4].sum(axis=1, keepdims=True)
     return [(float(c), _breakdown(m)) for c, m in zip(grid, masses)]

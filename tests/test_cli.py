@@ -250,7 +250,7 @@ def test_column_writer_matches_row_writer(tmp_path, capsys):
 
         assert run_cli(["limit", "--graph", str(path), "--out", str(out),
                         "--vector-out", str(vec)], capsys)[0] == 0
-        limit = rm.limit_vector(g, blocks, tol=1e-14).vector
+        limit = rm.limit_vector(g, blocks).vector
         assert _table(vec) == _reference_csv(
             [["node_id", "limit_score"]] + [[v, float(limit[v])] for v in range(g.n)])
     _, names, *flags, block_ids, dual = zip(*decompose_rows)
@@ -348,11 +348,24 @@ def test_missing_graph_file(capsys):
     assert code == 1
 
 
-def test_nonconvergence_exit_code(graph_files, capsys):
+def test_nonconvergence_exit_code(graph_files, tmp_path, monkeypatch, capsys):
     code, out, err = run_cli(["pagerank", "--graph", graph_files["bowtie"],
                               "--damping", "0.85", "--tol", "1e-17"], capsys)
     assert code == 2
     assert "non-convergence" in err and "missed the tolerance" in err
+    assert out == ""
+    # the benchmark's seed-1 inscc-grid graph: at c = 0.99 rounding keeps the
+    # sweep's residual near 47 times tol / 2
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import bowtiegen
+    from workloads import WORKLOADS
+    gen = bowtiegen.generate(WORKLOADS["inscc-grid"].profile, 1)
+    path = tmp_path / "inscc-grid.edges"
+    path.write_text(rm.dumps(rm.build_graph(gen.n, gen.edges.tolist())))
+    code, out, err = run_cli(["sweep", "--graph", str(path), "--grid", "0:0.99:0.01",
+                              "--tol", "1e-14"], capsys)
+    assert code == 2
+    assert err.startswith("rankmass: non-convergence: sweep at c=0.99 missed the tolerance 1e-14")
     assert out == ""
     with pytest.raises(SystemExit) as exc:   # the step caps are no option
         main(["pagerank", "--graph", graph_files["bowtie"], "--max-iter", "2"])
@@ -362,8 +375,7 @@ def test_nonconvergence_exit_code(graph_files, capsys):
 
 def test_bad_tolerance_fails_fast(capsys):
     # every command with --tol rejects a bad one before it reads the graph
-    for command in ("pagerank", "sweep", "limit", "inscc-curve", "inscc-derivatives",
-                    "escc-bounds", "cstar", "link-experiment"):
+    for command in ("pagerank", "sweep", "cstar", "link-experiment"):
         extra = ["--source", "0", "--target", "1"] if command == "link-experiment" else []
         for tol in ("nan", "-1", "0", "inf"):
             code, out, err = run_cli([command, "--graph", "/nonexistent.edges", *extra,
@@ -372,6 +384,13 @@ def test_bad_tolerance_fails_fast(capsys):
             message = f"tolerance must be positive and finite; got {float(tol)}"
             assert err == f"rankmass: error: {message}\n"
             assert out == ""
+    # the inner-solve commands run to SOLVE_TOL and take no --tol at all
+    for command in ("limit", "inscc-curve", "inscc-derivatives", "escc-bounds"):
+        for tol in ("1e-14", "1e-17"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--graph", "/nonexistent.edges", "--tol", tol])
+            assert exc.value.code == 1
+            assert f"unrecognized arguments: --tol {tol}" in capsys.readouterr().err
 
 
 def test_limit_command(graph_files, tmp_path, capsys):

@@ -323,8 +323,8 @@ def test_cstar_reads_its_samples_off_the_basis_and_replays_only_the_bisection(ne
     built, replayed = [], []
     uniform_basis = escc._uniform_basis
 
-    def recording(view, grid, tol):
-        basis = uniform_basis(view, grid, tol)
+    def recording(view, grid):
+        basis = uniform_basis(view, grid)
         built.append((basis, grid))
 
         def at(c):

@@ -95,14 +95,19 @@ def test_no_module_reads_the_environment():
 
 
 def test_tolerance_defaults_have_one_home():
-    """Every default of a parameter named ``tol`` is ``SOLVE_TOL`` or
-    ``EIG_TOL``, and only ``operators.py`` assigns those two names."""
+    """Only the primitives in ``operators.py`` declare a parameter named
+    ``tol``, each defaulting to ``SOLVE_TOL`` or ``EIG_TOL``, and only
+    ``operators.py`` assigns those two names."""
     names = ("SOLVE_TOL", "EIG_TOL")
     stray = []
     for path in sorted(Path(rankmass.__file__).resolve().parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.FunctionDef, ast.Lambda)):
                 a = node.args
+                if path.name != "operators.py":
+                    stray += [f"{path.name}:{node.lineno} declares tol"
+                              for arg in a.posonlyargs + a.args + a.kwonlyargs
+                              if arg.arg == "tol"]
                 positional = a.posonlyargs + a.args
                 pairs = list(zip(positional[len(positional) - len(a.defaults):], a.defaults))
                 pairs += [(arg, d) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d]

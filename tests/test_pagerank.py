@@ -211,6 +211,9 @@ def test_sweep_to_099_meets_its_tolerance_on_the_inscc_grid_graph(monkeypatch):
         pi = rm.pagerank(g, rm.PageRankConfig(damping=c, tolerance=1e-14))
         ref = rm.mass_breakdown(pi, labels, blocks).by_label
         assert sum(abs(got.by_label[k] - ref[k]) for k in ref) <= 1e-12
+    # at 1e-14 rounding keeps the c = 0.99 residual near 47 times tol / 2
+    with pytest.raises(rm.ConvergenceError, match=r"^sweep at c=0.99 missed the tolerance 1e-14"):
+        rm.damping_sweep(g, labels, blocks, grid, tolerance=1e-14)
 
 
 def test_inscc_mass_shape_on_samples(threeblock_view, heavy_view):
