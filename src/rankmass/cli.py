@@ -2,8 +2,12 @@
 
 One analysis per invocation; every CSV starts with comment lines recording
 the tool version, the graph file hash, and the parameters, so runs are
-reproducible and self-describing.  Numeric cells carry 17 significant digits
-and round-trip through float parsing.
+reproducible and self-describing.  A table cell is ``true``/``false`` for a
+bool, ``str(int(x))`` for an integer, ``format(float(x), ".17g")`` for a float
+of any width (17 significant digits, so it round-trips through float
+parsing), and ``str(x)`` otherwise; no cell is quoted, so a text cell must not
+hold ``,``, ``"``, ``\\r``, ``\\n`` or NUL.  ``csvtext`` renders the tables in
+numpy, with ``format(x, ".17g")`` as the reference for every float cell.
 
 Exit codes: 0 success, 1 validation problem, 2 numerical non-convergence.
 A library warning is written to stderr as one ``rankmass: warning:`` line.
@@ -22,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .bowtie import Label, block_decomposition, bowtie_labeling, dual_path_mask
+from .csvtext import check_cell, table_rows
 from .errors import ConvergenceError
 from .escc import V_MODES, cstar_solve, prop3_bounds
 from .experiment import click_rank, run_link_experiment
@@ -49,23 +54,9 @@ def _fmt(x) -> str:
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if isinstance(x, float):
-        return format(x, ".17g")
+    if isinstance(x, (float, np.floating)):
+        return format(float(x), ".17g")
     return str(x)
-
-
-def _column(values) -> list[str]:
-    """``_fmt`` of each entry; in a bool or string array one shared string per
-    distinct value."""
-    if not isinstance(values, np.ndarray):
-        return [_fmt(x) for x in values]
-    if values.dtype.kind == "f":
-        return [format(x, ".17g") for x in values.tolist()]
-    if values.dtype.kind in "iu":
-        return list(map(str, values.tolist()))
-    distinct, at = np.unique(values, return_inverse=True)
-    cells = [_fmt(x) for x in distinct.tolist()]
-    return [cells[i] for i in at.tolist()]
 
 
 def _file_hash(path: str) -> str:
@@ -90,9 +81,12 @@ class CsvReport:
         self.buffer.write(f"# {text}\n")
 
     def table(self, header, *columns):
-        """The header line, then one row per index of the columns; no cell needs quoting."""
-        self.buffer.write(f"{','.join(header)}\n")
-        self.buffer.writelines(f"{','.join(cells)}\n" for cells in zip(*map(_column, columns)))
+        """The header line, then one row per index of the columns, which must
+        be one per header name and of one length; a cell as ``_fmt`` writes it."""
+        if len(header) != len(columns):
+            raise ValueError(f"table header names {len(header)} columns, got {len(columns)}")
+        self.buffer.write(f"{','.join(map(check_cell, header))}\n")
+        self.buffer.writelines(table_rows(columns))
 
     def save(self, out_path: str | None):
         text = self.buffer.getvalue()

@@ -4,15 +4,17 @@ import os
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
 import rankmass as rm
-from rankmass import cli
+from rankmass import cli, csvtext
 from rankmass.bowtie import dual_path_mask
 from rankmass.cli import main
 from rankmass.experiment import click_rank
@@ -331,6 +333,132 @@ def test_column_writer_matches_row_writer(tmp_path, capsys):
            "block_mass_without", "block_mass_with"],
           [[r.damping, r.rank_without_link, r.rank_with_link, position,
             r.block_mass_without, r.block_mass_with] for r in rows])
+
+
+def _rendered(*columns):
+    return "".join(csvtext.table_rows(columns))
+
+
+def _formatted(values):
+    return "".join(f"{format(x, '.17g')}\n" for x in values)
+
+
+def _edges_of_the_exact_range():
+    """Doubles at and next to every power of ten from 1e-12 to 1e16, where the
+    decade, the fixed/exponent switch (1e-4 against 1e-5) and the exact range
+    (1e-10 <= |x| < 1e15) change, with their negatives, +-0.0 and subnormals."""
+    tens = 10.0 ** np.arange(-12, 17)
+    edges = np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
+                            [0.0, 5e-324, 2.2250738585072014e-308, np.nextafter(0.0001, 1),
+                             9.9999999999999991e-05, 0.5, 0.1, 1200.0, 99999999999999.98]])
+    return np.concatenate([edges, -edges])
+
+
+def _ties_at_the_17th_digit():
+    """Doubles whose exact decimal value has 18 significant digits, the last a
+    5, so that 17 digits are a tie that rounds to the even neighbour."""
+    rng = np.random.default_rng(17)
+    ties = []
+    for t in range(2, 18):   # an integer part of 18 - t digits, t decimals
+        for whole in rng.integers(10 ** (17 - t), min(10 ** (18 - t), 2 ** (52 - t)), 4):
+            ties.append(int(whole) + (2 * int(rng.integers(0, 2 ** (t - 1))) + 1) / 2 ** t)
+    for k, t in zip(rng.integers(0, 1 << 23, 4000) * 2 + 1, rng.integers(1, 40, 4000)):
+        x = float(k) * 2.0 ** -int(t)
+        if len(Decimal(x).as_tuple().digits) == 18:
+            ties.append(x)
+    ties = np.array(ties)
+    assert len(ties) > 100 and all(Decimal(x).as_tuple().digits[-1] == 5 for x in ties)
+    return np.concatenate([ties, -ties])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=40))
+def test_float_cells_are_format_17g(values):
+    assert _rendered(np.array(values)) == _formatted(values)
+    assert _rendered(values) == _formatted(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_edges_of_the_exact_range().tolist()), min_size=1, max_size=30),
+       st.lists(st.floats(1e-11, 1e16), max_size=10))
+def test_float_cells_straddling_the_range_edges_are_format_17g(edges, inside):
+    values = edges + inside
+    assert _rendered(np.array(values)) == _formatted(values)
+
+
+def test_float_cells_round_ties_to_even_and_stay_below_the_next_power_of_ten():
+    ties = _ties_at_the_17th_digit()
+    assert _rendered(ties) == _formatted(ties.tolist())
+    # 17 digits never reach the next power of ten from below inside the exact range
+    below = np.nextafter(10.0 ** np.arange(-9, 16), 0)
+    assert not any(format(x, ".17g").lstrip("-").startswith("1") for x in below)
+    assert _rendered(below) == _formatted(below.tolist())
+
+
+def test_cells_match_format_over_random_bits_and_chunks():
+    rng = np.random.default_rng(3)
+    n = 3 * csvtext.CHUNK_ROWS // 2
+    bits = rng.integers(-2 ** 63, 2 ** 63 - 1, n, dtype=np.int64)
+    scaled = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 17, n)
+    for values in (bits.view(np.float64), scaled, rng.random(1000) / 1e5):
+        assert _rendered(values) == _formatted(values.tolist())
+    mixed = ["" if i % 7 == 0 else x for i, x in enumerate(scaled.tolist())]
+    assert _rendered(mixed, range(n)) == "".join(
+        f"{cli._fmt(x)},{i}\n" for i, x in enumerate(mixed))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1, max_size=40),
+       st.lists(st.booleans(), min_size=1, max_size=40))
+def test_integer_and_bool_cells(integers, flags):
+    expected = "".join(f"{i}\n" for i in integers)
+    assert _rendered(np.array(integers, dtype=np.int64)) == expected
+    assert _rendered(integers) == expected
+    assert _rendered(np.array(flags)) == "".join(f"{'true' if b else 'false'}\n" for b in flags)
+
+
+def test_integer_cells_at_the_int64_ends_and_past_them():
+    ends = [-2 ** 63, -2 ** 63 + 1, -10 ** 18, -1, 0, 1, 9, 10, 9999, 10000, 10 ** 18, 2 ** 63 - 1]
+    assert _rendered(np.array(ends, dtype=np.int64)) == "".join(f"{i}\n" for i in ends)
+    huge = [2 ** 63, -2 ** 64, 10 ** 30]
+    assert _rendered(huge) == "".join(f"{i}\n" for i in huge)
+    assert _rendered(np.array([0, 2 ** 64 - 1], dtype=np.uint64)) == f"0\n{2 ** 64 - 1}\n"
+
+
+def test_float32_scalars_and_columns_read_alike():
+    value = np.float32(0.1)
+    assert cli._fmt(value) == "0.10000000149011612" == format(float(value), ".17g")
+    assert _rendered(np.array([value, value], dtype=np.float32)) == "0.10000000149011612\n" * 2
+    assert _rendered([value, 0.5]) == "0.10000000149011612\n0.5\n"
+
+
+def _report(tmp_path):
+    graph = tmp_path / "g.edges"
+    graph.write_text("0 1\n")
+    return cli.CsvReport(str(graph), {"command": "test"})
+
+
+def test_table_columns_of_different_lengths_are_an_error(tmp_path):
+    with pytest.raises(ValueError, match=r"columns differ in length: \[3, 2\]"):
+        _report(tmp_path).table(["a", "b"], np.arange(3), np.arange(2))
+    with pytest.raises(ValueError, match=r"\[2, 2, 1\]"):
+        _report(tmp_path).table(["a", "b", "c"], [1.0, 2.0], ["x", "y"], (True,))
+    with pytest.raises(ValueError, match="header names 2 columns, got 3"):
+        _report(tmp_path).table(["a", "b"], [1], [2], [3])
+
+
+@pytest.mark.parametrize("bad", [",", '"', "\r", "\n", "\0"])
+def test_text_cells_that_would_need_quoting_are_an_error(tmp_path, bad):
+    cell = f"a{bad}b"
+    for column in ([cell, "ok"], np.array(["ok", cell]), ["ok", 1.5, cell]):
+        with pytest.raises(ValueError, match="cells are not quoted"):
+            _report(tmp_path).table(["name"], column)
+    with pytest.raises(ValueError, match="cells are not quoted"):
+        _report(tmp_path).table([f"x{bad}"], [1])
+    report = _report(tmp_path)
+    report.table(["name", "value"], np.array(["IN", "é", ""]), [1, 2, 3])
+    assert report.buffer.getvalue().endswith("name,value\nIN,1\né,2\n,3\n")
 
 
 def test_tied_dominant_classes_exit_two(tmp_path, capsys):
