@@ -72,7 +72,8 @@ def _perron_left(view: SubstochasticBlock, ids: np.ndarray) -> tuple[float, np.n
     read the eigenvalue off the diagonal, larger classes run
     :func:`perron_irreducible`; the largest wins, the smallest member on ties.
     Below the winner it is one solve ``x_down (lam I - T_down) = x_win T_win,down``;
-    a tie or an overflow there raises :class:`ConvergenceError`.  Both run to ``EIG_TOL``.
+    a tie, an overflow or a failed solve there raises :class:`ConvergenceError`.  Both run
+    to ``EIG_TOL``.
     """
     dangling = view.dangling_local
     sizes = np.bincount(ids)
@@ -101,10 +102,11 @@ def _perron_left(view: SubstochasticBlock, ids: np.ndarray) -> tuple[float, np.n
             try:
                 x[down] = solve_left(lambda y: sub.mul_left(y) / lam,
                                      view.mul_left(x)[down] / lam, tol=EIG_TOL)
-            except ConvergenceError as exc:   # the walk fallback met a non-finite term
+            except ConvergenceError as exc:
                 if np.isfinite(exc.residual):
-                    raise
-                x[down] = np.inf
+                    raise ConvergenceError("the quasi-stationary vector below the dominant class "
+                                           "did not converge", exc.residual, exc.iterations) from None
+                x[down] = np.inf   # the walk fallback met a non-finite term: an overflow
     total = x.sum()
     if not np.isfinite(total):
         raise ConvergenceError("the quasi-stationary vector overflows below the dominant class",

@@ -8,9 +8,10 @@ many c, is read off one restarted left-Arnoldi basis of A from x0
 restarts, so each costs O(1) to bound, and the product count follows the
 spectrum, not the largest c.  A single resolvent vector ``b [I - A]^{-1}`` is
 :func:`solve_left`, a BiCGSTAB that stops once the true residual
-``||b - y (I - A)||_1`` is within the tolerance (or, at the rounding floor,
-once it stops halving) and falls back to summing the series :func:`walk` on a
-breakdown or at its step cap.  Dominant and stationary vectors come from
+``||b - y (I - A)||_1`` is within the tolerance or, at the rounding floor
+(found whatever the tolerance), once it stops halving; off the floor it falls
+back to summing the series :func:`walk` on a breakdown or at its step cap,
+which a long chain in A needs.  Dominant and stationary vectors come from
 :func:`perron_irreducible`: power steps while the residual keeps falling,
 then half-step blends, which converge on periodic classes too.
 """
@@ -155,21 +156,28 @@ def solve_left(apply_a: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     per step.  The true residual ``||b - y (I - A)||_1`` is recomputed only
     when the updated one claims the stop (at most ``tol`` or ``tol * ||y||_1``)
     or once floored.  ``y`` is returned as soon as the true residual is at
-    most ``tol``.  A miss above ``tol * ||y||_1`` means the updated residual
-    drifted, and the true one replaces it (van der Vorst & Ye, SISC 2000).
-    At or below that, rounding dominates: the recurrence goes on, and the
-    best iterate is kept and returned at the second step in a row where the
-    true residual fails to halve.  On a breakdown (a zero or
-    non-finite ``r_hat . r``, ``r_hat . v`` or ``omega``) or after
-    ``BICGSTAB_MAX_ITER`` steps it falls back to the sum of the walk
-    ``b A^k`` (:func:`walk`), which stops after the first term of L1 norm at
-    most ``tol`` and raises :class:`ConvergenceError` at a non-finite term or
-    past ``MAX_ITER`` terms.  The walk needs the spectral radius of A below
-    one; BiCGSTAB only needs ``I - A`` nonsingular.  The inner products are
+    most ``tol``.  A miss marks the rounding floor when it is at most
+    ``tol * ||y||_1`` or above half of the previous claimed stop's, whatever
+    ``tol`` is; any other miss means the updated residual drifted, and the
+    true one replaces it (van der Vorst & Ye, SISC 2000).  At the floor the
+    recurrence goes on, and the best iterate is returned at the second step
+    in a row where the true residual fails to halve, at a breakdown (a zero
+    or non-finite ``r_hat . r``, ``r_hat . v`` or ``omega``) or after
+    ``BICGSTAB_MAX_ITER`` steps.  Off the floor those two fall back to the
+    sum of the walk ``b A^k`` (:func:`walk`), which stops after the first
+    term of L1 norm at most ``tol`` and raises :class:`ConvergenceError` at a
+    non-finite term or past ``MAX_ITER`` terms.  A chain of k nodes in A
+    needs it: BiCGSTAB, like any Krylov method, takes at least k products to
+    cross the chain and turns unstable on a long one, while the walk crosses
+    it in k terms.  The walk needs the spectral radius of A below one;
+    BiCGSTAB only needs ``I - A`` nonsingular.  A non-finite ``b`` raises
+    :class:`ConvergenceError` before any product.  The inner products are
     numpy reductions: a BLAS ``@`` would run threaded on long vectors.
     """
     check_tolerance(tol)
     b = np.asarray(b, dtype=np.float64)
+    if not np.isfinite(b).all():
+        raise ConvergenceError("the right-hand side is not finite", float(np.abs(b).sum()), 0)
     r_hat = np.random.default_rng(0).random(b.size)
     y, p, v = b.copy(), np.zeros_like(b), np.zeros_like(b)
     rho = alpha = omega = 1.0
@@ -181,15 +189,16 @@ def solve_left(apply_a: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
             res = float(np.abs(true_r).sum())
             if res <= tol:
                 return y
-            floored = floored or res <= tol * float(np.abs(y).sum())
+            stalled = res > 0.5 * prev
+            floored = floored or stalled or res <= tol * float(np.abs(y).sum())
             r = r if floored else true_r   # above the floor the updated residual drifted
             if floored:
                 if res < best_res:
                     best, best_res = y, res
-                stalls = stalls + 1 if res > 0.5 * prev else 0
+                stalls = stalls + 1 if stalled else 0
                 if stalls == 2:
                     return best
-                prev = res
+            prev = res
         rho_next = float((r_hat * r).sum())
         if not (omega and rho_next and np.isfinite((omega, rho_next)).all()):
             break
@@ -206,7 +215,7 @@ def solve_left(apply_a: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
         omega = float((t * s).sum()) / tt if tt else 0.0   # s = 0: the half step solved it
         y = y + alpha * p + omega * s
         r = s - omega * t
-    return sum(walk(apply_a, b, tol=tol))
+    return best if floored else sum(walk(apply_a, b, tol=tol))
 
 
 class ShiftedSolve(NamedTuple):

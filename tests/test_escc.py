@@ -197,6 +197,22 @@ def test_spectral_summary_refuses_an_overflowing_vector():
         rm.spectral_summary(g, labels, blocks)
 
 
+def test_spectral_summary_crosses_a_chain_below_the_dominant_class():
+    # a leaky swap pair feeds a 25-node chain: below the winner the solve is
+    # with T_down / lambda1, which grows by 1/lambda1 = sqrt(2) per node, and
+    # BiCGSTAB breaks down on it; the walk fallback crosses the chain exactly
+    depth = 25
+    edges = [(0, 1), (1, 0), (1, 2)] + [(i, i + 1) for i in range(2, depth + 2)]
+    g = rm.build_graph(depth + 3, edges + [(depth + 2, depth + 2)])
+    labels = rm.bowtie_labeling(g)
+    blocks = rm.block_decomposition(g, labels)
+    summary = rm.spectral_summary(g, labels, blocks)
+    t = helpers.dense_w(g)[np.ix_(summary.nodes, summary.nodes)]
+    x = summary.quasi_stationary
+    assert summary.lambda1 == pytest.approx(np.sqrt(0.5), abs=1e-13)
+    assert np.abs(x @ t - summary.lambda1 * x).sum() <= 1e-12
+
+
 def test_spectral_summary_refuses_tied_classes_along_a_feeding_path():
     # {0, 1} feeds {2, 3}; both have eigenvalue sqrt(1/2), so no single
     # dominant class fixes the quasi-stationary vector

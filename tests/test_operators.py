@@ -65,10 +65,13 @@ def test_cut_over_every_position_is_the_block_itself(random_graphs):
 def test_non_finite_walk_stops_at_first_term():
     nan = np.full(2, np.nan)
     half = lambda y: 0.5 * y
-    for run in (lambda: solve_left(half, nan), lambda: sum(walk(half, nan))):
-        with pytest.raises(rm.ConvergenceError) as err:
-            run()
-        assert err.value.iterations == 1
+    with pytest.raises(rm.ConvergenceError) as err:
+        sum(walk(half, nan))
+    assert err.value.iterations == 1
+    # the solve refuses a non-finite right-hand side before any product
+    with pytest.raises(rm.ConvergenceError, match="^the right-hand side is not finite") as err:
+        solve_left(half, nan)
+    assert err.value.iterations == 0
 
 
 def test_perron_stops_at_non_finite_weight():
@@ -150,6 +153,16 @@ def test_solve_falls_back_to_the_walk_on_a_leaky_ring(monkeypatch):
     assert 2 * cap + terms < products <= 1 + 3 * cap + terms
 
 
+def test_solve_crosses_a_long_chain_by_the_walk():
+    # a chain of k nodes takes a Krylov method at least k products to cross,
+    # and BiCGSTAB breaks down on this one; the walk crosses it in k terms
+    size = 1000
+    chain = _square_block(sparse.eye(size, k=1, format="csr"))
+    b = np.full(size, 1.0 / size)
+    y = solve_left(chain.mul_left, b)
+    assert np.abs(y - np.arange(1, size + 1) / size).max() <= 1e-12
+
+
 def test_solve_goes_on_from_the_true_residual_when_the_updated_one_drifts():
     # one product off by 1e-6 leaves the updated residual off the true one for
     # good; the check at its claimed stop catches that, and the solve goes on
@@ -169,19 +182,45 @@ def test_solve_goes_on_from_the_true_residual_when_the_updated_one_drifts():
     assert products < 40
 
 
-@pytest.mark.parametrize("c", [0.85, 0.95, 0.99])
-def test_chain_solve_meets_its_tolerance_on_the_bowtie_large_graph(c, monkeypatch):
-    # the benchmark's seed-1 bowtie-large chain: a solve counts as floored once
-    # its true residual is at most tol * ||y||_1, about 100 tol at c = 0.99, so
-    # this pins that the returned residual still meets tol itself
+def _bowtie_large(monkeypatch) -> rm.GraphHandle:
+    """The benchmark's seed-1 bowtie-large graph."""
     monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
     import bowtiegen
     from workloads import WORKLOADS
     gen = bowtiegen.generate(WORKLOADS["bowtie-large"].profile, 1)
-    chain = chain_view(rm.build_graph(gen.n, gen.edges.tolist()))
-    b = np.full(gen.n, 1.0 / gen.n)
+    return rm.build_graph(gen.n, gen.edges.tolist())
+
+
+@pytest.mark.parametrize("c", [0.85, 0.95, 0.99])
+def test_chain_solve_meets_its_tolerance_on_the_bowtie_large_graph(c, monkeypatch):
+    # a solve counts as floored once its true residual is at most
+    # tol * ||y||_1, about 100 tol at c = 0.99, so this pins that the
+    # returned residual still meets tol itself
+    chain = chain_view(_bowtie_large(monkeypatch))
+    b = np.full(chain.shape[0], 1.0 / chain.shape[0])
     y = solve_left(lambda v: c * chain.mul_left(v), b, tol=1e-12)
     assert np.abs(b - (y - c * chain.mul_left(y))).sum() <= 1e-12
+
+
+def test_c1_solve_below_the_rounding_floor_stops_there(monkeypatch):
+    # the limit's absorption solve over the transient block: no iterate meets
+    # 1e-17, and the solve stops once its true residual fails to halve; with
+    # the floor at tol * ||y||_1 alone it took 500 steps and then the walk,
+    # 4518 products in all
+    g = _bowtie_large(monkeypatch)
+    view = transient_view(g, rm.block_decomposition(g, rm.bowtie_labeling(g)))
+    b = np.full(view.shape[0], 1.0 / g.n)
+    residual = lambda y: np.abs(b - (y - view.mul_left(y))).sum()
+    products = 0
+
+    def apply(y):
+        nonlocal products
+        products += 1
+        return view.mul_left(y)
+
+    y = solve_left(apply, b, tol=1e-17)
+    assert products <= 100
+    assert residual(y) <= residual(solve_left(view.mul_left, b, tol=operators.SOLVE_TOL))
 
 
 @pytest.fixture(scope="module")

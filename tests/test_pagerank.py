@@ -112,6 +112,36 @@ def test_nonconvergence_raises_with_residual(bowtie, monkeypatch):
                               "(residual 1.308e-01 after 7 iterations)")
 
 
+def test_a_tolerance_below_rounding_fails_fast_on_the_bowtie_large_graph(monkeypatch):
+    # the benchmark's seed-1 bowtie-large graph: no vector meets 1e-17, and the
+    # solve stops at its rounding floor; with the floor at tol * ||y||_1 alone
+    # it took 1258 products, against 101 at 1e-16
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    import bowtiegen
+    from workloads import WORKLOADS
+    gen = bowtiegen.generate(WORKLOADS["bowtie-large"].profile, 1)
+    g = rm.build_graph(gen.n, gen.edges.tolist())
+    try:
+        products = rm.pagerank(g, rm.PageRankConfig(0.85, 1e-16)).iterations_used
+    except rm.ConvergenceError as err:
+        products = err.iterations
+    with pytest.raises(rm.ConvergenceError, match=r"^pagerank at c=0\.85 missed the tolerance"
+                       ) as err:
+        rm.pagerank(g, rm.PageRankConfig(0.85, 1e-17))
+    assert err.value.iterations <= 2 * products
+
+
+def test_a_long_chain_matches_the_dense_oracle():
+    # a 3-cycle drains into a 1000-node chain and a closing 2-cycle; at
+    # c = 0.99 BiCGSTAB does not cross the chain within its step cap, and the
+    # walk fallback does
+    depth = 1000
+    edges = [(0, 1), (1, 2), (2, 0), (2, 3)] + [(i, i + 1) for i in range(3, depth + 3)]
+    g = rm.build_graph(depth + 5, edges + [(depth + 3, depth + 4), (depth + 4, depth + 3)])
+    pi = rm.pagerank(g, rm.PageRankConfig(damping=0.99))
+    assert np.abs(pi.values - helpers.dense_pagerank(g, 0.99)).sum() <= 1e-10
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         rm.PageRankConfig(damping=1.0)
