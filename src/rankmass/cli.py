@@ -2,12 +2,8 @@
 
 One analysis per invocation; every CSV starts with comment lines recording
 the tool version, the graph file hash, and the parameters, so runs are
-reproducible and self-describing.  A table cell is ``true``/``false`` for a
-bool, ``str(int(x))`` for an integer, ``format(float(x), ".17g")`` for a float
-of any width (17 significant digits, so it round-trips through float
-parsing), and ``str(x)`` otherwise; no cell is quoted, so a text cell must not
-hold ``,``, ``"``, ``\\r``, ``\\n`` or NUL.  ``csvtext`` renders the tables in
-numpy, with ``format(x, ".17g")`` as the reference for every float cell.
+reproducible and self-describing.  ``csvtext`` renders the table rows; its
+docstring gives the cell rules, and a cell reads as ``_fmt`` writes it.
 
 Exit codes: 0 success, 1 validation problem, 2 numerical non-convergence.
 A library warning is written to stderr as one ``rankmass: warning:`` line.
@@ -222,8 +218,9 @@ def cmd_inscc_curve(args):
         "force_dn_merge": args.force_dn_merge, "alpha": view.alpha, "beta": view.beta})
     report.table(["c", "mass", "main_term", "correction", "d1_estimate", "d2_estimate"],
                  *zip(*[(p.c, p.mass, p.main_term, p.correction,
-                         "" if p.d1_estimate is None else p.d1_estimate,
-                         "" if p.d2_estimate is None else p.d2_estimate) for p in points]))
+                         "" if p.d1_estimate is None else _fmt(p.d1_estimate),
+                         "" if p.d2_estimate is None else _fmt(p.d2_estimate))
+                        for p in points]))
     report.save(args.out)
 
 
@@ -336,6 +333,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"rankmass {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def switches(p, *flags):
+        """Flags that several subcommands take, each with its one help string."""
+        for flag in flags:
+            p.add_argument(flag, action="store_true", help={
+                "--force-dn-merge": "proceed despite OUT links into dangling nodes",
+                "--fold-other": "treat nodes outside the bow-tie as OUT",
+                "--exclude-pureout-transients":
+                    "restrict the block to the extended component proper",
+            }[flag])
+
     def common(p, grid_default=None):
         p.add_argument("--graph", required=True, help="edge-list file")
         p.add_argument("--out", default=None, help="output CSV (default: stdout)")
@@ -367,22 +374,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inscc-curve", help="IN+SCC mass split along a damping grid")
     common(p, grid_default="0:0.99:0.01")
-    p.add_argument("--force-dn-merge", action="store_true",
-                   help="proceed despite OUT links into dangling nodes")
-    p.add_argument("--fold-other", action="store_true",
-                   help="treat nodes outside the bow-tie as OUT")
+    switches(p, "--force-dn-merge", "--fold-other")
     p.set_defaults(fn=cmd_inscc_curve)
 
     p = sub.add_parser("inscc-derivatives", help="IN+SCC mass slopes at both ends")
     common(p)
-    p.add_argument("--force-dn-merge", action="store_true")
-    p.add_argument("--fold-other", action="store_true")
+    switches(p, "--force-dn-merge", "--fold-other")
     p.set_defaults(fn=cmd_inscc_derivatives)
 
     p = sub.add_parser("escc-bounds", help="mass of the transient block with envelope bounds")
     common(p, grid_default="0.05:0.95:0.05")
-    p.add_argument("--exclude-pureout-transients", action="store_true",
-                   help="restrict the block to the extended component proper")
+    switches(p, "--exclude-pureout-transients")
     p.set_defaults(fn=cmd_escc_bounds)
 
     p = sub.add_parser("cstar", help="damping value balancing mass share and retention")
@@ -390,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=sorted(V_MODES), default="uniform")
     p.add_argument("--tol", type=float, default=1e-6,
                    help="bound max(1e-4 x tol, 1e-12) on the c* bisection bracket (default 1e-6)")
-    p.add_argument("--exclude-pureout-transients", action="store_true")
+    switches(p, "--exclude-pureout-transients")
     p.set_defaults(fn=cmd_cstar)
 
     p = sub.add_parser("link-experiment",

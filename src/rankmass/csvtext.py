@@ -11,17 +11,20 @@ once.  A cell reads as :func:`rankmass.cli._fmt` writes it:
   reference.  For ``1e-10 <= |x| < 1e15`` the digits come from exact integer
   arithmetic (:func:`_float_words`), as do zeros, and any other value
   (subnormal, tiny, huge, inf, nan) goes through ``format`` itself;
-- anything else as ``str(x)``, which must not contain ``,``, ``"``, ``\\r``,
-  ``\\n`` or NUL, since no cell is quoted.
+- a str as itself, which must not contain ``,``, ``"``, ``\\r``, ``\\n`` or
+  NUL, since no cell is quoted.
 
-A column is a numpy array or a sequence; a sequence may mix kinds cell by
-cell, as ``inscc-curve``'s empty estimate cells do among its floats.  The
-byte layouts assume a little-endian machine.
+A column holds one kind of cell: a numpy array of bool, integer, float or str
+dtype, or a sequence that ``np.asarray`` reads as one of those.  Integers are
+read as int64 or uint64, floats as float64, and a sequence read as text must
+hold only ``str`` cells, so that no number is printed as ``str`` would.  Any
+other column (an object one, of mixed kinds or of integers past 64 bits) is a
+ValueError; a caller with mixed cells formats them itself, as ``inscc-curve``
+does for its empty estimate cells among floats.  The byte layouts assume a
+little-endian machine.
 """
 
 from __future__ import annotations
-
-from itertools import accumulate
 
 import numpy as np
 
@@ -173,7 +176,7 @@ def _float_block(x):
 
 
 def _int_block(v):
-    """NUL-padded bytes of ``str(i)`` per value of an int64 array."""
+    """NUL-padded bytes of ``str(i)`` per value of an int64 or uint64 array."""
     mag = np.abs(v).astype(_U)   # -2**63 stays itself, and reads 2**63 unsigned
     count = -(-len(str(int(mag.max(initial=0)))) // 4)
     words = np.empty((len(v), count), np.uint32)
@@ -204,101 +207,51 @@ def check_cell(text: str) -> str:
 
 def _text_block(v):
     """NUL-padded UTF-8 bytes per string of a numpy str array (ASCII ones as
-    code units, checked in bulk) or a list."""
-    if isinstance(v, np.ndarray) and v.dtype.itemsize:
-        codes = np.ascontiguousarray(v).view(np.uint32).reshape(len(v), -1)
-        if codes.max(initial=0) < 128:
-            block = codes.astype(np.uint8)
-            if (np.count_nonzero(block) < np.char.str_len(v).sum()   # a NUL inside a cell
-                    or any((block == ord(c)).any() for c in FORBIDDEN[:-1])):
-                for text in v.tolist():
-                    check_cell(text)
-            return block
-        v = v.tolist()
-    cells = np.array([check_cell(text).encode() for text in v], dtype="S")
+    code units, checked in bulk)."""
+    codes = np.ascontiguousarray(v).view(np.uint32).reshape(len(v), -1)
+    if codes.max(initial=0) < 128:
+        block = codes.astype(np.uint8)
+        if (np.count_nonzero(block) < np.char.str_len(v).sum()   # a NUL inside a cell
+                or any((block == ord(c)).any() for c in FORBIDDEN[:-1])):
+            for text in v.tolist():
+                check_cell(text)
+        return block
+    cells = np.array([check_cell(text).encode() for text in v.tolist()], dtype="S")
     return cells.view(np.uint8).reshape(len(cells), cells.dtype.itemsize)
 
 
-def _kind(t: type) -> str:
-    if issubclass(t, (bool, np.bool_)):
-        return "b"
-    if issubclass(t, (int, np.integer)):
-        return "i"
-    if issubclass(t, (float, np.floating)):
-        return "f"
-    return "s"
+_RENDER = {"b": _bool_block, "i": _int_block, "u": _int_block, "f": _float_block,
+           "U": _text_block}
 
 
-def _values(kind: str, cells):
-    """(kind, values): an array of bool, int64 or float64, else a list of
-    ``str(x)``, for integers past int64 too."""
-    if kind != "s":
-        try:
-            return kind, np.asarray(cells, {"b": bool, "i": np.int64, "f": np.float64}[kind])
-        except OverflowError:
-            pass
-    return "s", [str(x) for x in cells]
+def _typed(column) -> np.ndarray:
+    """The column as an array of bool, int64, uint64, float64 or str; else a
+    ValueError."""
+    values = np.asarray(column)
+    kind = values.dtype.kind
+    mixed = kind == "U" and not isinstance(column, np.ndarray) \
+        and not all(isinstance(x, str) for x in column)
+    if kind not in _RENDER or mixed:
+        raise ValueError(f"table column read as dtype {values.dtype}: a column holds one kind "
+                         "of cell: bool, integer, float or str")
+    if kind in "iu" and values.dtype.itemsize < 8:
+        return values.astype(np.int64)
+    return values.astype(np.float64, copy=False) if kind == "f" else values
 
 
-def _parts(column) -> list:
-    """The column as (rows, kind, values) parts, one per kind of cell: rows is
-    None for every row, else the row positions."""
-    if isinstance(column, np.ndarray) and column.dtype.kind in "biufU":
-        kind = {"u": "i", "U": "s"}.get(column.dtype.kind, column.dtype.kind)
-        if kind == "s":
-            return [(None, kind, column)]
-        if column.dtype == np.uint64 and column.max(initial=0) >= 2 ** 63:
-            column = column.tolist()
-        return [(None, *_values(kind, column))]
-    cells = column.tolist() if isinstance(column, np.ndarray) else list(column)
-    kinds = {t: _kind(t) for t in set(map(type, cells))}
-    if len(set(kinds.values())) <= 1:
-        return [(None, *_values(next(iter(kinds.values()), "s"), cells))]
+def _render(columns: list) -> str:
+    """The text of the rows of ``columns``, one block per column.  The columns
+    of one kind are rendered in one call, so that a short table pays each
+    call's fixed cost once."""
+    n = len(columns[0])
     by_kind = {}
-    for row, x in enumerate(cells):
-        by_kind.setdefault(kinds[type(x)], []).append(row)
-    return [(np.array(rows), *_values(kind, [cells[r] for r in rows]))
-            for kind, rows in by_kind.items()]
-
-
-def _chunk(parts, start: int, stop: int) -> list:
-    """The parts' cells that fall in rows [start, stop)."""
-    out = []
-    for rows, kind, values in parts:
-        if rows is None:
-            out.append((slice(None), kind, values[start:stop]))
-        else:
-            lo, hi = np.searchsorted(rows, [start, stop])
-            out.append((rows[lo:hi] - start, kind, values[lo:hi]))
-    return out
-
-
-_RENDER = {"f": _float_block, "i": _int_block, "b": _bool_block}
-
-
-def _render(chunks: list, n: int) -> str:
-    """The text of ``n`` rows, one block per column.  The float, integer and
-    bool cells of all columns are rendered in one call per kind, so that a
-    short table pays each call's fixed cost once."""
-    by_kind = {}
-    for parts in chunks:
-        for _, kind, values in parts:
-            by_kind.setdefault(kind, []).append(values)
-    pieces = {"s": map(_text_block, by_kind.pop("s", []))}
+    for values in columns:
+        by_kind.setdefault(values.dtype.kind, []).append(values)
+    pieces = {}
     for kind, arrays in by_kind.items():
         block = _RENDER[kind](arrays[0] if len(arrays) == 1 else np.concatenate(arrays))
-        ends = accumulate(len(a) for a in arrays)
-        pieces[kind] = iter([block[end - len(a):end] for a, end in zip(arrays, ends)])
-    blocks = []
-    for parts in chunks:
-        column = [(rows, next(pieces[kind])) for rows, kind, _ in parts]
-        if len(column) == 1 and isinstance(column[0][0], slice):
-            blocks.append(column[0][1])
-            continue
-        block = np.zeros((n, max(piece.shape[1] for _, piece in column)), np.uint8)
-        for rows, piece in column:
-            block[rows, :piece.shape[1]] = piece
-        blocks.append(block)
+        pieces[kind] = iter(block.reshape(len(arrays), n, block.shape[1]))
+    blocks = [next(pieces[values.dtype.kind]) for values in columns]
     out = np.empty((n, sum(b.shape[1] + 1 for b in blocks)), np.uint8)
     end = 0
     for block in blocks:
@@ -314,8 +267,6 @@ def table_rows(columns):
     lengths = [len(c) for c in columns]
     if len(set(lengths)) > 1:
         raise ValueError(f"table columns differ in length: {lengths}")
-    n = lengths[0] if lengths else 0
-    parts = [_parts(c) for c in columns]
-    for start in range(0, n, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, n)
-        yield _render([_chunk(p, start, stop) for p in parts], stop - start)
+    arrays = [_typed(c) for c in columns]
+    for start in range(0, lengths[0] if lengths else 0, CHUNK_ROWS):
+        yield _render([a[start:start + CHUNK_ROWS] for a in arrays])

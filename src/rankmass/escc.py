@@ -191,7 +191,10 @@ def prop3_bounds(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecomposit
     """Evaluate the envelope on a grid and report where each side binds.
 
     The masses and the expected visits, the value at c = 1, come from one
-    shifted basis to an L1 residual of ``SOLVE_TOL`` (the mass at c = 1 is 0).
+    shifted basis (:func:`shifted_solve`; the mass at c = 1 is 0).  Each L1
+    residual is at most ``SOLVE_TOL``, except where a solve stops at its
+    rounding floor, which passes up to ``SOLVE_TOL * ||y_c||_1``: always a
+    possibility for the visits, at the largest c.
     """
     grid = [_damping(float(v)) for v in grid]
     view = transient_view(g, blocks, escc_only)

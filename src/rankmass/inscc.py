@@ -136,7 +136,10 @@ def _grid(grid) -> np.ndarray:
 def inscc_vector(view: ThreeBlockView, c: float) -> np.ndarray:
     """Evaluate the closed form at damping ``c``; indexed like inscc_nodes.
 
-    ``SOLVE_TOL`` bounds the L1 residual of the one solve ``y [I - cP] = u``."""
+    The one solve ``y [I - cP] = u`` has an L1 residual of at most
+    ``SOLVE_TOL``, or, where :func:`solve_left` stops at its rounding floor,
+    the least it reached, which the floor test passes up to
+    ``SOLVE_TOL * ||y||_1``."""
     return _inscc_at(view, _damping(c))
 
 
@@ -220,7 +223,10 @@ def derivative_at_one(view: ThreeBlockView) -> DerivativeAtOne:
     renormalized) to be irreducible; its stationary vector weighs the leak
     terms in the approximation.  A core that never leaks (no OUT share and
     no link to OUT) raises :class:`StructureError` before any solve.
-    ``SOLVE_TOL`` bounds the L1 residual of the solve ``y [I - P] = u`` and of ``pi_bar``.
+    ``SOLVE_TOL`` bounds the L1 residual of ``pi_bar``.  The solve
+    ``y [I - P] = u`` has an L1 residual of at most ``SOLVE_TOL``, or, where
+    :func:`solve_left` stops at its rounding floor, the least it reached,
+    which the floor test passes up to ``SOLVE_TOL * ||y||_1``.
     """
     pi_bar = _internal_stationary(view)
     out_share = view.out_nodes.size / view.n   # exact: 1 - alpha - beta need not round to 0
@@ -335,7 +341,12 @@ def _three_point(grid, values) -> tuple[list, list]:
 
 
 def inscc_curve(view: ThreeBlockView, grid) -> list[InsccCurvePoint]:
-    """Mass split per grid point to ``SOLVE_TOL``, with grid-based difference estimates."""
+    """Mass split per grid point, with grid-based difference estimates.
+
+    The solves come from one shifted basis (:func:`shifted_solve`).  The L1
+    residual of each grid point is at most ``SOLVE_TOL``, except where a
+    solve stops at its rounding floor, which passes up to
+    ``SOLVE_TOL * ||y_c||_1``: always a possibility at the largest c."""
     grid = _grid(grid)
     if not grid.size:
         return []

@@ -46,7 +46,10 @@ def block_stationary(g: GraphHandle, block) -> np.ndarray:
 
 def absorption_weights(g: GraphHandle, blocks: BlockDecomposition) -> np.ndarray:
     """Per-block drain terms (1/n) 1^T [I - T]^{-1} R_i 1: the visits x solving
-    x (I - T) = 1/n to an L1 residual of ``SOLVE_TOL``, carried into the blocks by ``x W``."""
+    x (I - T) = 1/n, carried into the blocks by ``x W``.  The solve's L1
+    residual is at most ``SOLVE_TOL``, or, where :func:`solve_left` stops at
+    its rounding floor, the least it reached, which may exceed it: the floor
+    test passes any residual up to ``SOLVE_TOL * ||x||_1``."""
     transient = np.flatnonzero(blocks.block_index < 0)
     t_view = block_view(g, transient, transient)
     visits = np.zeros(g.n)
@@ -69,7 +72,10 @@ class LimitReport:
 
 def limit_vector(g: GraphHandle, blocks: BlockDecomposition) -> LimitReport:
     """Assemble the limiting rank vector from block masses and stationaries,
-    each to an L1 residual of ``SOLVE_TOL``, cutting every block from one view."""
+    cutting every block from one view.  The stationaries have an L1 residual
+    of at most ``SOLVE_TOL``; the masses carry :func:`absorption_weights`'
+    bound, which at the rounding floor may be up to ``SOLVE_TOL`` times the
+    L1 norm of the visits."""
     if blocks.num_blocks == 0:
         raise StructureError("no recurrent blocks: the limit is undefined")
     inside = np.flatnonzero(blocks.block_index >= 0)

@@ -112,6 +112,29 @@ def test_unknown_flag_exits_one(graph_files, capsys):
     assert exc.value.code == 1
 
 
+def _option_help(command, flag, capsys):
+    """The lines of ``command --help`` that describe ``flag``."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = next(k for k, line in enumerate(lines) if line.startswith(f"  {flag}"))
+    end = next((k for k in range(start + 1, len(lines)) if not lines[k].startswith("   ")),
+               len(lines))
+    return lines[start:end]
+
+
+@pytest.mark.parametrize("flag, commands", [
+    ("--force-dn-merge", ("inscc-curve", "inscc-derivatives")),
+    ("--fold-other", ("inscc-curve", "inscc-derivatives")),
+    ("--exclude-pureout-transients", ("escc-bounds", "cstar")),
+])
+def test_shared_flags_print_one_help_text(flag, commands, capsys):
+    first, second = (_option_help(command, flag, capsys) for command in commands)
+    assert first == second
+    assert " ".join(first).split()[1:]   # a help text after the flag
+
+
 def test_bad_grid_is_validation_error(graph_files, capsys):
     for grid in ("0:1.2:0.1", "0:0.5:nan", "0:0.5:inf", "0:0.5:1e-9"):
         code, _, err = run_cli(["sweep", "--graph", graph_files["bowtie"],
@@ -403,9 +426,12 @@ def test_cells_match_format_over_random_bits_and_chunks():
     scaled = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 17, n)
     for values in (bits.view(np.float64), scaled, rng.random(1000) / 1e5):
         assert _rendered(values) == _formatted(values.tolist())
+    # a text column crossing the chunk border, as inscc-curve writes its estimates
+    text = ["" if i % 7 == 0 else cli._fmt(x) for i, x in enumerate(scaled.tolist())]
+    assert _rendered(text, range(n)) == "".join(f"{x},{i}\n" for i, x in enumerate(text))
     mixed = ["" if i % 7 == 0 else x for i, x in enumerate(scaled.tolist())]
-    assert _rendered(mixed, range(n)) == "".join(
-        f"{cli._fmt(x)},{i}\n" for i, x in enumerate(mixed))
+    with pytest.raises(ValueError, match="one kind of cell"):
+        _rendered(mixed, range(n))
 
 
 @settings(max_examples=200, deadline=None)
@@ -421,9 +447,20 @@ def test_integer_and_bool_cells(integers, flags):
 def test_integer_cells_at_the_int64_ends_and_past_them():
     ends = [-2 ** 63, -2 ** 63 + 1, -10 ** 18, -1, 0, 1, 9, 10, 9999, 10000, 10 ** 18, 2 ** 63 - 1]
     assert _rendered(np.array(ends, dtype=np.int64)) == "".join(f"{i}\n" for i in ends)
-    huge = [2 ** 63, -2 ** 64, 10 ** 30]
-    assert _rendered(huge) == "".join(f"{i}\n" for i in huge)
     assert _rendered(np.array([0, 2 ** 64 - 1], dtype=np.uint64)) == f"0\n{2 ** 64 - 1}\n"
+    with pytest.raises(ValueError, match="dtype object: a column holds one kind of cell"):
+        _rendered([2 ** 63, -2 ** 64, 10 ** 30])
+
+
+def test_narrow_integer_and_float_columns_read_as_fmt_writes_them():
+    # np.abs keeps an int8 -128 negative, which a uint64 cast would wrap
+    columns = [np.array([-128, 127, 0], dtype=np.int8),
+               np.array([-2 ** 15, 2 ** 15 - 1, 7], dtype=np.int16),
+               np.array([0.1, -3e-7, 65504.0], dtype=np.float32)]
+    for column in columns:
+        assert _rendered(column) == "".join(f"{cli._fmt(x)}\n" for x in column)
+    assert _rendered(*columns) == "".join(
+        ",".join(map(cli._fmt, row)) + "\n" for row in zip(*columns))
 
 
 def test_float32_scalars_and_columns_read_alike():
@@ -451,9 +488,11 @@ def test_table_columns_of_different_lengths_are_an_error(tmp_path):
 @pytest.mark.parametrize("bad", [",", '"', "\r", "\n", "\0"])
 def test_text_cells_that_would_need_quoting_are_an_error(tmp_path, bad):
     cell = f"a{bad}b"
-    for column in ([cell, "ok"], np.array(["ok", cell]), ["ok", 1.5, cell]):
+    for column in ([cell, "ok"], np.array(["ok", cell])):
         with pytest.raises(ValueError, match="cells are not quoted"):
             _report(tmp_path).table(["name"], column)
+    with pytest.raises(ValueError, match="one kind of cell"):
+        _report(tmp_path).table(["name"], ["ok", 1.5, cell])
     with pytest.raises(ValueError, match="cells are not quoted"):
         _report(tmp_path).table([f"x{bad}"], [1])
     report = _report(tmp_path)
