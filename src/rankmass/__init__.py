@@ -2,17 +2,15 @@
 graphs under random-surfer ranking."""
 
 from .bowtie import (BlockDecomposition, BowtieLabeling, Label, block_decomposition,
-                     bowtie_labeling, extended_scc, pure_out_nodes,
-                     strongly_connected_components)
+                     bowtie_labeling, strongly_connected_components)
 from .errors import (AssumptionViolationError, ConvergenceError, GraphParseError,
                      GraphRangeError, StructureError)
 from .escc import (CStarReport, Prop3Bounds, SpectralSummary, cstar_interval_closed_form,
                    cstar_solve, escc_mass, expected_visits, prop3_bounds,
                    pure_out_unfairness, spectral_summary)
 from .experiment import ExperimentReport, ExperimentRow, run_link_experiment
-from .graph import (GraphHandle, HyperlinkRow, build_graph, dense_hyperlink_matrix,
-                    dump_edge_list, dumps, hyperlink_row, load_edge_list, load_path,
-                    loads, with_edge)
+from .graph import (GraphHandle, build_graph, dumps, load_edge_list, load_path, loads,
+                    with_edge)
 from .inscc import (DerivativeAtOne, DerivativeAtZero, InsccCurvePoint, ThreeBlockView,
                     UnimodalityReport, derivative_at_one, derivative_at_zero,
                     full_rank_vector, inscc_curve, inscc_vector, reconstruct_out_and_dn,
@@ -28,17 +26,17 @@ __version__ = "0.1.0"
 __all__ = [
     "AssumptionViolationError", "BlockDecomposition", "BowtieLabeling", "CStarReport",
     "ConvergenceError", "DerivativeAtOne", "DerivativeAtZero", "ExperimentReport",
-    "ExperimentRow", "GraphHandle", "GraphParseError", "GraphRangeError", "HyperlinkRow",
+    "ExperimentRow", "GraphHandle", "GraphParseError", "GraphRangeError",
     "InsccCurvePoint", "Label", "LaurentCheck", "LimitReport", "MassBreakdown",
     "PageRankConfig", "Prop3Bounds", "RankVector", "SpectralSummary", "StructureError",
     "ThreeBlockView", "UnimodalityReport", "absorption_weights", "aggregated_chain_limit",
     "block_decomposition", "block_stationary", "bowtie_labeling", "build_graph",
-    "cstar_interval_closed_form", "cstar_solve", "damping_sweep", "dense_hyperlink_matrix",
-    "derivative_at_one", "derivative_at_zero", "dump_edge_list", "dumps", "escc_mass",
-    "expected_visits", "extended_scc", "full_rank_vector", "hyperlink_row", "inscc_curve",
+    "cstar_interval_closed_form", "cstar_solve", "damping_sweep",
+    "derivative_at_one", "derivative_at_zero", "dumps", "escc_mass",
+    "expected_visits", "full_rank_vector", "inscc_curve",
     "inscc_vector", "laurent_check", "laurent_example_2state", "laurent_example_5state",
     "limit_vector", "load_edge_list", "load_path", "loads", "mass_breakdown", "pagerank",
-    "pagerank_via_resolvent", "prop3_bounds", "pure_out_nodes", "pure_out_unfairness",
+    "pagerank_via_resolvent", "prop3_bounds", "pure_out_unfairness",
     "reconstruct_out_and_dn", "run_link_experiment", "sherman_morrison_split",
     "spectral_summary", "strongly_connected_components", "three_block_view",
     "unimodality_scan", "with_edge",

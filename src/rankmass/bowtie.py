@@ -17,8 +17,9 @@ re-split, and a block's irreducibility takes at most two closures
 Components are numbered deterministically by their smallest member and
 every node collection is sorted, so downstream CSV output is reproducible
 byte for byte.  Node sets are stored only here, as per-node arrays (labels,
-component and block ids, masks) that the analyses index with; the tuples
-and frozensets of the public API are derived from them on each access.
+component and block ids, masks) that the analyses index with; the few
+frozensets and tuples left (``scc_nodes``, ``escc``, ``transient_set``, ...)
+are derived from them on each access, and no analysis reads them.
 """
 
 from __future__ import annotations
@@ -177,14 +178,6 @@ class BowtieLabeling:
     component_of: np.ndarray      # node -> raw SCC id, numbered by smallest member
     giant_scc_id: int
 
-    @property
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, component_lists(self.component_of)))
-
-    @property
-    def giant_scc(self) -> frozenset:
-        return _node_set(self.component_of == self.giant_scc_id)
-
     def nodes_with(self, label: Label) -> frozenset:
         return _node_set(self.labels == label)
 
@@ -203,9 +196,6 @@ class BowtieLabeling:
     @property
     def other_nodes(self) -> frozenset:
         return self.nodes_with(Label.OTHER)
-
-    def name_of(self, i: int) -> str:
-        return Label(self.labels[i]).name
 
 
 def bowtie_labeling(g: GraphHandle) -> BowtieLabeling:
@@ -229,16 +219,6 @@ def bowtie_labeling(g: GraphHandle) -> BowtieLabeling:
     for arr in (labels, component_of):
         arr.setflags(write=False)
     return BowtieLabeling(labels=labels, component_of=component_of, giant_scc_id=giant_id)
-
-
-def extended_scc(g: GraphHandle, labels: BowtieLabeling) -> frozenset:
-    """The component of the transition-matrix graph containing the giant SCC.
-
-    With dangling nodes present this swallows IN, the dangling nodes, and any
-    of their predecessors on the OUT side.  This is ``escc`` of
-    :func:`block_decomposition`.
-    """
-    return block_decomposition(g, labels).escc
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,10 +263,6 @@ class BlockDecomposition:
     def escc(self) -> frozenset:
         return _node_set(self.escc_mask)
 
-    @property
-    def dangling(self) -> frozenset:
-        return frozenset(self.dangling_ids.tolist())
-
     def block_of(self, node: int) -> int:
         """Index of the recurrent block holding ``node``, or -1 if transient."""
         return int(self.block_index[node])
@@ -320,11 +296,6 @@ def block_decomposition(g: GraphHandle, labels: BowtieLabeling) -> BlockDecompos
     return BlockDecomposition(block_index=block_index, num_blocks=int(closed.sum()),
                               escc_mask=escc_mask, pure_out_mask=pure_out_mask,
                               dangling_ids=g.dangling, component_of=comp_of)
-
-
-def pure_out_nodes(labels: BowtieLabeling, blocks: BlockDecomposition) -> frozenset:
-    """OUT-labeled nodes outside the extended component (``blocks.pure_out_mask``)."""
-    return _node_set(blocks.pure_out_mask)
 
 
 def dual_path_mask(g: GraphHandle, labels: BowtieLabeling,

@@ -15,13 +15,12 @@ once.  A cell reads as :func:`rankmass.cli._fmt` writes it:
   NUL, since no cell is quoted.
 
 A column holds one kind of cell: a numpy array of bool, integer, float or str
-dtype, or a sequence that ``np.asarray`` reads as one of those.  Integers are
-read as int64 or uint64, floats as float64, and a sequence read as text must
-hold only ``str`` cells, so that no number is printed as ``str`` would.  Any
-other column (an object one, of mixed kinds or of integers past 64 bits) is a
-ValueError; a caller with mixed cells formats them itself, as ``inscc-curve``
-does for its empty estimate cells among floats.  The byte layouts assume a
-little-endian machine.
+dtype, or a sequence of Python or numpy scalars of one of those kinds that
+``np.asarray`` reads as that kind, so that no bool prints as ``1`` and no
+integer as a float.  Integers are read as int64 or uint64, floats as float64.
+Any other column (an object one, or of mixed kinds) is a ValueError; a caller
+with mixed cells formats them itself, as ``inscc-curve`` does for its empty
+estimate cells among floats.  The byte layouts assume a little-endian machine.
 """
 
 from __future__ import annotations
@@ -224,13 +223,22 @@ _RENDER = {"b": _bool_block, "i": _int_block, "u": _int_block, "f": _float_block
            "U": _text_block}
 
 
+_CELL_KINDS = (("b", (bool, np.bool_)), ("i", (int, np.integer)), ("f", (float, np.floating)),
+               ("U", (str,)))
+
+
+def _cell_kind(cell_type: type) -> str:
+    """The kind of a Python or numpy scalar type (bool before int, its base)."""
+    return next((kind for kind, types in _CELL_KINDS if issubclass(cell_type, types)), "O")
+
+
 def _typed(column) -> np.ndarray:
     """The column as an array of bool, int64, uint64, float64 or str; else a
-    ValueError."""
+    ValueError, as for a sequence with a cell of another kind than its dtype's."""
     values = np.asarray(column)
     kind = values.dtype.kind
-    mixed = kind == "U" and not isinstance(column, np.ndarray) \
-        and not all(isinstance(x, str) for x in column)
+    mixed = not isinstance(column, np.ndarray) and len(column) > 0 \
+        and {_cell_kind(t) for t in set(map(type, column))} != {"i" if kind == "u" else kind}
     if kind not in _RENDER or mixed:
         raise ValueError(f"table column read as dtype {values.dtype}: a column holds one kind "
                          "of cell: bool, integer, float or str")

@@ -73,15 +73,8 @@ class GraphHandle:
     def num_edges(self) -> int:
         return int(self.out_indices.size)
 
-    @property
-    def dangling_set(self) -> frozenset:
-        return frozenset(int(i) for i in self.dangling)
-
     def out_neighbors(self, i: int) -> np.ndarray:
         return self.out_indices[self.out_indptr[i]:self.out_indptr[i + 1]]
-
-    def in_neighbors(self, i: int) -> np.ndarray:
-        return self.in_indices[self.in_indptr[i]:self.in_indptr[i + 1]]
 
     def is_dangling(self, i: int) -> bool:
         return bool(self.dangling_mask[i])
@@ -90,19 +83,6 @@ class GraphHandle:
         """Iterate over the edges as int pairs sorted by (source, target)."""
         sources = np.repeat(np.arange(self.n), self.out_degree)
         return zip(sources.tolist(), self.out_indices.tolist())
-
-
-@dataclass(frozen=True, eq=False)
-class HyperlinkRow:
-    """One row of the transition matrix.
-
-    ``uniform`` rows stand for weight ``1/n`` to every node; link rows carry
-    ``weight`` on each listed target.  Either way the row sums to one.
-    """
-
-    uniform: bool
-    targets: np.ndarray | None
-    weight: float
 
 
 def _reverse_csr(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,25 +212,9 @@ def load_path(path) -> GraphHandle:
     return _load_plain(data) or load_edge_list(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
 
 
-def dump_edge_list(g: GraphHandle, stream: IO[str]) -> None:
-    """Write :func:`dumps` of the graph to ``stream``."""
-    stream.write(dumps(g))
-
-
 def dumps(g: GraphHandle) -> str:
     """The edge-list text: header line, then edges sorted by (u, v)."""
     return f"n {g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
-
-
-def hyperlink_row(g: GraphHandle, i: int) -> HyperlinkRow:
-    """Row ``i`` of the transition matrix: successors with weight ``1/d_i``,
-    or the uniform marker (weight ``1/n``) for a dangling node."""
-    if i < 0 or i >= g.n:
-        raise GraphRangeError(f"node {i} outside [0, {g.n})")
-    if g.dangling_mask[i]:
-        return HyperlinkRow(uniform=True, targets=None, weight=1.0 / g.n)
-    return HyperlinkRow(uniform=False, targets=g.out_neighbors(i),
-                        weight=1.0 / float(g.out_degree[i]))
 
 
 def with_edge(g: GraphHandle, u: int, v: int) -> GraphHandle:
@@ -258,7 +222,8 @@ def with_edge(g: GraphHandle, u: int, v: int) -> GraphHandle:
 
     The only mutation entry point; used to splice an escape link out of a
     dead-end.  The graph is rebuilt by :func:`build_graph` from its edge
-    array with the new edge inserted in (u, v) order, so nothing is sorted.
+    array with the new edge inserted in (u, v) order, so the edge sort and the
+    repeat check are skipped; the reverse arrays take their one key sort.
     Raises if the edge already exists.
     """
     if u < 0 or u >= g.n or v < 0 or v >= g.n:
@@ -268,14 +233,3 @@ def with_edge(g: GraphHandle, u: int, v: int) -> GraphHandle:
     edges = np.column_stack((np.repeat(np.arange(g.n), g.out_degree), g.out_indices))
     slot = g.out_indptr[u] + np.searchsorted(g.out_neighbors(u), v)
     return build_graph(g.n, np.insert(edges, slot, (u, v), axis=0))
-
-
-def dense_hyperlink_matrix(g: GraphHandle) -> np.ndarray:
-    """Materialize the full transition matrix, dangling rows included.
-
-    Intended for the small-matrix verification instruments; quadratic in n.
-    """
-    w = np.asarray(g.w.todense(), dtype=np.float64)
-    if g.dangling.size:
-        w[g.dangling, :] = 1.0 / g.n
-    return w

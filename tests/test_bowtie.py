@@ -62,28 +62,27 @@ def test_labeling_invariant_under_relabeling(bowtie, bowtie_labels):
     perm = rng.permutation(bowtie.n)
     shuffled, node_map = helpers.permute_graph(bowtie, perm)
     relabeled = rm.bowtie_labeling(shuffled)
-    for v in range(bowtie.n):
-        assert relabeled.name_of(node_map[v]) == bowtie_labels.name_of(v)
+    assert relabeled.labels[node_map].tolist() == bowtie_labels.labels.tolist()
 
 
-def test_extended_component_bowtie(bowtie, bowtie_labels):
-    assert rm.extended_scc(bowtie, bowtie_labels) == {0, 1, 2, 3, 4, 5}
+def test_extended_component_bowtie(bowtie_blocks):
+    assert np.flatnonzero(bowtie_blocks.escc_mask).tolist() == [0, 1, 2, 3, 4, 5]
 
 
 def test_extended_component_without_dangling_matches_plain_scc_closure():
     # no dangling rows: the transition graph is the raw graph
     g = rm.build_graph(6, [(0, 1), (1, 2), (2, 1), (2, 3), (3, 1), (3, 4), (4, 5), (5, 4)])
     labels = rm.bowtie_labeling(g)
-    escc = rm.extended_scc(g, labels)
+    escc = set(np.flatnonzero(rm.block_decomposition(g, labels).escc_mask).tolist())
     comps = as_sets(rm.strongly_connected_components(g))
     assert escc in comps
-    assert labels.giant_scc <= escc
+    assert labels.scc_nodes <= escc
 
 
 def test_single_dangling_node_extended_component():
     g = rm.build_graph(1, [])
-    labels = rm.bowtie_labeling(g)
-    assert rm.extended_scc(g, labels) == {0}
+    blocks = rm.block_decomposition(g, rm.bowtie_labeling(g))
+    assert np.flatnonzero(blocks.escc_mask).tolist() == [0]
 
 
 def test_block_decomposition_bowtie(bowtie_blocks):
@@ -172,8 +171,8 @@ def test_transition_graph_components_merge_dangling(bowtie, bowtie_blocks):
         assert bowtie_blocks.component_of[comp].tolist() == [k] * len(comp)
 
 
-def test_pure_out_nodes(bowtie_labels, bowtie_blocks):
-    assert rm.pure_out_nodes(bowtie_labels, bowtie_blocks) == {6, 7, 8, 9, 10, 11}
+def test_pure_out_nodes(bowtie_blocks):
+    assert np.flatnonzero(bowtie_blocks.pure_out_mask).tolist() == [6, 7, 8, 9, 10, 11]
 
 
 def test_dual_path_flag(bowtie, bowtie_labels, bowtie_blocks):

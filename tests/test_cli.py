@@ -470,6 +470,18 @@ def test_float32_scalars_and_columns_read_alike():
     assert _rendered([value, 0.5]) == "0.10000000149011612\n0.5\n"
 
 
+def test_sequences_of_mixed_cell_kinds_are_an_error():
+    """``np.asarray`` would read each of these as one dtype and print a cell
+    as another kind: ``2**63`` beside ``-1`` as a float, ``True`` as ``1``."""
+    for column in ([2 ** 63, -1], [True, 2], [0.5, True], (np.bool_(True), 1.5),
+                   [np.uint64(2 ** 64 - 1), -1]):
+        with pytest.raises(ValueError, match="one kind of cell"):
+            _rendered(column)
+    for column in (range(3), (1, 2, 3), (True, np.bool_(False)), [np.int8(-3), 2, np.uint16(7)],
+                   (np.float32(0.5), 0.25, np.float64(1.0)), ("a", np.str_("b"), ""), []):
+        assert _rendered(column) == "".join(f"{cli._fmt(x)}\n" for x in column)
+
+
 def _report(tmp_path):
     graph = tmp_path / "g.edges"
     graph.write_text("0 1\n")

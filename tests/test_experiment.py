@@ -46,7 +46,7 @@ def test_escape_never_raises_block_mass(random_graphs):
         if not blocks.recurrent_blocks:
             continue
         source = blocks.recurrent_blocks[0][0]
-        target = min(labels.giant_scc)
+        target = min(labels.scc_nodes)
         report = rm.run_link_experiment(g, labels, blocks, source, target,
                                         damping_values=[0.3, 0.85])
         for row in report.rows:

@@ -79,6 +79,14 @@ def test_import_loads_no_heavy_scipy_submodules():
     assert _run(code).strip() == "[]"
 
 
+def test_public_names_are_sorted_unique_and_defined():
+    """``rankmass.__all__`` is kept by hand: sorted, each name once, and each
+    one an attribute of the package."""
+    names = rankmass.__all__
+    assert names == sorted(set(names))
+    assert [name for name in names if not hasattr(rankmass, name)] == []
+
+
 def test_no_module_reads_the_environment():
     """Results depend on arguments alone: no module of the package reads
     ``os.environ`` or ``os.getenv``."""

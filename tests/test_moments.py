@@ -176,10 +176,10 @@ def test_sweep_against_dense_pagerank(cases):
             assert m.by_label == pytest.approx(
                 {label.name: float(ref[lab == label].sum()) for label in rm.Label}, abs=1e-11)
             assert m.in_scc == pytest.approx(m.by_label["IN"] + m.by_label["SCC"], abs=1e-15)
-            for got, nodes in ((m.escc, blocks.escc), (m.dn, blocks.dangling),
-                               (m.transient, blocks.transient_set),
-                               (m.pure_out, rm.pure_out_nodes(labels, blocks))):
-                assert got == pytest.approx(float(ref[sorted(nodes)].sum()), abs=1e-11)
+            for got, nodes in ((m.escc, blocks.escc_mask), (m.dn, blocks.dangling_ids),
+                               (m.transient, blocks.block_index < 0),
+                               (m.pure_out, blocks.pure_out_mask)):
+                assert got == pytest.approx(float(ref[nodes].sum()), abs=1e-11)
             assert m.recurrent_blocks == pytest.approx(
                 [float(ref[list(b)].sum()) for b in blocks.recurrent_blocks], abs=1e-11)
             assert m.label_total == pytest.approx(1.0, abs=1e-14)

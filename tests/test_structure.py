@@ -80,17 +80,17 @@ def _check_labels_and_blocks(g):
 
     labels = rm.bowtie_labeling(g)
     assert labels.labels.tolist() == expected.tolist()
-    assert [list(c) for c in labels.components] == comps
+    assert component_lists(labels.component_of) == comps
     for k, comp in enumerate(comps):
         assert labels.component_of[comp].tolist() == [k] * len(comp)
+    assert labels.giant_scc_id == comps.index(giant)
 
     w_comps = helpers.dense_reach_components(full)
     inside = np.zeros((len(w_comps), g.n), dtype=bool)
     for k, comp in enumerate(w_comps):
         inside[k, comp] = True
     closed = [comp for k, comp in enumerate(w_comps) if not full[inside[k]][:, ~inside[k]].any()]
-    assert labels.components == tuple(map(tuple, comps))
-    assert labels.giant_scc == frozenset(giant)
+    assert labels.scc_nodes == frozenset(giant)
     blocks = rm.block_decomposition(g, labels)
     assert component_lists(blocks.component_of) == w_comps
     assert not blocks.component_of.flags.writeable
@@ -98,12 +98,11 @@ def _check_labels_and_blocks(g):
     block_nodes = {v for b in closed for v in b}
     assert blocks.transient_set == set(range(g.n)) - block_nodes
     assert blocks.escc == set(next(c for c in w_comps if giant[0] in c))
-    assert blocks.dangling == frozenset(np.flatnonzero(~raw.any(axis=1)).tolist())
+    assert blocks.dangling_ids.tolist() == np.flatnonzero(~raw.any(axis=1)).tolist()
     w_escc = next(c for c in w_comps if giant[0] in c)
-    assert rm.pure_out_nodes(labels, blocks) == \
-        frozenset(np.flatnonzero(expected == int(Label.OUT)).tolist()) - frozenset(w_escc)
-    for node_set in (labels.giant_scc, blocks.transient_set, blocks.escc, blocks.dangling,
-                     rm.pure_out_nodes(labels, blocks)):
+    assert np.flatnonzero(blocks.pure_out_mask).tolist() == \
+        sorted(set(np.flatnonzero(expected == int(Label.OUT)).tolist()) - set(w_escc))
+    for node_set in (labels.scc_nodes, blocks.transient_set, blocks.escc):
         assert type(node_set) is frozenset
     for v in range(g.n):
         expect = next((k for k, b in enumerate(closed) if v in b), -1)
@@ -214,7 +213,7 @@ def test_tarjan_never_walks_the_giant(monkeypatch):
     monkeypatch.setattr(bowtie, "_tarjan", spy)
     labels = rm.bowtie_labeling(g)
     rm.block_decomposition(g, labels)
-    giant = len(labels.giant_scc)
+    giant = len(labels.scc_nodes)
     assert giant >= 4 and sizes == [g.n - giant]
 
 
@@ -264,7 +263,7 @@ def test_long_path_has_no_recursion_limit():
     comps = rm.strongly_connected_components(g)
     assert len(comps) == LONG and comps[-1] == [LONG - 1]
     labels = rm.bowtie_labeling(g)
-    assert labels.giant_scc == {0}
+    assert labels.scc_nodes == {0}
     assert labels.out_nodes == set(range(1, LONG))
     blocks = rm.block_decomposition(g, labels)
     assert blocks.num_blocks == 1 and not blocks.transient_set
