@@ -191,10 +191,9 @@ def prop3_bounds(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecomposit
     """Evaluate the envelope on a grid and report where each side binds.
 
     The masses and the expected visits, the value at c = 1, come from one
-    shifted basis (:func:`shifted_solve`; the mass at c = 1 is 0).  Each L1
-    residual is at most ``SOLVE_TOL``, except where a solve stops at its
-    rounding floor, which passes up to ``SOLVE_TOL * ||y_c||_1``: always a
-    possibility for the visits, at the largest c.
+    shifted basis (:func:`shifted_solve`; the mass at c = 1 is 0).  Each
+    point has an L1 residual at most ``SOLVE_TOL``, or, the visits at the
+    largest c possibly, a normwise backward error at most eps.
     """
     grid = [_damping(float(v)) for v in grid]
     view = transient_view(g, blocks, escc_only)

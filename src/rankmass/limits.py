@@ -46,10 +46,9 @@ def block_stationary(g: GraphHandle, block) -> np.ndarray:
 
 def absorption_weights(g: GraphHandle, blocks: BlockDecomposition) -> np.ndarray:
     """Per-block drain terms (1/n) 1^T [I - T]^{-1} R_i 1: the visits x solving
-    x (I - T) = 1/n, carried into the blocks by ``x W``.  The solve's L1
-    residual is at most ``SOLVE_TOL``, or, where :func:`solve_left` stops at
-    its rounding floor, the least it reached, which may exceed it: the floor
-    test passes any residual up to ``SOLVE_TOL * ||x||_1``."""
+    x (I - T) = 1/n, carried into the blocks by ``x W``.  The solve
+    (:func:`solve_left`) has an L1 residual at most ``SOLVE_TOL``, or a
+    normwise backward error at most eps."""
     transient = np.flatnonzero(blocks.block_index < 0)
     t_view = block_view(g, transient, transient)
     visits = np.zeros(g.n)
@@ -72,10 +71,9 @@ class LimitReport:
 
 def limit_vector(g: GraphHandle, blocks: BlockDecomposition) -> LimitReport:
     """Assemble the limiting rank vector from block masses and stationaries,
-    cutting every block from one view.  The stationaries have an L1 residual
-    of at most ``SOLVE_TOL``; the masses carry :func:`absorption_weights`'
-    bound, which at the rounding floor may be up to ``SOLVE_TOL`` times the
-    L1 norm of the visits."""
+    cutting every block from one view.  The stationaries, and the visits
+    behind the masses (:func:`absorption_weights`), each have an L1 residual
+    at most ``SOLVE_TOL``, or a normwise backward error at most eps."""
     if blocks.num_blocks == 0:
         raise StructureError("no recurrent blocks: the limit is undefined")
     inside = np.flatnonzero(blocks.block_index >= 0)

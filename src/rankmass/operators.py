@@ -7,20 +7,19 @@ many c, is read off one restarted left-Arnoldi basis of A from x0
 (:func:`shifted_solve`): its residuals for all c stay collinear across
 restarts, so each costs O(1) to bound, and the product count follows the
 spectrum, not the largest c.  A single resolvent vector ``b [I - A]^{-1}`` is
-:func:`solve_left`, a BiCGSTAB that stops once the true residual
-``||b - y (I - A)||_1`` is within the tolerance or, at the rounding floor
-(found whatever the tolerance), once it stops halving; off the floor it falls
-back to summing the series :func:`walk` on a breakdown or at its step cap,
-which a long chain in A needs.  Dominant and stationary vectors come from
-:func:`perron_irreducible`: power steps while the residual keeps falling,
-then half-step blends, which converge on periodic classes too.
+:func:`solve_left`, a BiCGSTAB that falls back to summing the series
+:func:`walk` on a breakdown or at its step cap, which a long chain in A
+needs.  Dominant and stationary vectors come from :func:`perron_irreducible`:
+power steps while the residual keeps falling, then half-step blends, which
+converge on periodic classes too.  All three stop by one rule: residual at
+most ``tol``, or normwise backward error at most eps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -28,9 +27,12 @@ from .bowtie import closure
 from .errors import ConvergenceError
 from .graph import GraphHandle, _reverse_csr
 
+if TYPE_CHECKING:
+    from scipy import sparse
+
 MAX_ITER = 500_000
 BICGSTAB_MAX_ITER = 500
-STALL_STEPS = 100  # perron_irreducible's steps without a new least residual before it gives up
+EPS = np.finfo(np.float64).eps
 SOLVE_TOL = 1e-14  # default L1 residual of the linear solves
 EIG_TOL = 1e-13    # default L1 residual of the Perron pairs
 RESTART = 20       # basis vectors per cycle of shifted_solve
@@ -41,6 +43,14 @@ def check_tolerance(tol: float) -> None:
     """Raise ValueError unless ``0 < tol < inf``."""
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tolerance must be positive and finite; got {tol}")
+
+
+def _accepts(res: float, tol: float, scale: float) -> bool:
+    """The stopping rule of every solve: an L1 residual ``res`` of a
+    difference of terms whose L1 norms sum to ``scale`` is accepted at most
+    ``tol``, or at a normwise backward error ``res / scale`` of at most eps
+    (Rigal & Gaches, J. ACM 1967; Higham, *Accuracy and Stability*, §7.1)."""
+    return res <= tol or res <= EPS * scale
 
 
 def _as_index(nodes) -> np.ndarray:
@@ -153,26 +163,24 @@ def solve_left(apply_a: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
 
     It starts at ``y = b`` with a fixed seeded random shadow residual and
     updates the residual by the recurrence ``r = s - omega t``, two products
-    per step.  The true residual ``||b - y (I - A)||_1`` is recomputed only
-    when the updated one claims the stop (at most ``tol`` or ``tol * ||y||_1``)
-    or once floored.  ``y`` is returned as soon as the true residual is at
-    most ``tol``.  A miss marks the rounding floor when it is at most
-    ``tol * ||y||_1`` or above half of the previous claimed stop's, whatever
-    ``tol`` is; any other miss means the updated residual drifted, and the
-    true one replaces it (van der Vorst & Ye, SISC 2000).  At the floor the
-    recurrence goes on, and the best iterate is returned at the second step
-    in a row where the true residual fails to halve, at a breakdown (a zero
-    or non-finite ``r_hat . r``, ``r_hat . v`` or ``omega``) or after
-    ``BICGSTAB_MAX_ITER`` steps.  Off the floor those two fall back to the
-    sum of the walk ``b A^k`` (:func:`walk`), which stops after the first
-    term of L1 norm at most ``tol`` and raises :class:`ConvergenceError` at a
-    non-finite term or past ``MAX_ITER`` terms.  A chain of k nodes in A
-    needs it: BiCGSTAB, like any Krylov method, takes at least k products to
-    cross the chain and turns unstable on a long one, while the walk crosses
-    it in k terms.  The walk needs the spectral radius of A below one;
-    BiCGSTAB only needs ``I - A`` nonsingular.  A non-finite ``b`` raises
-    :class:`ConvergenceError` before any product.  The inner products are
-    numpy reductions: a BLAS ``@`` would run threaded on long vectors.
+    per step.  ``y`` is returned once the true residual ``b - y (I - A)`` is
+    at most ``tol`` in L1 norm, or its normwise backward error
+    ``||r||_1 / (||b||_1 + ||y||_1 + ||y A||_1)`` is at most eps.  The true
+    residual is recomputed only when the updated one claims that stop, with
+    ``||y||_1`` standing in for ``||y A||_1``; a failed claim means the
+    updated residual drifted, and the true one replaces it (van der Vorst &
+    Ye, SISC 2000).  At a breakdown (a zero or non-finite ``r_hat . r``,
+    ``r_hat . v`` or ``omega``) or after ``BICGSTAB_MAX_ITER`` steps it falls
+    back to the sum of the walk ``b A^k`` (:func:`walk`), which stops after
+    the first term of L1 norm at most ``tol`` and raises
+    :class:`ConvergenceError` at a non-finite term or past ``MAX_ITER``
+    terms.  A chain of k nodes in A needs it: BiCGSTAB, like any Krylov
+    method, takes at least k products to cross the chain and turns unstable
+    on a long one, while the walk crosses it in k terms.  The walk needs the
+    spectral radius of A below one; BiCGSTAB only needs ``I - A``
+    nonsingular.  A non-finite ``b`` raises :class:`ConvergenceError` before
+    any product.  The inner products are numpy reductions: a BLAS ``@``
+    would run threaded on long vectors.
     """
     check_tolerance(tol)
     b = np.asarray(b, dtype=np.float64)
@@ -181,24 +189,15 @@ def solve_left(apply_a: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     r_hat = np.random.default_rng(0).random(b.size)
     y, p, v = b.copy(), np.zeros_like(b), np.zeros_like(b)
     rho = alpha = omega = 1.0
-    prev, best, best_res, floored, stalls = np.inf, y, np.inf, False, 0
+    b_norm = float(np.abs(b).sum())
     r = b - (y - apply_a(y))
     for _ in range(BICGSTAB_MAX_ITER):
-        if floored or float(np.abs(r).sum()) <= tol * max(1.0, float(np.abs(y).sum())):
-            true_r = b - (y - apply_a(y))   # a claimed stop: check the true residual
-            res = float(np.abs(true_r).sum())
-            if res <= tol:
+        y_norm = float(np.abs(y).sum())
+        if _accepts(float(np.abs(r).sum()), tol, b_norm + 2.0 * y_norm):
+            y_a = apply_a(y)
+            r = b - (y - y_a)   # a claimed stop: check the true residual
+            if _accepts(float(np.abs(r).sum()), tol, b_norm + y_norm + float(np.abs(y_a).sum())):
                 return y
-            stalled = res > 0.5 * prev
-            floored = floored or stalled or res <= tol * float(np.abs(y).sum())
-            r = r if floored else true_r   # above the floor the updated residual drifted
-            if floored:
-                if res < best_res:
-                    best, best_res = y, res
-                stalls = stalls + 1 if stalled else 0
-                if stalls == 2:
-                    return best
-            prev = res
         rho_next = float((r_hat * r).sum())
         if not (omega and rho_next and np.isfinite((omega, rho_next)).all()):
             break
@@ -215,7 +214,7 @@ def solve_left(apply_a: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
         omega = float((t * s).sum()) / tt if tt else 0.0   # s = 0: the half step solved it
         y = y + alpha * p + omega * s
         r = s - omega * t
-    return best if floored else sum(walk(apply_a, b, tol=tol))
+    return sum(walk(apply_a, b, tol=tol))
 
 
 class ShiftedSolve(NamedTuple):
@@ -248,10 +247,13 @@ def shifted_solve(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, pro
     (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 1976).  All residuals
     stay multiples of the next cycle's start ``v_{k+1}``, so each costs O(1).
     Once every c meets its ``tol`` (one, or one per c), one product checks
-    the largest c, allowed up to :func:`solve_left`'s rounding floor
-    ``tol ||y||_1``; a c still above after ``MAX_CYCLES`` cycles takes one
-    :func:`solve_left`.  A zero or non-finite start raises
-    :class:`ConvergenceError` before any product.
+    the true residual of the largest c: at most its ``tol``, or a normwise
+    backward error ``||r||_1 / (||x0||_1 + ||y||_1 + c ||y A||_1)`` of at
+    most eps.  If it misses, ``y`` goes on as ``y + d`` with
+    ``d (I - cA) = r`` by :func:`solve_left`; any other c still above its
+    ``tol`` after ``MAX_CYCLES`` cycles takes one :func:`solve_left` from
+    x0.  A zero or non-finite start raises :class:`ConvergenceError` before
+    any product.
     """
     grid = np.asarray(grid, dtype=np.float64)
     tols = np.broadcast_to(np.asarray(tol, dtype=np.float64), grid.shape)
@@ -267,7 +269,7 @@ def shifted_solve(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, pro
     basis = np.zeros((RESTART + 1, x0.size))
     basis[0] = x0 / beta
     top, rho, values, y_top, cycles = int(np.argmax(grid)), np.full(grid.size, beta), 0, 0, []
-    floor = tols[top]
+    met, start = False, ()   # start: the top point's y and residual, once checked
     for _ in range(MAX_CYCLES):
         h = np.zeros((RESTART + 1, RESTART))
         for j in range(RESTART):
@@ -282,7 +284,7 @@ def shifted_solve(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, pro
                     break
             if not np.isfinite(norm):
                 raise ConvergenceError("the shifted basis reached a non-finite value", norm, j + 1)
-            if norm <= np.finfo(np.float64).eps * scale:   # an invariant subspace
+            if norm <= EPS * scale:   # an invariant subspace
                 h = h[:j + 2, :j + 1]
                 break
             h[j + 1, j], basis[j + 1] = norm, w / norm
@@ -293,19 +295,23 @@ def shifted_solve(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, pro
         y_top = y_top + np.einsum("i,ij->j", z[top], basis[:m])
         bounds = np.abs(rho) * cycles[-1][2]
         if np.all(bounds <= tols):
-            bounds[top] = float(np.abs(x0 - (y_top - grid[top] * apply(y_top))).sum())
-            floor *= max(1.0, float(np.abs(y_top).sum()))
+            y_a = grid[top] * apply(y_top)
+            start = (y_top, x0 - (y_top - y_a))
+            bounds[top] = float(np.abs(start[1]).sum())
+            met = _accepts(bounds[top], tols[top], float(np.abs(x0).sum())
+                           + float(np.abs(y_top).sum()) + float(np.abs(y_a).sum()))
             break
         basis[0] = basis[m]
 
-    def solve(c: float, tol_c: float) -> tuple[np.ndarray, float]:
-        y = solve_left(lambda v: c * apply(v), x0, tol=tol_c)
-        return probes_t @ y, float(np.abs(x0 - (y - c * apply(y))).sum())
+    def solve(c: float, tol_c: float, y=0.0, r=x0) -> tuple[np.ndarray, float]:
+        damped = lambda v: c * apply(v)
+        y = y + solve_left(damped, r, tol=tol_c)   # r: the residual of the start y
+        return probes_t @ y, float(np.abs(x0 - (y - damped(y))).sum())
 
     redo = bounds > tols
-    redo[top] = bounds[top] > floor
-    for i in np.flatnonzero(redo):
-        values[i], bounds[i] = solve(float(grid[i]), float(tols[i]))
+    redo[top] &= not met
+    for i in np.flatnonzero(redo):   # only the top point once the cycles met every tol
+        values[i], bounds[i] = solve(float(grid[i]), float(tols[i]), *start)
 
     def at(c: float) -> np.ndarray:
         rho, out = np.array([beta]), 0
@@ -337,21 +343,21 @@ def perron_irreducible(block: SubstochasticBlock, tol: float = EIG_TOL) -> tuple
     vector.
 
     Iterates power steps ``y <- y B``, normalised, until the residual
-    ``||y B - lam y||_1`` is at most ``tol``.  From the first step whose
-    residual exceeds 0.9 times the last one (a periodic class, or an
+    ``z - lam y`` of ``z = y B`` is at most ``tol`` in L1 norm, or its
+    normwise backward error ``||z - lam y||_1 / (||z||_1 + |lam| ||y||_1)``
+    is at most eps, and returns that ``lam`` and ``y``.  From the first step
+    whose residual exceeds 0.9 times the last one (a periodic class, or an
     eigenvalue near ``-lam``, keeps plain steps from converging) it blends
     ``y <- (y + y B) / 2`` instead, which shares the eigenvector and makes
     the class primitive, at half the rate.  A single node stops after one
-    step with its self-transition weight.  Raises ValueError
-    unless ``0 < tol < inf`` and :class:`ConvergenceError` at the first
-    non-finite residual, once ``STALL_STEPS`` steps in a row set no new least
-    residual (a ``tol`` below the rounding floor), or after ``MAX_ITER``
-    steps, with the steps taken.
+    step with its self-transition weight.  Raises ValueError unless
+    ``0 < tol < inf`` and :class:`ConvergenceError` at the first non-finite
+    residual or after ``MAX_ITER`` steps, with the steps taken.
     """
     check_tolerance(tol)
     size = block.shape[0]
     y = np.full(size, 1.0 / size)
-    blend, prev, least, least_at = False, np.inf, np.inf, 0
+    blend, prev = False, np.inf
     for it in range(1, MAX_ITER + 1):
         z = block.mul_left(y)
         lam = float(z.sum())
@@ -359,17 +365,10 @@ def perron_irreducible(block: SubstochasticBlock, tol: float = EIG_TOL) -> tuple
         if not np.isfinite(residual):
             raise ConvergenceError("eigenvector iteration reached a non-finite value",
                                    residual, it)
+        if _accepts(residual, tol, float(np.abs(z).sum()) + abs(lam) * float(np.abs(y).sum())):
+            return lam, y
         blend = blend or residual > 0.9 * prev
         prev = residual
         y = 0.5 * (y + z) if blend else z
-        s = y.sum()
-        if s <= 0.0:
-            return 0.0, np.full(size, 1.0 / size)
-        y /= s
-        if residual <= tol:
-            return lam, y
-        if residual < least:
-            least, least_at = residual, it
-        elif it - least_at == STALL_STEPS:
-            break
-    raise ConvergenceError("eigenvector iteration stagnated", residual, it)
+        y /= y.sum()
+    raise ConvergenceError("eigenvector iteration did not converge", residual, MAX_ITER)

@@ -176,9 +176,9 @@ def damping_sweep(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecomposi
     The PageRank vector at ``c`` is ``(1-c) y_c``, ``y_c (I - cW) = u``, so
     every point reads the component masses of ``y_c`` off one shifted basis
     (:func:`operators.shifted_solve`), normalised by their label total.  Each
-    point targets a residual of ``(1 - c) tol / 2``, which puts the top
-    point's rounding floor, ``||y_c||_1 = 1/(1 - c)`` times its target, at
-    ``tol / 2``.  A residual above ``tol / 2`` raises :class:`ConvergenceError`
+    point targets a residual of ``(1 - c) tol / 2``; the top point stops
+    there, or at a normwise backward error at most eps where rounding keeps
+    it above.  A residual above ``tol / 2`` raises :class:`ConvergenceError`
     naming its ``c``, with the basis cycles as the iterations; at or below it,
     as ``||[I - cW]^{-1}||_1 = 1/(1 - c)``, the L1 error of ``(1 - c) y_c`` is
     within ``tol / 2``, and normalising at most doubles it, so ``tol`` bounds

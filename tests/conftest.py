@@ -1,3 +1,6 @@
+import functools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -72,3 +75,18 @@ def near_one():
     blocks = rm.block_decomposition(g, labels)
     assert rm.spectral_summary(g, labels, blocks).lambda1 >= 0.995
     return g, labels, blocks
+
+
+@pytest.fixture(scope="session")
+def seed1_graph():
+    """The benchmark's seed-1 graph of a workload, by name, each built once."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        import bowtiegen
+        from workloads import WORKLOADS
+
+    @functools.cache
+    def build(name: str) -> rm.GraphHandle:
+        gen = bowtiegen.generate(WORKLOADS[name].profile, 1)
+        return rm.build_graph(gen.n, gen.edges.tolist())
+    return build

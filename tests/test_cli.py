@@ -527,7 +527,7 @@ def test_missing_graph_file(capsys):
     assert code == 1
 
 
-def test_nonconvergence_exit_code(graph_files, tmp_path, monkeypatch, capsys):
+def test_nonconvergence_exit_code(graph_files, tmp_path, seed1_graph, capsys):
     code, out, err = run_cli(["pagerank", "--graph", graph_files["bowtie"],
                               "--damping", "0.85", "--tol", "1e-17"], capsys)
     assert code == 2
@@ -535,12 +535,8 @@ def test_nonconvergence_exit_code(graph_files, tmp_path, monkeypatch, capsys):
     assert out == ""
     # the benchmark's seed-1 inscc-grid graph: at c = 0.99 rounding keeps the
     # sweep's residual near 47 times tol / 2
-    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
-    import bowtiegen
-    from workloads import WORKLOADS
-    gen = bowtiegen.generate(WORKLOADS["inscc-grid"].profile, 1)
     path = tmp_path / "inscc-grid.edges"
-    path.write_text(rm.dumps(rm.build_graph(gen.n, gen.edges.tolist())))
+    path.write_text(rm.dumps(seed1_graph("inscc-grid")))
     code, out, err = run_cli(["sweep", "--graph", str(path), "--grid", "0:0.99:0.01",
                               "--tol", "1e-14"], capsys)
     assert code == 2
@@ -550,6 +546,20 @@ def test_nonconvergence_exit_code(graph_files, tmp_path, monkeypatch, capsys):
         main(["pagerank", "--graph", graph_files["bowtie"], "--max-iter", "2"])
     assert exc.value.code == 1
     assert "unrecognized arguments: --max-iter 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["bowtie-large", "inscc-grid"])
+def test_pagerank_near_one_finishes_on_the_seed1_graphs(name, seed1_graph, tmp_path, capsys):
+    # at c = 0.9999 the solve's target (1 - c) tol lies below rounding, and it
+    # stops at a backward error of eps; with the floor test tol * ||y||_1 it
+    # ran 500 steps, then summed the walk, and had not finished after 30 s
+    graph, out = tmp_path / f"{name}.edges", tmp_path / "pr.csv"
+    graph.write_text(rm.dumps(seed1_graph(name)))
+    code, _, err = run_cli(["pagerank", "--graph", str(graph), "--out", str(out),
+                            "--damping", "0.9999"], capsys)
+    assert (code, err) == (0, "")
+    params = next(line for line in out.read_text().splitlines() if line.startswith("# params:"))
+    assert int(params.rsplit("iterations_used=", 1)[1]) <= 150
 
 
 def test_bad_tolerance_fails_fast(capsys):

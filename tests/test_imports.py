@@ -6,9 +6,14 @@ submodules never.  Each check runs in a subprocess, since this test process
 has scipy loaded already."""
 
 import ast
+import dataclasses
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import rankmass
@@ -127,3 +132,23 @@ def test_tolerance_defaults_have_one_home():
                 stray.append(f"{path.name}:{node.lineno} assigns {node.id}")
     assert stray == []
     assert (rankmass.operators.SOLVE_TOL, rankmass.operators.EIG_TOL) == (1e-14, 1e-13)
+
+
+def test_dataclass_annotations_resolve():
+    """``typing.get_type_hints`` resolves every public dataclass of every
+    module, given the names that the module imports under ``TYPE_CHECKING``
+    (``scipy.sparse`` for ``SubstochasticBlock``, which it must not load at
+    import)."""
+    checked = []
+    for info in pkgutil.iter_modules(rankmass.__path__):
+        module = importlib.import_module(f"rankmass.{info.name}")
+        names = dict(vars(module))
+        for node in ast.parse(inspect.getsource(module)).body:
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+                exec(compile(ast.Module(node.body, []), module.__file__, "exec"), names)
+        for name, obj in vars(module).items():
+            if isinstance(obj, type) and dataclasses.is_dataclass(obj) \
+                    and obj.__module__ == module.__name__ and not name.startswith("_"):
+                typing.get_type_hints(obj, globalns=names)
+                checked.append(name)
+    assert "SubstochasticBlock" in checked and "RankVector" in checked

@@ -1,4 +1,3 @@
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,7 +82,7 @@ def test_properties_sum_residual_nonnegative(bowtie, random_graphs):
 
 def test_tight_tolerance_near_one_is_met(bowtie):
     # the solve's target (1 - c) * 1e-14 lies below the rounding floor; it
-    # returns its best iterate there, whose residual still meets 1e-14
+    # stops at a backward error of eps there, whose residual still meets 1e-14
     pi = rm.pagerank(bowtie, rm.PageRankConfig(damping=0.999, tolerance=1e-14))
     dense = np.abs(pi.values @ helpers.dense_google(bowtie, 0.999) - pi.values).sum()
     assert pi.residual <= 1e-14
@@ -112,15 +111,11 @@ def test_nonconvergence_raises_with_residual(bowtie, monkeypatch):
                               "(residual 1.308e-01 after 7 iterations)")
 
 
-def test_a_tolerance_below_rounding_fails_fast_on_the_bowtie_large_graph(monkeypatch):
+def test_a_tolerance_below_rounding_fails_fast_on_the_bowtie_large_graph(seed1_graph):
     # the benchmark's seed-1 bowtie-large graph: no vector meets 1e-17, and the
-    # solve stops at its rounding floor; with the floor at tol * ||y||_1 alone
-    # it took 1258 products, against 101 at 1e-16
-    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
-    import bowtiegen
-    from workloads import WORKLOADS
-    gen = bowtiegen.generate(WORKLOADS["bowtie-large"].profile, 1)
-    g = rm.build_graph(gen.n, gen.edges.tolist())
+    # solve stops at a normwise backward error of eps; with the floor at
+    # tol * ||y||_1 alone it took 1258 products, against 101 at 1e-16
+    g = seed1_graph("bowtie-large")
     try:
         products = rm.pagerank(g, rm.PageRankConfig(0.85, 1e-16)).iterations_used
     except rm.ConvergenceError as err:
@@ -226,14 +221,10 @@ def test_sweep_order_and_workers(threeblock, threeblock_labels, threeblock_block
         assert a.escc == b.escc
 
 
-def test_sweep_to_099_meets_its_tolerance_on_the_inscc_grid_graph(monkeypatch):
+def test_sweep_to_099_meets_its_tolerance_on_the_inscc_grid_graph(seed1_graph):
     # the benchmark's seed-1 inscc-grid graph and its 100-point sweep: shifted
     # BiCG, bounded by its recursive residuals, misses the tolerance 29x here
-    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
-    import bowtiegen
-    from workloads import WORKLOADS
-    gen = bowtiegen.generate(WORKLOADS["inscc-grid"].profile, 1)
-    g = rm.build_graph(gen.n, gen.edges.tolist())
+    g = seed1_graph("inscc-grid")
     labels = rm.bowtie_labeling(g)
     blocks = rm.block_decomposition(g, labels)
     grid = np.round(np.arange(0.0, 0.995, 0.01), 2)
@@ -244,6 +235,18 @@ def test_sweep_to_099_meets_its_tolerance_on_the_inscc_grid_graph(monkeypatch):
     # at 1e-14 rounding keeps the c = 0.99 residual near 47 times tol / 2
     with pytest.raises(rm.ConvergenceError, match=r"^sweep at c=0.99 missed the tolerance 1e-14"):
         rm.damping_sweep(g, labels, blocks, grid, tolerance=1e-14)
+
+
+@pytest.mark.parametrize("name", ["bowtie-large", "deadend-near1", "inscc-grid"])
+def test_sweep_to_0999_meets_the_default_tolerance_on_the_seed1_graphs(name, seed1_graph):
+    # the top point stops at its tol or at a backward error of eps; a floor
+    # of 2 eps let deadend-near1 miss the sweep's bound (6.18e-13 against
+    # 5e-13), and one of 4 eps bowtie-large (1.52e-12)
+    g = seed1_graph(name)
+    labels = rm.bowtie_labeling(g)
+    blocks = rm.block_decomposition(g, labels)
+    curve = rm.damping_sweep(g, labels, blocks, [0.5, 0.9, 0.99, 0.999])
+    assert [c for c, _ in curve] == [0.5, 0.9, 0.99, 0.999]
 
 
 def test_inscc_mass_shape_on_samples(threeblock_view, heavy_view):
