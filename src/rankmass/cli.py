@@ -326,12 +326,37 @@ def _read_clicks(path: str) -> dict[int, float]:
 # argument wiring
 # --------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+# subcommand: (help line, handler); build_parser adds the arguments
+_COMMANDS = {
+    "decompose": ("bow-tie / block classification CSV", cmd_decompose),
+    "pagerank": ("score vector at one damping value", cmd_pagerank),
+    "sweep": ("component masses across a damping grid", cmd_sweep),
+    "limit": ("damping -> 1 limiting masses per dead-end block", cmd_limit),
+    "inscc-curve": ("IN+SCC mass split along a damping grid", cmd_inscc_curve),
+    "inscc-derivatives": ("IN+SCC mass slopes at both ends", cmd_inscc_derivatives),
+    "escc-bounds": ("mass of the transient block with envelope bounds", cmd_escc_bounds),
+    "cstar": ("damping value balancing mass share and retention", cmd_cstar),
+    "link-experiment": ("rank shift from splicing an escape link out of a dead-end",
+                        cmd_link_experiment),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with ``command``'s alone, which
+    is all that parsing one command needs; its help pages, usage lines and
+    errors read the same either way."""
     parser = _Parser(prog="rankmass",
                      description="Bow-tie and damping-sensitivity analysis "
                                  "of sparse directed graphs")
     parser.add_argument("--version", action="version", version=f"rankmass {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # alone, the command's parser keeps every name in the usage line an error prints
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if command is None else "{%s}" % ",".join(_COMMANDS))
+    made = {}
+    for name in _COMMANDS if command is None else (command,):
+        help_line, fn = _COMMANDS[name]
+        made[name] = sub.add_parser(name, help=help_line)
+        made[name].set_defaults(fn=fn)
 
     def switches(p, *flags):
         """Flags that several subcommands take, each with its one help string."""
@@ -350,62 +375,53 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--grid", default=grid_default,
                            help=f"damping grid START:STOP:STEP (default {grid_default})")
 
-    p = sub.add_parser("decompose", help="bow-tie / block classification CSV")
-    common(p)
-    p.set_defaults(fn=cmd_decompose)
+    if p := made.get("decompose"):
+        common(p)
 
-    p = sub.add_parser("pagerank", help="score vector at one damping value")
-    common(p)
-    p.add_argument("--damping", type=_damping_arg, default=0.85)
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="bound on the L1 error of the scores (default 1e-12)")
-    p.set_defaults(fn=cmd_pagerank)
+    if p := made.get("pagerank"):
+        common(p)
+        p.add_argument("--damping", type=_damping_arg, default=0.85)
+        p.add_argument("--tol", type=float, default=1e-12,
+                       help="bound on the L1 error of the scores (default 1e-12)")
 
-    p = sub.add_parser("sweep", help="component masses across a damping grid")
-    common(p, grid_default="0:0.95:0.05")
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="bound on the L1 error of the masses (default 1e-12)")
-    p.set_defaults(fn=cmd_sweep)
+    if p := made.get("sweep"):
+        common(p, grid_default="0:0.95:0.05")
+        p.add_argument("--tol", type=float, default=1e-12,
+                       help="bound on the L1 error of the masses (default 1e-12)")
 
-    p = sub.add_parser("limit", help="damping -> 1 limiting masses per dead-end block")
-    common(p)
-    p.add_argument("--vector-out", default=None, help="also write the full limit vector")
-    p.set_defaults(fn=cmd_limit)
+    if p := made.get("limit"):
+        common(p)
+        p.add_argument("--vector-out", default=None, help="also write the full limit vector")
 
-    p = sub.add_parser("inscc-curve", help="IN+SCC mass split along a damping grid")
-    common(p, grid_default="0:0.99:0.01")
-    switches(p, "--force-dn-merge", "--fold-other")
-    p.set_defaults(fn=cmd_inscc_curve)
+    if p := made.get("inscc-curve"):
+        common(p, grid_default="0:0.99:0.01")
+        switches(p, "--force-dn-merge", "--fold-other")
 
-    p = sub.add_parser("inscc-derivatives", help="IN+SCC mass slopes at both ends")
-    common(p)
-    switches(p, "--force-dn-merge", "--fold-other")
-    p.set_defaults(fn=cmd_inscc_derivatives)
+    if p := made.get("inscc-derivatives"):
+        common(p)
+        switches(p, "--force-dn-merge", "--fold-other")
 
-    p = sub.add_parser("escc-bounds", help="mass of the transient block with envelope bounds")
-    common(p, grid_default="0.05:0.95:0.05")
-    switches(p, "--exclude-pureout-transients")
-    p.set_defaults(fn=cmd_escc_bounds)
+    if p := made.get("escc-bounds"):
+        common(p, grid_default="0.05:0.95:0.05")
+        switches(p, "--exclude-pureout-transients")
 
-    p = sub.add_parser("cstar", help="damping value balancing mass share and retention")
-    common(p)
-    p.add_argument("--mode", choices=sorted(V_MODES), default="uniform")
-    p.add_argument("--tol", type=float, default=1e-6,
-                   help="bound max(1e-4 x tol, 1e-12) on the c* bisection bracket (default 1e-6)")
-    switches(p, "--exclude-pureout-transients")
-    p.set_defaults(fn=cmd_cstar)
+    if p := made.get("cstar"):
+        common(p)
+        p.add_argument("--mode", choices=sorted(V_MODES), default="uniform")
+        p.add_argument("--tol", type=float, default=1e-6,
+                       help="bound max(1e-4 x tol, 1e-12) on the width of the final "
+                            "c* bracket (default 1e-6)")
+        switches(p, "--exclude-pureout-transients")
 
-    p = sub.add_parser("link-experiment",
-                       help="rank shift from splicing an escape link out of a dead-end")
-    common(p)
-    p.add_argument("--source", type=int, required=True, help="node in a recurrent block")
-    p.add_argument("--target", type=int, required=True, help="node in the giant SCC")
-    p.add_argument("--damping-list", default="0.5,0.85,0.95")
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="bound on the L1 error of each PageRank vector (default 1e-12)")
-    p.add_argument("--clicks", default=None,
-                   help="optional CSV node_id,clicks for a click-rank column")
-    p.set_defaults(fn=cmd_link_experiment)
+    if p := made.get("link-experiment"):
+        common(p)
+        p.add_argument("--source", type=int, required=True, help="node in a recurrent block")
+        p.add_argument("--target", type=int, required=True, help="node in the giant SCC")
+        p.add_argument("--damping-list", default="0.5,0.85,0.95")
+        p.add_argument("--tol", type=float, default=1e-12,
+                       help="bound on the L1 error of each PageRank vector (default 1e-12)")
+        p.add_argument("--clicks", default=None,
+                       help="optional CSV node_id,clicks for a click-rank column")
 
     return parser
 
@@ -416,8 +432,9 @@ def _show_warning(message, *_):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning   # restored when the block exits
         try:

@@ -15,18 +15,21 @@ retention under the quasi-stationary law) yield the envelope
 under the two testable conditions reported alongside.
 
 Every mass on a grid with the expected visits ``u [I - T]^{-1} 1``, and
-every ``c*`` sample and bisection step, reads ``u [I - cT]^{-1} 1`` off one
-shifted basis of T from ``u`` (:func:`operators.shifted_solve`), which
-replays any c from the small data of its cycles.  A single mass and the
-visits alone are one BiCGSTAB solve (:func:`operators.solve_left`), which
-stops on the true residual.  ``lambda1`` and the quasi-stationary vector read
-T's classes off :func:`bowtie.block_decomposition`'s components, and take one
-solve below the winning class, whatever the class count.
+every ``c*`` sample and root-search step (Brent's method), reads
+``u [I - cT]^{-1} 1`` off one shifted basis of T from ``u``
+(:func:`operators.shifted_solve`), which replays any c from the small data
+of its cycles.  A single mass and the visits alone are one BiCGSTAB solve
+(:func:`operators.solve_left`), which stops on the true residual.
+``lambda1`` and the quasi-stationary vector read T's classes off
+:func:`bowtie.block_decomposition`'s components, and take one solve below
+the winning class, whatever the class count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -249,6 +252,47 @@ def _r_curve(gamma: float, c: float) -> float:
     return gamma if c <= 0.5 else gamma * (1.0 - c) / c
 
 
+def _brent(gap: Callable[[float], float], a: float, b: float, fa: float, fb: float,
+           width: float) -> tuple[float, float, float]:
+    """A root of ``gap`` on the bracket ``[a, b]``, whose end values ``fa``
+    and ``fb`` differ in sign, by Brent's method (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4): secant and inverse
+    quadratic steps, each taken only while it shrinks the bracket fast
+    enough, else a bisection, and never a step below half of ``width``.
+    Stops once the bracket is at most ``width`` wide, at a zero gap, or
+    after 200 steps.  Returns the iterate with the smaller gap, that gap,
+    and the other end of the final bracket."""
+    c, fc = a, fa
+    d = e = b - a
+    half = 0.5 * width
+    for _ in range(200):
+        if (fb > 0.0 and fc > 0.0) or (fb < 0.0 and fc < 0.0):   # keep the root between b and c
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        m = 0.5 * (c - b)
+        if abs(m) <= half or fb == 0.0:
+            break
+        if abs(e) >= half and abs(fa) > abs(fb):   # e: the step before the last, d
+            s = fb / fa
+            if a == c:   # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:   # inverse quadratic
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = abs(p), (-q if p > 0.0 else q)
+            e, d = (d, p / q) if 2.0 * p < min(3.0 * m * q - abs(half * q), abs(e * q)) else (m, m)
+        else:
+            e = d = m   # a bisection
+        a, fa = b, fb
+        b += d if abs(d) > half else math.copysign(half, m)
+        fb = gap(b)
+    return b, fb, c
+
+
 @dataclass(frozen=True)
 class CStarReport:
     v_mode: str
@@ -311,18 +355,8 @@ def cstar_solve(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecompositi
     no_crossing = not (f_lo > 0.0 > f_hi or f_lo < 0.0 < f_hi)
     c_star = residual = float("nan")
     if not no_crossing:
-        width_goal = max(tolerance * 1e-4, 1e-12)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            f_mid = gap(mid)
-            if (f_mid > 0.0) == (f_lo > 0.0):
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
-            if hi - lo <= width_goal:
-                break
-        c_star = 0.5 * (lo + hi)
-        residual = abs(gap(c_star))
+        c_star, f_star, _ = _brent(gap, lo, hi, f_lo, f_hi, max(tolerance * 1e-4, 1e-12))
+        residual = abs(f_star)
     vt_norm = summary.lambda1 if v_mode == "quasi" else summary.p1
     if v_mode == "self":   # the target at c*; nan without a crossing
         vt_norm = target(c_star) / gamma

@@ -19,8 +19,8 @@ import numpy as np
 from .bowtie import BlockDecomposition, strongly_connected_components
 from .errors import StructureError, _id_list
 from .graph import GraphHandle, build_graph
-from .operators import (SOLVE_TOL, block_view, chain_view, dense_stationary, perron_irreducible,
-                        solve_left)
+from .operators import (SOLVE_TOL, block_view, chain_view, dense_stationary, perron_classes,
+                        perron_irreducible, solve_left)
 
 LAURENT_MAX_SIZE = 20
 AGGREGATED_MAX_SIZE = 30
@@ -70,26 +70,28 @@ class LimitReport:
 
 
 def limit_vector(g: GraphHandle, blocks: BlockDecomposition) -> LimitReport:
-    """Assemble the limiting rank vector from block masses and stationaries,
-    cutting every block from one view.  The stationaries, and the visits
-    behind the masses (:func:`absorption_weights`), each have an L1 residual
-    at most ``SOLVE_TOL``, or a normwise backward error at most eps."""
+    """Assemble the limiting rank vector from block masses and stationaries.
+    The recurrent blocks are cut from the chain once, in block order, and
+    their stationaries come from one :func:`perron_classes` run over that
+    cut.  The stationaries, and the visits behind the masses
+    (:func:`absorption_weights`), each have an L1 residual at most
+    ``SOLVE_TOL``, or a normwise backward error at most eps."""
     if blocks.num_blocks == 0:
         raise StructureError("no recurrent blocks: the limit is undefined")
     inside = np.flatnonzero(blocks.block_index >= 0)
+    inside = inside[np.argsort(blocks.block_index[inside], kind="stable")]   # block order
     sizes = np.bincount(blocks.block_index[inside])
     fair = sizes / g.n
     drain = absorption_weights(g, blocks)
     masses = fair + drain
-    view = block_view(g, inside, inside)
-    order = np.argsort(blocks.block_index[inside], kind="stable")   # view positions by block
-    stationaries = tuple(perron_irreducible(view.cut(pos, pos), tol=SOLVE_TOL)[1]
-                         for pos in np.split(order, np.cumsum(sizes)[:-1]))
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    _, stationary = perron_classes(chain_view(g).cut(inside, inside), starts, tol=SOLVE_TOL)
     vector = np.zeros(g.n)
-    vector[inside[order]] = np.repeat(masses, sizes) * np.concatenate(stationaries)
+    vector[inside] = np.repeat(masses, sizes) * stationary
     vector.setflags(write=False)
     return LimitReport(block_masses=masses, fair_shares=fair, drain_weights=drain,
-                       block_stationaries=stationaries, vector=vector)
+                       block_stationaries=tuple(np.split(stationary, starts[1:-1])),
+                       vector=vector)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import os
@@ -110,6 +111,60 @@ def test_unknown_flag_exits_one(graph_files, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["decompose", "--graph", graph_files["bowtie"], "--bogus"])
     assert exc.value.code == 1
+
+
+SUBCOMMANDS = ("decompose", "pagerank", "sweep", "limit", "inscc-curve", "inscc-derivatives",
+               "escc-bounds", "cstar", "link-experiment")
+
+
+def _outcome(run, argv, capsys):
+    """Standard output, standard error and exit code of ``run(argv)``."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return out, err, code
+
+
+def _full_parse(argv):
+    return cli.build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_a_command_help_is_the_full_parser_help(command, capsys):
+    full = _outcome(_full_parse, [command, "--help"], capsys)
+    assert full[0].startswith(f"usage: rankmass {command} ") and full[1:] == ("", 0)
+    assert _outcome(main, [command, "--help"], capsys) == full
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["--version"], [], ["bogus"], ["--bogus"], ["lim", "--graph", "x"],
+    ["pagerank", "--graph", "x", "--damping", "2"], ["cstar", "--graph", "x", "--mode", "bogus"],
+    ["limit"], ["limit", "--graph", "x", "extra"], ["limit", "--version"],
+])
+def test_usage_output_is_the_full_parser_output(argv, capsys):
+    # an error the top-level parser reports after the command's parser ran
+    # prints the top-level usage line, which names every command
+    full = _outcome(_full_parse, argv, capsys)
+    assert full[2] == (0 if argv[:1] in (["--help"], ["--version"]) else 1)
+    assert _outcome(main, argv, capsys) == full
+
+
+def test_a_command_builds_only_its_own_parser(graph_files, tmp_path, monkeypatch, capsys):
+    assert tuple(cli._COMMANDS) == SUBCOMMANDS
+    made = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: made.append(name) or add_parser(self, name, **kw))
+    for _ in range(2):
+        made.clear()
+        argv = ["limit", "--graph", graph_files["bowtie"], "--out", str(tmp_path / "limit.csv")]
+        assert _outcome(main, argv, capsys) == ("", "", 0)
+        assert made == ["limit"]
+    made.clear()
+    _outcome(main, ["--version"], capsys)
+    assert made == list(SUBCOMMANDS)
 
 
 def _option_help(command, flag, capsys):

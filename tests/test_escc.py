@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -331,8 +333,8 @@ def test_cstar_samples_cover_grid(bowtie, bowtie_labels, bowtie_blocks):
     assert cs[0] == 0.0 and len(cs) == 20
 
 
-def test_cstar_reads_its_samples_off_the_basis_and_replays_only_the_bisection(near_one,
-                                                                            monkeypatch):
+def test_cstar_reads_its_samples_off_the_basis_and_replays_only_the_root_search(near_one,
+                                                                              monkeypatch):
     # the basis is built on the sample grid and the bracket, so those values
     # need no replay, and a replay at them would return the same bits
     g, labels, blocks = near_one
@@ -358,7 +360,88 @@ def test_cstar_reads_its_samples_off_the_basis_and_replays_only_the_bisection(ne
         assert [mass for _, mass, _ in report.samples] == [
             (1.0 - c) * report.gamma * float(basis.at(c)[0]) for c, _, _ in report.samples]
         assert not report.no_crossing and report.c_star in replayed
-        assert all(lo < c < hi for c in replayed)   # bisection midpoints and c* only
+        assert all(lo < c < hi for c in replayed)   # root-search iterates only, c* among them
+
+
+def _dense_gap(g, blocks, mode):
+    """mass(c) - target(c) of ``cstar_solve`` from a dense solve on T."""
+    nodes = np.flatnonzero(blocks.block_index < 0)
+    t = helpers.dense_w(g)[np.ix_(nodes, nodes)]
+    gamma, p1 = nodes.size / g.n, float(t.sum(axis=1).mean())
+    target = {"uniform": lambda c: gamma * p1,
+              "quasi": lambda c: gamma * helpers.dense_perron_left(t)[0],
+              "self": lambda c: escc._r_curve(gamma, c)}[mode]
+    ones = np.full(nodes.size, 1.0 / nodes.size)
+    return lambda c: ((1.0 - c) * gamma * ones @ np.linalg.solve(np.eye(nodes.size) - c * t,
+                                                                  np.ones(nodes.size))
+                      - target(c))
+
+
+def test_cstar_lies_within_the_width_goal_of_a_dense_root(random_graphs, bowtie, threeblock,
+                                                         heavy, monkeypatch):
+    """Brent's c* sits on a final bracket at most ``max(1e-4 tol, 1e-12)``
+    wide across which the solver's gap changes sign, or on a zero gap, and
+    within that width of a sign change of the dense gap."""
+    found = []
+    brent = escc._brent
+    monkeypatch.setattr(escc, "_brent", lambda gap, *args: found.append(
+        (gap, args[-1], brent(gap, *args))) or found[-1][2])
+    crossings = 0
+    for g in [bowtie, threeblock, heavy, *random_graphs]:
+        labels = rm.bowtie_labeling(g)
+        blocks = rm.block_decomposition(g, labels)
+        for mode in escc.V_MODES:
+            found.clear()
+            try:
+                report = rm.cstar_solve(g, labels, blocks, v_mode=mode)
+            except (rm.StructureError, ValueError):   # no T, or a target outside (0, 1)
+                continue
+            if report.no_crossing:
+                assert np.isnan(report.c_star) and np.isnan(report.residual) and not found
+                continue
+            crossings += 1
+            (gap, width, (b, f_b, c)), = found
+            assert (report.c_star, report.residual) == (b, abs(f_b))
+            assert f_b == gap(b) and (f_b == 0.0 or abs(c - b) <= width)   # a zero gap stops it
+            assert f_b == 0.0 or gap(c) == 0.0 or (f_b > 0.0) != (gap(c) > 0.0)
+            dense = _dense_gap(g, blocks, mode)
+            assert (dense(b - width) > 0.0) != (dense(b + width) > 0.0)
+    assert crossings >= 20
+
+
+def test_no_crossing_gives_nan_without_a_root_search(bowtie, bowtie_labels, bowtie_blocks,
+                                                     monkeypatch):
+    # a retention target below the mass left at the top of the bracket is never met
+    summary = replace(rm.spectral_summary(bowtie, bowtie_labels, bowtie_blocks), p1=1e-15)
+    monkeypatch.setattr(escc, "_brent", lambda *_: pytest.fail("a root search"))
+    report = rm.cstar_solve(bowtie, bowtie_labels, bowtie_blocks, v_mode="uniform",
+                            summary=summary)
+    assert report.no_crossing and np.isnan(report.c_star) and np.isnan(report.residual)
+
+
+def test_cstar_replays_fewer_points_than_bisection_on_the_seed1_graph(seed1_graph, monkeypatch):
+    # bisection replayed the basis at 34 midpoints to reach the default width
+    g = seed1_graph("deadend-near1")
+    labels = rm.bowtie_labeling(g)
+    blocks = rm.block_decomposition(g, labels)
+    replayed = []
+    uniform_basis = escc._uniform_basis
+
+    def recording(view, grid):
+        basis = uniform_basis(view, grid)
+
+        def at(c):
+            replayed.append(c)
+            return basis.at(c)
+        return basis._replace(at=at)
+
+    monkeypatch.setattr(escc, "_uniform_basis", recording)
+    summary = rm.spectral_summary(g, labels, blocks)
+    for mode in escc.V_MODES:
+        replayed.clear()
+        report = rm.cstar_solve(g, labels, blocks, v_mode=mode, summary=summary)
+        assert not report.no_crossing and report.residual <= 1e-13
+        assert len(replayed) < 34
 
 
 def test_unfairness_uniform_is_one(bowtie, bowtie_labels, bowtie_blocks):

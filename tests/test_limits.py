@@ -112,6 +112,36 @@ def test_limit_cuts_a_fixed_number_of_block_views(monkeypatch):
     assert per_count[0][0] == 1
 
 
+def test_limit_runs_one_perron_iteration_for_hundreds_of_blocks(monkeypatch):
+    """Every recurrent block takes its stationary from one run over all of
+    them, and gets the same vector as alone."""
+    from rankmass import limits
+    rng = np.random.default_rng(21)
+    core = 30
+    edges = [(i, (i + 1) % core) for i in range(core)]
+    edges += [(int(u), int(v)) for u, v in rng.integers(0, core, size=(2 * core, 2)) if u != v]
+    start = core
+    for _ in range(300):
+        size = int(rng.integers(2, 4))
+        nodes = list(range(start, start + size))
+        edges += [(nodes[k], nodes[(k + 1) % size]) for k in range(size)]
+        if size == 3 and rng.random() < 0.5:
+            edges.append((nodes[0], nodes[2]))   # an uneven stationary, no longer periodic
+        edges.append((int(rng.integers(0, core)), nodes[0]))
+        start += size
+    g = rm.build_graph(start, edges)
+    blocks = rm.block_decomposition(g, rm.bowtie_labeling(g))
+    assert blocks.num_blocks == 300
+    runs = []
+    perron_classes = limits.perron_classes
+    monkeypatch.setattr(limits, "perron_classes",
+                        lambda *args, **kw: runs.append(args) or perron_classes(*args, **kw))
+    report = rm.limit_vector(g, blocks)
+    assert len(runs) == 1
+    for block, stationary in zip(blocks.recurrent_blocks, report.block_stationaries):
+        assert np.array_equal(stationary, rm.block_stationary(g, block))
+
+
 def test_limit_masses_sum_to_one(bowtie, bowtie_blocks, random_graphs):
     report = rm.limit_vector(bowtie, bowtie_blocks)
     assert report.block_masses.sum() == pytest.approx(1.0, abs=1e-10)
