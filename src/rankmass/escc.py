@@ -117,10 +117,10 @@ def _perron_left(view: SubstochasticBlock, ids: np.ndarray) -> tuple[float, np.n
     return lam, x / total
 
 
-def spectral_summary(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecomposition,
-                     escc_only: bool = False) -> SpectralSummary:
+def spectral_summary(g: GraphHandle, labels: BowtieLabeling,
+                     blocks: BlockDecomposition) -> SpectralSummary:
     """Compute p1, lambda1, and the quasi-stationary vector of T."""
-    return _summary_of(g, blocks, transient_view(g, blocks, escc_only))
+    return _summary_of(g, blocks, transient_view(g, blocks))
 
 
 def _summary_of(g: GraphHandle, blocks: BlockDecomposition,
@@ -152,19 +152,18 @@ def _damping(c: float) -> float:
     return c
 
 
-def escc_mass(g: GraphHandle, blocks: BlockDecomposition, c: float,
-              escc_only: bool = False) -> float:
+def escc_mass(g: GraphHandle, blocks: BlockDecomposition, c: float) -> float:
     """Mass held by the transient block at damping ``c``, by one solve; 0 at c = 1."""
     if _damping(c) == 1.0:
         return 0.0
-    view = transient_view(g, blocks, escc_only)
+    view = transient_view(g, blocks)
     return (1.0 - c) * (view.rows.size / g.n) * _uniform_visits(view, c)
 
 
-def expected_visits(g: GraphHandle, blocks: BlockDecomposition, escc_only: bool = False) -> float:
+def expected_visits(g: GraphHandle, blocks: BlockDecomposition) -> float:
     """u [I - T]^{-1} 1: mean number of in-block steps from a uniform start,
     by one solve (:func:`operators.solve_left`)."""
-    return _uniform_visits(transient_view(g, blocks, escc_only), 1.0)
+    return _uniform_visits(transient_view(g, blocks), 1.0)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ import numpy as np
 from .bowtie import BlockDecomposition, strongly_connected_components
 from .errors import StructureError, _id_list
 from .graph import GraphHandle, build_graph
-from .operators import (SOLVE_TOL, block_view, chain_view, dense_stationary, perron_classes,
-                        perron_irreducible, solve_left)
+from .operators import (SOLVE_TOL, block_view, chain_view, dense_stationary, perron_irreducible,
+                        solve_left)
 
 LAURENT_MAX_SIZE = 20
 AGGREGATED_MAX_SIZE = 30
@@ -60,38 +60,34 @@ def absorption_weights(g: GraphHandle, blocks: BlockDecomposition) -> np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class LimitReport:
-    """Limiting masses, per-block stationary vectors, and the assembled vector."""
+    """Limiting block masses and the assembled vector."""
 
     block_masses: np.ndarray          # fair share + drain, per block
     fair_shares: np.ndarray
     drain_weights: np.ndarray
-    block_stationaries: tuple[np.ndarray, ...]
     vector: np.ndarray                # full length-n limit; zero on transient nodes
 
 
 def limit_vector(g: GraphHandle, blocks: BlockDecomposition) -> LimitReport:
-    """Assemble the limiting rank vector from block masses and stationaries.
-    The recurrent blocks are cut from the chain once, in block order, and
-    their stationaries come from one :func:`perron_classes` run over that
-    cut.  The stationaries, and the visits behind the masses
+    """Assemble the limiting rank vector: the chain cut to its recurrent
+    blocks is stochastic and has no link from one block to another, so one
+    :func:`perron_irreducible` run over that cut, started at each block's
+    mass spread evenly over its nodes, ends at every block's mass spread by
+    its stationary vector.  That vector, and the visits behind the masses
     (:func:`absorption_weights`), each have an L1 residual at most
     ``SOLVE_TOL``, or a normwise backward error at most eps."""
     if blocks.num_blocks == 0:
         raise StructureError("no recurrent blocks: the limit is undefined")
     inside = np.flatnonzero(blocks.block_index >= 0)
-    inside = inside[np.argsort(blocks.block_index[inside], kind="stable")]   # block order
     sizes = np.bincount(blocks.block_index[inside])
     fair = sizes / g.n
     drain = absorption_weights(g, blocks)
     masses = fair + drain
-    starts = np.concatenate(([0], np.cumsum(sizes)))
-    _, stationary = perron_classes(chain_view(g).cut(inside, inside), starts, tol=SOLVE_TOL)
     vector = np.zeros(g.n)
-    vector[inside] = np.repeat(masses, sizes) * stationary
+    _, vector[inside] = perron_irreducible(chain_view(g).cut(inside, inside), tol=SOLVE_TOL,
+                                           start=(masses / sizes)[blocks.block_index[inside]])
     vector.setflags(write=False)
-    return LimitReport(block_masses=masses, fair_shares=fair, drain_weights=drain,
-                       block_stationaries=tuple(np.split(stationary, starts[1:-1])),
-                       vector=vector)
+    return LimitReport(block_masses=masses, fair_shares=fair, drain_weights=drain, vector=vector)
 
 
 # ---------------------------------------------------------------------------

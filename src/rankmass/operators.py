@@ -9,13 +9,10 @@ restarts, so each costs O(1) to bound, and the product count follows the
 spectrum, not the largest c.  A single resolvent vector ``b [I - A]^{-1}`` is
 :func:`solve_left`, a BiCGSTAB that falls back to summing the series
 :func:`walk` on a breakdown or at its step cap, which a long chain in A
-needs.  Dominant and stationary vectors come from :func:`perron_classes`,
-which iterates every class of a block at once, one product of the block
-per step, with a stop and a blend switch per class: power steps while the
-residual keeps falling, then half-step blends, which converge on periodic
-classes too; :func:`perron_irreducible` is its one-class call.  All three
-stop by one rule: residual at most ``tol``, or normwise backward error at
-most eps.
+needs.  Dominant and stationary vectors come from :func:`perron_irreducible`:
+power steps while the residual keeps falling, then half-step blends, which
+converge on periodic classes too.  All three stop by one rule: residual at
+most ``tol``, or normwise backward error at most eps.
 """
 
 from __future__ import annotations
@@ -339,87 +336,46 @@ def dense_stationary(p: np.ndarray) -> np.ndarray:
     a[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
-    mu = np.linalg.solve(a, b)
-    return mu
+    return np.linalg.solve(a, b)
 
 
-def perron_classes(block: SubstochasticBlock, starts,
-                   tol: float = EIG_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Dominant eigenvalues and probability-normed left eigenvectors of the
-    classes of a block, whose positions run ``[starts[k], starts[k+1])``, one
-    irreducible nonnegative class per run and no link from one run to
-    another; for stochastic classes, their stationary vectors.
+def perron_irreducible(block: SubstochasticBlock, tol: float = EIG_TOL,
+                       start=None) -> tuple[float, np.ndarray]:
+    """Dominant eigenvalue and probability-normed left eigenvector of an
+    irreducible nonnegative block (of a stochastic one, its stationary vector).
 
-    Every class takes its power steps ``y <- y B``, normalised, in one
-    product of the block per step, its sums read off by ``np.add.reduceat``.
-    A class stops once the residual ``z - lam y`` of ``z = y B`` is at most
-    ``tol`` in L1 norm, or its normwise backward error
-    ``||z - lam y||_1 / (||z||_1 + |lam| ||y||_1)`` is at most eps, and keeps
-    that ``lam`` and ``y``; the block is then cut down to the classes still
-    going.  From the first step whose residual exceeds 0.9 times its last one
-    (a periodic class, or an eigenvalue near ``-lam``, keeps plain steps from
-    converging) a class blends ``y <- (y + y B) / 2`` instead, which shares
-    the eigenvector and makes the class primitive, at half the rate.  A
-    single node stops after one step with its self-transition weight.
-    Returns the eigenvalues, one per class, and the vectors, end to end in
-    position order.  Raises ValueError before any product unless
-    ``0 < tol < inf`` and ``starts`` rises from 0 to the block's size in
-    integer steps of at least one, or where a run links to another (with more
-    than one run, a dangling row would); and :class:`ConvergenceError` at the
-    first non-finite residual or after ``MAX_ITER`` steps, with the steps
-    taken.
+    Power steps ``y <- y B`` from ``start`` (uniform by default), normalised,
+    until the residual ``z - lam y`` of ``z = y B`` is at most ``tol`` in L1
+    norm, or its normwise backward error ``||z - lam y||_1 / (||z||_1 +
+    |lam| ||y||_1)`` is at most eps; returns that ``lam`` and ``y``, the start
+    itself if it passes.  From the first step whose residual exceeds 0.9
+    times the last (a periodic class, or an eigenvalue near ``-lam``, keeps
+    plain steps from converging) it blends ``y <- (y + y B) / 2``, which
+    shares the eigenvector and makes the class primitive, at half the rate.
+    A single node stops after one step with its self-transition weight.
+    Unlinked stochastic classes keep their shares of a nonnegative start, so
+    the run ends at their stationary vectors mixed in those shares.  Raises
+    ValueError unless ``0 < tol < inf``, and :class:`ConvergenceError` before
+    any product on a start of zero or non-finite sum, at the first non-finite
+    residual, and after ``MAX_ITER`` steps, with the steps taken.
     """
     check_tolerance(tol)
-    starts = np.asarray(starts)
     size = block.shape[0]
-    if (starts.ndim != 1 or starts.dtype.kind not in "iu" or starts.size < 2
-            or starts[0] != 0 or starts[-1] != size or np.any(np.diff(starts) < 1)):
-        raise ValueError(f"class starts must rise from 0 to {size} in integer steps; got {starts}")
-    sizes = np.diff(starts)
-    if sizes.size > 1:
-        owner = np.repeat(np.arange(sizes.size), sizes)
-        indptr, indices = block.matrix.indptr, block.matrix.indices
-        if block.dangling_local.size or np.any(np.repeat(owner, np.diff(indptr)) != owner[indices]):
-            raise ValueError("a class of the block links to another")
-
-    def spread(v):   # per class to per position; one class broadcasts
-        return np.repeat(v, sizes) if sizes.size > 1 else v
-
-    heads, going, where = starts[:-1], np.arange(sizes.size), np.arange(size)
-    lams, vecs = np.empty(sizes.size), np.empty(size)
-    y = np.repeat(1.0 / sizes, sizes)
-    blend, prev = np.zeros(sizes.size, dtype=bool), np.full(sizes.size, np.inf)
+    y = np.full(size, 1.0 / size) if start is None else np.asarray(start, dtype=np.float64)
+    if not 0.0 < (total := float(y.sum())) < np.inf:
+        raise ConvergenceError("the start vector sums to zero or is not finite", total, 0)
+    blend, prev = False, np.inf
     for it in range(1, MAX_ITER + 1):
         z = block.mul_left(y)
-        lam = np.add.reduceat(z, heads)
-        residual = np.add.reduceat(np.abs(z - spread(lam) * y), heads)
-        finite = np.isfinite(residual)   # count_nonzero: all() and any() cost more on a few classes
-        if np.count_nonzero(finite) < finite.size:
+        lam = float(z.sum())
+        residual = float(np.abs(z - lam * y).sum())
+        if not np.isfinite(residual):
             raise ConvergenceError("eigenvector iteration reached a non-finite value",
-                                   float(residual[~finite][0]), it)
-        done = _accepts(residual, tol, np.add.reduceat(np.abs(z), heads)
-                        + np.abs(lam) * np.add.reduceat(np.abs(y), heads))
-        stopped = np.count_nonzero(done)
-        if stopped == done.size:
-            lams[going], vecs[where] = lam, y
-            return lams, vecs
-        if stopped:
-            stops = np.repeat(done, sizes)
-            lams[going[done]], vecs[where[stops]] = lam[done], y[stops]
-            keep = np.flatnonzero(~stops)
-            block, y, z, where = block.cut(keep, keep), y[keep], z[keep], where[keep]
-            going, sizes, blend = going[~done], sizes[~done], blend[~done]
-            residual, prev = residual[~done], prev[~done]
-            heads = np.cumsum(sizes) - sizes
-        blend |= residual > 0.9 * prev
+                                   residual, it)
+        if _accepts(residual, tol, float(np.abs(z).sum()) + abs(lam) * float(np.abs(y).sum())):
+            return lam, y
+        blend = blend or residual > 0.9 * prev
         prev = residual
-        y = np.where(spread(blend), 0.5 * (y + z), z) if np.count_nonzero(blend) else z
-        y /= spread(np.add.reduceat(y, heads))
-    raise ConvergenceError("eigenvector iteration did not converge", float(residual.max()), MAX_ITER)
-
-
-def perron_irreducible(block: SubstochasticBlock, tol: float = EIG_TOL) -> tuple[float, np.ndarray]:
-    """Dominant eigenvalue and probability-normed left eigenvector of an
-    irreducible nonnegative block: :func:`perron_classes` on one class."""
-    lams, y = perron_classes(block, [0, block.shape[0]], tol)
-    return float(lams[0]), y
+        y = 0.5 * (y + z) if blend else z
+        y /= y.sum()
+    raise ConvergenceError("eigenvector iteration did not converge", residual, MAX_ITER)

@@ -5,8 +5,8 @@ structural components.
 :func:`operators.solve_left` of ``y (I - cW) = r0``, where
 ``r0 = c x0 W + (1 - c)/n - x0`` is its residual;
 :func:`pagerank_via_resolvent` sums the series walk ``((1 - c)/n) 1^T (c W)^k``.
-Both bound their L1 error by the tolerance, so the two agree to within twice
-the tolerance.
+Each bounds its L1 error by the tolerance (:func:`pagerank` where its solve
+meets its target), so the two agree to within twice the tolerance.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .operators import check_tolerance, chain_view, shifted_solve, solve_left, w
 
 @dataclass(frozen=True)
 class PageRankConfig:
-    """Damping factor in [0, 1) and a bound on the L1 error of the returned
-    vector."""
+    """Damping factor in [0, 1) and the tolerance of the returned vector (see
+    :func:`pagerank` for what it bounds)."""
 
     damping: float
     tolerance: float = 1e-12
@@ -66,9 +66,13 @@ def rank_of(values: np.ndarray, node: int) -> int:
 def pagerank(g: GraphHandle, cfg: PageRankConfig) -> RankVector:
     """Stationary vector of the damped surfer chain, ``x0 + y`` with ``x0``
     uniform and ``y (I - cW) = r0`` solved by :func:`solve_left` to a
-    residual of ``(1 - c) tol``: ``[I - cW]^{-1}`` has L1 norm ``1/(1 - c)``,
-    so ``tol`` bounds the L1 error.  A failed solve or a residual above
-    ``tol`` raises :class:`ConvergenceError` naming ``c``.
+    residual of ``(1 - c) tol``.  ``[I - cW]^{-1}`` has L1 norm
+    ``1/(1 - c)``, so ``tol`` bounds the L1 error where the solve meets that
+    target; where rounding stops it above the target, at a backward error of
+    eps (near ``c = 1``), the bound ``residual / (1 - c)`` exceeds ``tol``.
+    The fixed-point residual ``||c x W + (1 - c)/n - x||_1`` of the returned
+    vector is always recomputed and checked against ``tol``: above it, or on
+    a failed solve, :class:`ConvergenceError` names ``c``.
     """
     if g.n == 0:
         raise ValueError("empty graph")

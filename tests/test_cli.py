@@ -263,6 +263,14 @@ def test_ids_past_int64_exit_one_without_traceback(tmp_path, capsys):
         assert out == ""
 
 
+def test_an_empty_graph_exits_one(tmp_path, capsys):
+    path = tmp_path / "empty.edges"
+    path.write_text("n 0\n")
+    code, out, err = run_cli(["decompose", "--graph", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "rankmass: error: empty graph has no components\n"
+
+
 def test_graphs_past_the_size_limit_exit_one(tmp_path, capsys):
     path = tmp_path / "huge.edges"
     for text, count in (("n 3037000500\n0 1\n", 3037000500),

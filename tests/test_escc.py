@@ -29,7 +29,8 @@ def test_mass_matches_power_iteration(bowtie, bowtie_labels, bowtie_blocks):
 def test_mass_escc_only_variant(bowtie, bowtie_labels, bowtie_blocks):
     pi = rm.pagerank(bowtie, rm.PageRankConfig(damping=0.85))
     breakdown = rm.mass_breakdown(pi, bowtie_labels, bowtie_blocks)
-    got = rm.escc_mass(bowtie, bowtie_blocks, 0.85, escc_only=True)
+    bounds = rm.prop3_bounds(bowtie, bowtie_labels, bowtie_blocks, [0.85], escc_only=True)
+    got = bounds.rows[0].mass
     assert got == pytest.approx(breakdown.escc, abs=1e-9)
     assert got < rm.escc_mass(bowtie, bowtie_blocks, 0.85)
 
@@ -155,8 +156,7 @@ def test_envelope_and_cstar_slice_t_once(near_one, monkeypatch):
                             lambda *args, name=name, routine=routine:
                             walks.append(name) or routine(*args))
     for escc_only in (False, True):
-        for analysis in (lambda: rm.spectral_summary(g, labels, blocks, escc_only),
-                         lambda: rm.prop3_bounds(g, labels, blocks, [0.5, 0.85], escc_only),
+        for analysis in (lambda: rm.prop3_bounds(g, labels, blocks, [0.5, 0.85], escc_only),
                          lambda: rm.cstar_solve(g, labels, blocks, escc_only=escc_only)):
             calls.clear()
             analysis()
@@ -290,6 +290,23 @@ def test_interval_closed_form_domain_errors():
         rm.cstar_interval_closed_form(0.0, 0.9, "quasi")
     with pytest.raises(ValueError):
         rm.cstar_interval_closed_form(0.9, 0.99, "bogus")
+
+
+@pytest.mark.parametrize("edges, analysis, error, message", [
+    # T = {0} has no link inside, so p1 = 0 and the uniform target is 0
+    ([(0, 1), (1, 2), (2, 1)], lambda *t: rm.cstar_solve(*t, v_mode="bogus"),
+     ValueError, r"^v_mode must be one of \('quasi', 'uniform', 'self'\)$"),
+    ([(0, 1), (1, 2), (2, 1)], lambda *t: rm.cstar_solve(*t, v_mode="uniform"),
+     ValueError, r"^retention target 0\.0 outside \(0, 1\)$"),
+    # a ring is one closed component: its extended component has no transient node
+    ([(0, 1), (1, 2), (2, 0)], lambda *t: rm.prop3_bounds(*t, [0.85], escc_only=True),
+     rm.StructureError, "^the extended component is closed; nothing is transient$"),
+], ids=["cstar-mode", "cstar-target", "envelope-closed"])
+def test_analyses_refuse_inputs_outside_their_domain(edges, analysis, error, message):
+    g = rm.build_graph(3, edges)
+    labels = rm.bowtie_labeling(g)
+    with pytest.raises(error, match=message):
+        analysis(g, labels, rm.block_decomposition(g, labels))
 
 
 def test_r_curve_samples():

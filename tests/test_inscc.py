@@ -226,6 +226,12 @@ def test_derivative_at_one_requires_irreducible_core():
     view = rm.three_block_view(g, rm.bowtie_labeling(g))
     with pytest.raises(rm.StructureError):
         rm.derivative_at_one(view)
+    # so does a core node whose one link leaves the core
+    g = rm.build_graph(2, [(0, 1), (1, 1)])
+    view = rm.three_block_view(g, rm.bowtie_labeling(g))
+    with pytest.raises(rm.StructureError, match=re.escape("IN+SCC nodes [0] have no internal "
+                                                          "links; the internal walk is reducible")):
+        rm.derivative_at_one(view)
 
 
 def test_derivative_at_one_without_out_raises_before_solving(monkeypatch):
@@ -284,6 +290,32 @@ def test_unimodality_no_dangling_peaks_at_zero():
     report = rm.unimodality_scan(view)
     assert report.c0_estimate == 0.0
     assert report.violations == ()
+
+
+@pytest.mark.parametrize("curve, form_at_half, violations", [
+    ((np.arange(10) / 10 - 0.4) ** 2, 1.0, ("mass rises again after an initial decay",)),
+    ([0, 1, 2, 1, 0, 1, 2, 3, 4, 5], 1.0, ("first difference changes sign 2 times",)),
+    ([.96, .99, 1, .99, .96, .91, .80, .75, .64, .51], 1.0,
+     ("second difference nonnegative at c=0.6",)),
+    (1 - (np.arange(10) / 10) ** 2, 0.0, ("curvature form nonpositive at c=0.5",)),
+])
+def test_unimodality_scan_reports_each_departure(curve, form_at_half, violations,
+                                                 threeblock_view, monkeypatch):
+    """A known main-term mass curve on the grid 0, 0.1, ..., 0.9, and a
+    curvature form of 1 except at c = 0.5, give exactly the expected report."""
+    def visits_and_leak(view, grid):
+        masses = np.asarray(curve, dtype=float)
+        return np.column_stack((masses / inscc._restart_coeff(view, grid), np.zeros(grid.size)))
+
+    monkeypatch.setattr(inscc, "_visits_and_leak", visits_and_leak)
+    monkeypatch.setattr(inscc, "curvature_form", lambda view, c: form_at_half if c == 0.5 else 1.0)
+    report = rm.unimodality_scan(threeblock_view, np.arange(10) / 10)
+    assert report.violations == violations
+
+
+def test_unimodality_scan_refuses_a_grid_of_two_points(threeblock_view):
+    with pytest.raises(ValueError, match="^grid too coarse for a shape scan$"):
+        rm.unimodality_scan(threeblock_view, [0.1, 0.5])
 
 
 def test_curvature_form_positive(threeblock_view, heavy_view):

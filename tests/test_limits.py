@@ -113,8 +113,9 @@ def test_limit_cuts_a_fixed_number_of_block_views(monkeypatch):
 
 
 def test_limit_runs_one_perron_iteration_for_hundreds_of_blocks(monkeypatch):
-    """Every recurrent block takes its stationary from one run over all of
-    them, and gets the same vector as alone."""
+    """Every recurrent block takes its share of the limit from one run over
+    all of them: its mass spread by a vector within 1e-12 in L1 of its
+    stationary vector computed alone."""
     from rankmass import limits
     rng = np.random.default_rng(21)
     core = 30
@@ -133,13 +134,14 @@ def test_limit_runs_one_perron_iteration_for_hundreds_of_blocks(monkeypatch):
     blocks = rm.block_decomposition(g, rm.bowtie_labeling(g))
     assert blocks.num_blocks == 300
     runs = []
-    perron_classes = limits.perron_classes
-    monkeypatch.setattr(limits, "perron_classes",
-                        lambda *args, **kw: runs.append(args) or perron_classes(*args, **kw))
+    perron = limits.perron_irreducible
+    monkeypatch.setattr(limits, "perron_irreducible",
+                        lambda *args, **kw: runs.append(args) or perron(*args, **kw))
     report = rm.limit_vector(g, blocks)
     assert len(runs) == 1
-    for block, stationary in zip(blocks.recurrent_blocks, report.block_stationaries):
-        assert np.array_equal(stationary, rm.block_stationary(g, block))
+    for block, mass in zip(blocks.recurrent_blocks, report.block_masses):
+        stationary = report.vector[sorted(block)] / mass
+        assert np.abs(stationary - rm.block_stationary(g, block)).sum() <= 1e-12
 
 
 def test_limit_masses_sum_to_one(bowtie, bowtie_blocks, random_graphs):
@@ -170,8 +172,9 @@ def test_limit_vector_single_cycle():
 def test_block_stationary_residual(random_graphs):
     for g in random_graphs[:8]:
         blocks = rm.block_decomposition(g, rm.bowtie_labeling(g))
-        for block, pi_bar in zip(blocks.recurrent_blocks,
-                                 rm.limit_vector(g, blocks).block_stationaries):
+        report = rm.limit_vector(g, blocks)
+        for block, mass in zip(blocks.recurrent_blocks, report.block_masses):
+            pi_bar = report.vector[sorted(block)] / mass
             w = helpers.dense_w(g)
             q = w[np.ix_(sorted(block), sorted(block))]
             assert np.abs(pi_bar @ q - pi_bar).sum() <= 1e-12

@@ -17,8 +17,8 @@ from scipy import sparse
 import rankmass as rm
 from rankmass import escc, operators
 from rankmass.escc import transient_view
-from rankmass.operators import (SubstochasticBlock, block_view, chain_view, perron_classes,
-                                perron_irreducible, shifted_solve, solve_left, walk)
+from rankmass.operators import (SubstochasticBlock, block_view, chain_view, perron_irreducible,
+                                shifted_solve, solve_left, walk)
 
 import helpers
 
@@ -203,75 +203,55 @@ def test_every_stop_meets_tol_or_a_backward_error_of_eps(g, tol):
 
 
 @st.composite
-def _class_unions(draw):
-    """Dense blocks of 1-40 small irreducible classes, one after another
-    with no link between them: cycles of 1-6 nodes (a single node with or
-    without its loop), cycles with self-loops, and dense 3-5-node classes;
-    each class's rows scaled to sum to 1, 0.98 or 0.7."""
+def _stochastic_unions(draw):
+    """Dense stochastic blocks of 1-40 small irreducible classes, one after
+    another with no link between them, and a positive mass per class, the
+    masses summing to 1: cycles of 1-6 nodes (a single node keeps its loop),
+    cycles with self-loops, and dense 3-5-node classes."""
     classes = []
     for _ in range(draw(st.integers(1, 40))):
         kind = draw(st.sampled_from(("cycle", "loops", "dense")))
         size = draw(st.integers(3, 5) if kind == "dense" else st.integers(1, 6))
         adj = np.roll(np.eye(size), 1, axis=1)
-        if kind == "cycle" and size == 1:
-            adj *= draw(st.sampled_from((0.0, 1.0)))
-        if kind == "loops":
-            adj[np.diag_indices(size)] = draw(st.lists(st.booleans(), min_size=size,
-                                                       max_size=size))
+        if kind == "loops":   # on a single node, its loop's weight grows
+            adj[np.diag_indices(size)] += draw(st.lists(st.booleans(), min_size=size,
+                                                        max_size=size))
         if kind == "dense":
             adj += np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=size * size,
                                           max_size=size * size))).reshape(size, size)
-        sums = np.maximum(adj.sum(axis=1, keepdims=True), 1.0)
-        retention = draw(st.sampled_from((1.0, 0.98, 0.7)))
-        classes.append(retention * adj / sums)
-    return classes
+        classes.append(adj / adj.sum(axis=1, keepdims=True))
+    masses = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(classes),
+                                    max_size=len(classes))))
+    return classes, masses / masses.sum()
 
 
 @settings(max_examples=100, deadline=None)
-@given(_class_unions(), st.sampled_from((operators.EIG_TOL, 1e-20)))
-def test_every_class_of_a_union_takes_its_own_perron_stop(classes, tol):
-    """One run over the union gives each class the pair of the dense oracle,
-    stopped by the rule of every solve, and the same bits as the class
-    iterated alone."""
-    starts = np.cumsum([0] + [m.shape[0] for m in classes])
+@given(_stochastic_unions())
+def test_one_run_from_the_class_masses_ends_at_their_mix_of_stationaries(union_masses):
+    """Started at each class's mass spread evenly over its nodes, one run
+    over the union keeps every class's mass and ends at the classes'
+    stationary vectors mixed in those masses."""
+    classes, masses = union_masses
+    sizes = [m.shape[0] for m in classes]
     union = _square_block(sparse.block_diag(classes, format="csr"))
-    lams, vecs = perron_classes(union, starts, tol=tol)
-    assert lams.shape == (len(classes),) and vecs.shape == (starts[-1],)
-    total = lambda x: np.add.reduceat(np.abs(x), [0])[0]   # summed as the loop sums
-    for k, m in enumerate(classes):
-        run = np.arange(starts[k], starts[k + 1])
-        lam, y = lams[k], vecs[run]
-        z = union.cut(run, run).mul_left(y)
-        assert operators._accepts(total(z - lam * y), tol, total(z) + abs(lam) * total(y))
-        lam_dense, y_dense = helpers.dense_perron_left(m)
-        assert lam == pytest.approx(lam_dense, abs=1e-14)
-        assert np.abs(y - y_dense).sum() <= 1e-12
-        lam_alone, y_alone = perron_irreducible(union.cut(run, run), tol=tol)
-        assert lam == lam_alone and np.array_equal(y, y_alone)
+    lam, y = perron_irreducible(union, tol=operators.SOLVE_TOL,
+                                start=np.repeat(masses / sizes, sizes))
+    expected = np.concatenate([mass * helpers.dense_perron_left(m)[1]
+                               for m, mass in zip(classes, masses)])
+    assert lam == pytest.approx(1.0, abs=1e-14)
+    assert np.abs(y - expected).sum() <= 1e-12
 
 
-@pytest.mark.parametrize("starts, message", [
-    ([], "class starts"), ([0], "class starts"), ([1, 4], "class starts"),
-    ([0, 3], "class starts"), ([0, 2, 2, 4], "class starts"), ([0, 3, 2, 4], "class starts"),
-    ([0.0, 4.0], "class starts"), ([[0, 4]], "class starts"), ([0, 1, 4], "links to another"),
-])
-def test_malformed_class_starts_raise_before_any_product(starts, message, monkeypatch):
-    # two 2-cycles at positions 0-1 and 2-3, so that only [0, 4] and
-    # [0, 2, 4] split them into runs without a link between runs
-    block = _square_block(np.kron(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])))
-    assert np.array_equal(perron_classes(block, [0, 2, 4])[1], np.full(4, 0.5))
-    monkeypatch.setattr(SubstochasticBlock, "mul_left", lambda *_: pytest.fail("a product"))
-    with pytest.raises(ValueError, match=message):
-        perron_classes(block, starts)
-
-
-def test_classes_with_a_dangling_row_are_refused():
-    # a dangling row links to every class of the block: here 0 to 1 as well
+def test_perron_spreads_a_dangling_row_and_refuses_a_start_without_mass(monkeypatch):
+    # the dangling row 0 links to both nodes, and 1 links to 0
     block = replace(_square_block(np.array([[0.0, 0.0], [1.0, 0.0]])),
                     dangling_local=np.array([0]))
     assert np.abs(perron_irreducible(block)[1] - [2 / 3, 1 / 3]).sum() <= 1e-13
-    with pytest.raises(ValueError, match="links to another"):
-        perron_classes(block, [0, 1, 2])
+    monkeypatch.setattr(SubstochasticBlock, "mul_left", lambda *_: pytest.fail("a product"))
+    for start in ([0.0, 0.0], [1.0, -1.0], [np.nan, 1.0], [np.inf, 0.0]):
+        with pytest.raises(rm.ConvergenceError, match="^the start vector") as err:
+            perron_irreducible(block, start=start)
+        assert err.value.iterations == 0
 
 
 def test_solve_falls_back_to_the_walk_on_a_leaky_ring(monkeypatch):
