@@ -382,7 +382,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         common(p)
         p.add_argument("--damping", type=_damping_arg, default=0.85)
         p.add_argument("--tol", type=float, default=1e-12,
-                       help="bound on the L1 error of the scores (default 1e-12)")
+                       help="bound on the scores' fixed-point residual, and on their L1 "
+                            "error where the solve meets (1 - c) x tol (default 1e-12)")
 
     if p := made.get("sweep"):
         common(p, grid_default="0:0.95:0.05")
@@ -419,7 +420,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--target", type=int, required=True, help="node in the giant SCC")
         p.add_argument("--damping-list", default="0.5,0.85,0.95")
         p.add_argument("--tol", type=float, default=1e-12,
-                       help="bound on the L1 error of each PageRank vector (default 1e-12)")
+                       help="bound on each PageRank vector's fixed-point residual, and on "
+                            "its L1 error where the solve meets (1 - c) x tol (default 1e-12)")
         p.add_argument("--clicks", default=None,
                        help="optional CSV node_id,clicks for a click-rank column")
 

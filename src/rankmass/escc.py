@@ -109,7 +109,7 @@ def _perron_left(view: SubstochasticBlock, ids: np.ndarray) -> tuple[float, np.n
                 if np.isfinite(exc.residual):
                     raise ConvergenceError("the quasi-stationary vector below the dominant class "
                                            "did not converge", exc.residual, exc.iterations) from None
-                x[down] = np.inf   # the walk fallback met a non-finite term: an overflow
+                x[down] = np.inf   # the restarted fallback met a non-finite value: an overflow
     total = x.sum()
     if not np.isfinite(total):
         raise ConvergenceError("the quasi-stationary vector overflows below the dominant class",

@@ -7,8 +7,8 @@ many c, is read off one restarted left-Arnoldi basis of A from x0
 (:func:`shifted_solve`): its residuals for all c stay collinear across
 restarts, so each costs O(1) to bound, and the product count follows the
 spectrum, not the largest c.  A single resolvent vector ``b [I - A]^{-1}`` is
-:func:`solve_left`, a BiCGSTAB that falls back to summing the series
-:func:`walk` on a breakdown or at its step cap, which a long chain in A
+:func:`solve_left`, a BiCGSTAB that falls back to the same cycles at c = 1
+(:func:`_fom_cycle`) on a breakdown or at its step cap, as a long chain in A
 needs.  Dominant and stationary vectors come from :func:`perron_irreducible`:
 power steps while the residual keeps falling, then half-step blends, which
 converge on periodic classes too.  All three stop by one rule: residual at
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,8 @@ BICGSTAB_MAX_ITER = 500
 EPS = np.finfo(np.float64).eps
 SOLVE_TOL = 1e-14  # default L1 residual of the linear solves
 EIG_TOL = 1e-13    # default L1 residual of the Perron pairs
-RESTART = 20       # basis vectors per cycle of shifted_solve
-MAX_CYCLES = 25    # its cycles before a value above its bound takes solve_left
+RESTART = 20       # basis vectors per restarted-FOM cycle (_fom_cycle)
+MAX_CYCLES = 25    # shifted_solve's cycles before a value above its bound takes solve_left
 
 
 def check_tolerance(tol: float) -> None:
@@ -136,27 +136,42 @@ def chain_view(g: GraphHandle) -> SubstochasticBlock:
                               rows=every, cols=every)
 
 
-def walk(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray,
-         tol: float = SOLVE_TOL) -> Iterator[np.ndarray]:
-    """Yield ``x_k = x0 A^k``, with ``apply(x) = x A``, for k = 0..K.
+def _project(h: np.ndarray, cs: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each shift's FOM step ``(I - cH) z = rho e1`` on one cycle: the ``z``
+    rows, and the ``rho`` of each residual ``+c h_{k+1,k} z_k v_{k+1}``."""
+    m = h.shape[1]
+    z = np.linalg.solve(np.eye(m) - cs[:, None, None] * h[:m], np.eye(m)[:, :1])[..., 0]
+    z *= rho[:, None]
+    return z, cs * h[m, m - 1] * z[:, -1]
 
-    K is the first k >= 1 with ``||x_k||_1 <= tol``.  Raises ValueError
-    before the first product unless ``0 < tol < inf``,
-    :class:`ConvergenceError` at the first non-finite term, and past
-    ``MAX_ITER`` steps with the last ``||x_k||_1``.
-    """
-    check_tolerance(tol)
-    x = np.asarray(x0, dtype=np.float64)
-    yield x
-    for k in range(1, MAX_ITER + 1):
-        x = apply(x)
-        term = float(np.abs(x).sum())
-        if not np.isfinite(term):
-            raise ConvergenceError("walk reached a non-finite term", term, k)
-        yield x
-        if term <= tol:
-            return
-    raise ConvergenceError("series did not converge", term, MAX_ITER)
+
+def _fom_cycle(apply: Callable[[np.ndarray], np.ndarray], basis: np.ndarray, cs: np.ndarray,
+               rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One restarted-FOM cycle from the unit vector ``basis[0]``: up to
+    ``RESTART`` left-Arnoldi steps ``v_j A = sum_i H[i, j] v_i`` into
+    ``basis`` by classical Gram-Schmidt in einsum (a BLAS ``@`` threads), a
+    second pass only where the first leaves under ``1/sqrt(2)`` of the norm
+    (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 1976), ending early at an
+    invariant subspace; returns H and :func:`_project`'s ``(z, rho)``.
+    Raises :class:`ConvergenceError` with a non-finite norm."""
+    h = np.zeros((RESTART + 1, RESTART))
+    for j in range(RESTART):
+        w = apply(basis[j])
+        scale = float(np.sqrt((w * w).sum()))
+        for _ in range(2):   # the second pass only on a norm drop
+            coef = np.einsum("ij,j->i", basis[:j + 1], w)
+            w = w - np.einsum("ij,i->j", basis[:j + 1], coef)
+            h[:j + 1, j] += coef
+            norm = float(np.sqrt((w * w).sum()))
+            if norm >= np.sqrt(0.5) * scale:
+                break
+        if not np.isfinite(norm):
+            raise ConvergenceError("the restarted basis reached a non-finite value", norm, j + 1)
+        if norm <= EPS * scale:   # an invariant subspace
+            h = h[:j + 2, :j + 1]
+            break
+        h[j + 1, j], basis[j + 1] = norm, w / norm
+    return (h, *_project(h, cs, rho))
 
 
 def solve_left(apply_a: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
@@ -174,16 +189,16 @@ def solve_left(apply_a: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     updated residual drifted, and the true one replaces it (van der Vorst &
     Ye, SISC 2000).  At a breakdown (a zero or non-finite ``r_hat . r``,
     ``r_hat . v`` or ``omega``) or after ``BICGSTAB_MAX_ITER`` steps it falls
-    back to the sum of the walk ``b A^k`` (:func:`walk`), which stops after
-    the first term of L1 norm at most ``tol`` and raises
-    :class:`ConvergenceError` at a non-finite term or past ``MAX_ITER``
-    terms.  A chain of k nodes in A needs it: BiCGSTAB, like any Krylov
-    method, takes at least k products to cross the chain and turns unstable
-    on a long one, while the walk crosses it in k terms.  The walk needs the
-    spectral radius of A below one; BiCGSTAB only needs ``I - A``
-    nonsingular.  A non-finite ``b`` raises :class:`ConvergenceError` before
-    any product.  The inner products are numpy reductions: a BLAS ``@``
-    would run threaded on long vectors.
+    back to restarted FOM from ``y = 0`` (:func:`_fom_cycle` at c = 1), each
+    cycle from the true residual of ``y``, which the same rule accepts; it
+    raises :class:`ConvergenceError` at a non-finite value, with that value,
+    and before a cycle would pass ``MAX_ITER`` products.  A chain of k nodes
+    in A needs it: BiCGSTAB, like any Krylov method, takes at least k
+    products to cross the chain and turns unstable on a long one, while the
+    cycles cross it in about k products with ``RESTART + 1`` more vectors.
+    A non-finite ``b`` raises :class:`ConvergenceError` before any product.
+    The inner products are numpy reductions: a BLAS ``@`` would run threaded
+    on long vectors.
     """
     check_tolerance(tol)
     b = np.asarray(b, dtype=np.float64)
@@ -217,7 +232,23 @@ def solve_left(apply_a: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
         omega = float((t * s).sum()) / tt if tt else 0.0   # s = 0: the half step solved it
         y = y + alpha * p + omega * s
         r = s - omega * t
-    return sum(walk(apply_a, b, tol=tol))
+    basis = np.zeros((RESTART + 1, b.size))
+    y, y_a, products = np.zeros_like(b), np.zeros_like(b), 0
+    while True:   # restarted FOM at c = 1, each cycle from the true residual of y
+        r = b - (y - y_a)
+        res = float(np.abs(r).sum())
+        if not np.isfinite(res):
+            raise ConvergenceError("the fallback reached a non-finite residual", res, products)
+        if _accepts(res, tol, b_norm + float(np.abs(y).sum()) + float(np.abs(y_a).sum())):
+            return y
+        if products + RESTART + 1 > MAX_ITER:   # the next cycle would pass the cap
+            raise ConvergenceError("the fallback did not converge", res, products)
+        beta = float(np.sqrt((r * r).sum()))
+        basis[0] = r / beta
+        h, z, _ = _fom_cycle(apply_a, basis, np.ones(1), np.array([beta]))
+        y = y + np.einsum("i,ij->j", z[0], basis[:h.shape[1]])
+        y_a = apply_a(y)
+        products += h.shape[1] + 1
 
 
 class ShiftedSolve(NamedTuple):
@@ -230,24 +261,12 @@ class ShiftedSolve(NamedTuple):
     at: Callable[[float], np.ndarray]
 
 
-def _project(h: np.ndarray, cs: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each shift's FOM step ``(I - cH) z = rho e1`` on one cycle: the ``z``
-    rows, and the ``rho`` of each residual ``+c h_{k+1,k} z_k v_{k+1}``."""
-    m = h.shape[1]
-    z = np.linalg.solve(np.eye(m) - cs[:, None, None] * h[:m], np.eye(m)[:, :1])[..., 0]
-    z *= rho[:, None]
-    return z, cs * h[m, m - 1] * z[:, -1]
-
-
 def shifted_solve(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, probes,
                   grid, tol=SOLVE_TOL) -> ShiftedSolve:
     """Probes ``y_c @ probes`` and L1 residuals ``||x0 - y_c (I - cA)||_1`` of
     ``y_c = x0 [I - cA]^{-1}``, ``apply(x) = x A``, for each c in ``grid``
-    from one restarted left-Arnoldi basis ``v_j A = sum_i H[i, j] v_i``
-    (shifted FOM: Frommer & Glaessner, SISC 1998; Simoncini, BIT 2003), by
-    classical Gram-Schmidt in einsum (a BLAS ``@`` threads), with a second
-    pass only where the first leaves less than ``1/sqrt(2)`` of the norm
-    (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 1976).  All residuals
+    from one restarted left-Arnoldi basis (:func:`_fom_cycle`; shifted FOM:
+    Frommer & Glaessner, SISC 1998; Simoncini, BIT 2003).  All residuals
     stay multiples of the next cycle's start ``v_{k+1}``, so each costs O(1).
     Once every c meets its ``tol`` (one, or one per c), one product checks
     the true residual of the largest c: at most its ``tol``, or a normwise
@@ -274,26 +293,9 @@ def shifted_solve(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, pro
     top, rho, values, y_top, cycles = int(np.argmax(grid)), np.full(grid.size, beta), 0, 0, []
     met, start = False, ()   # start: the top point's y and residual, once checked
     for _ in range(MAX_CYCLES):
-        h = np.zeros((RESTART + 1, RESTART))
-        for j in range(RESTART):
-            w = apply(basis[j])
-            scale = float(np.sqrt((w * w).sum()))
-            for _ in range(2):   # the second pass only on a norm drop
-                coef = np.einsum("ij,j->i", basis[:j + 1], w)
-                w = w - np.einsum("ij,i->j", basis[:j + 1], coef)
-                h[:j + 1, j] += coef
-                norm = float(np.sqrt((w * w).sum()))
-                if norm >= np.sqrt(0.5) * scale:
-                    break
-            if not np.isfinite(norm):
-                raise ConvergenceError("the shifted basis reached a non-finite value", norm, j + 1)
-            if norm <= EPS * scale:   # an invariant subspace
-                h = h[:j + 2, :j + 1]
-                break
-            h[j + 1, j], basis[j + 1] = norm, w / norm
+        h, z, rho = _fom_cycle(apply, basis, grid, rho)
         m = h.shape[1]
         cycles.append((h, np.array([probes_t @ v for v in basis[:m]]), np.abs(basis[m]).sum()))
-        z, rho = _project(h, grid, rho)
         values = values + z @ cycles[-1][1]
         y_top = y_top + np.einsum("i,ij->j", z[top], basis[:m])
         bounds = np.abs(rho) * cycles[-1][2]

@@ -4,7 +4,7 @@ structural components.
 :func:`pagerank` corrects the uniform start ``x0`` by one
 :func:`operators.solve_left` of ``y (I - cW) = r0``, where
 ``r0 = c x0 W + (1 - c)/n - x0`` is its residual;
-:func:`pagerank_via_resolvent` sums the series walk ``((1 - c)/n) 1^T (c W)^k``.
+:func:`pagerank_via_resolvent` sums the series ``((1 - c)/n) 1^T (c W)^k``.
 Each bounds its L1 error by the tolerance (:func:`pagerank` where its solve
 meets its target), so the two agree to within twice the tolerance.
 """
@@ -18,7 +18,7 @@ import numpy as np
 from .bowtie import BlockDecomposition, BowtieLabeling, Label
 from .errors import ConvergenceError
 from .graph import GraphHandle
-from .operators import check_tolerance, chain_view, shifted_solve, solve_left, walk
+from .operators import MAX_ITER, check_tolerance, chain_view, shifted_solve, solve_left
 
 
 @dataclass(frozen=True)
@@ -115,12 +115,16 @@ def pagerank_via_resolvent(g: GraphHandle, damping: float) -> RankVector:
     if n == 0:
         raise ValueError("empty graph")
     chain = chain_view(g)
-    total = np.zeros(n)
     # the tail after a term of norm ``step`` is at most c/(1-c) * step
     step_tol = cfg.tolerance * min(1.0, (1.0 - c) / c) if c else cfg.tolerance
-    terms = walk(lambda x: c * chain.mul_left(x), np.full(n, (1.0 - c) / n), tol=step_tol)
-    for terms_used, term in enumerate(terms, start=1):
-        total += term
+    total = term = np.full(n, (1.0 - c) / n)
+    for terms_used in range(2, MAX_ITER + 2):
+        term = c * chain.mul_left(term)
+        total = total + term
+        if float(np.abs(term).sum()) <= step_tol:
+            break
+    else:
+        raise ConvergenceError("series did not converge", float(np.abs(term).sum()), MAX_ITER)
     total /= total.sum()
     residual = float(np.abs(c * chain.mul_left(total) + (1.0 - c) / n - total).sum())
     return RankVector(values=total, damping=c, iterations_used=terms_used,

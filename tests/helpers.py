@@ -58,6 +58,16 @@ def dense_perron_left(t: np.ndarray) -> tuple[float, np.ndarray]:
     return lam, vec / vec.sum()
 
 
+def series_terms(apply, x0, tol: float = 1e-14) -> int:
+    """Terms ``x0 A^k``, ``apply(x) = x A``, that the series ``x0 [I - A]^{-1}``
+    sums: the first k >= 1 with ``||x0 A^k||_1 <= tol``."""
+    x, k = np.asarray(x0, dtype=np.float64), 0
+    while True:
+        x, k = apply(x), k + 1
+        if np.abs(x).sum() <= tol:
+            return k
+
+
 def permute_graph(g, perm) -> tuple:
     """Relabeled copy of g and the node map old -> new."""
     perm = list(perm)

@@ -615,7 +615,8 @@ def test_nonconvergence_exit_code(graph_files, tmp_path, seed1_graph, capsys):
 def test_pagerank_near_one_finishes_on_the_seed1_graphs(name, seed1_graph, tmp_path, capsys):
     # at c = 0.9999 the solve's target (1 - c) tol lies below rounding, and it
     # stops at a backward error of eps; with the floor test tol * ||y||_1 it
-    # ran 500 steps, then summed the walk, and had not finished after 30 s
+    # ran 500 steps, then summed the series fallback it had then, and had not
+    # finished after 30 s
     graph, out = tmp_path / f"{name}.edges", tmp_path / "pr.csv"
     graph.write_text(rm.dumps(seed1_graph(name)))
     code, _, err = run_cli(["pagerank", "--graph", str(graph), "--out", str(out),

@@ -202,7 +202,7 @@ def test_spectral_summary_refuses_an_overflowing_vector():
 def test_spectral_summary_crosses_a_chain_below_the_dominant_class():
     # a leaky swap pair feeds a 25-node chain: below the winner the solve is
     # with T_down / lambda1, which grows by 1/lambda1 = sqrt(2) per node, and
-    # BiCGSTAB breaks down on it; the walk fallback crosses the chain exactly
+    # BiCGSTAB breaks down on it; the restarted fallback crosses the chain
     depth = 25
     edges = [(0, 1), (1, 0), (1, 2)] + [(i, i + 1) for i in range(2, depth + 2)]
     g = rm.build_graph(depth + 3, edges + [(depth + 2, depth + 2)])

@@ -1,8 +1,8 @@
-"""Block products and the iteration primitives of ``operators``: the series
-walk, the BiCGSTAB solve, the shifted basis behind every damping grid (with
-its second Gram-Schmidt pass on a norm drop) and the Perron iteration (plain
-power steps until they stall, then the half-step blend); plus counts of the
-products that the analyses spend near one."""
+"""Block products and the iteration primitives of ``operators``: the
+BiCGSTAB solve and its restarted-FOM fallback, the shifted basis behind every
+damping grid (with its second Gram-Schmidt pass on a norm drop) and the
+Perron iteration (plain power steps until they stall, then the half-step
+blend); plus counts of the products that the analyses spend near one."""
 
 import resource
 import time
@@ -18,7 +18,7 @@ import rankmass as rm
 from rankmass import escc, operators
 from rankmass.escc import transient_view
 from rankmass.operators import (SubstochasticBlock, block_view, chain_view, perron_irreducible,
-                                shifted_solve, solve_left, walk)
+                                shifted_solve, solve_left)
 
 import helpers
 
@@ -84,12 +84,15 @@ def test_cut_in_any_order_is_the_permuted_block(random_graphs):
             assert np.array_equal(sub.rows, rows) and np.array_equal(sub.cols, cols)
 
 
-def test_non_finite_walk_stops_at_first_term():
+def test_non_finite_fallback_stops_at_first_product():
     nan = np.full(2, np.nan)
     half = lambda y: 0.5 * y
-    with pytest.raises(rm.ConvergenceError) as err:
-        sum(walk(half, nan))
-    assert err.value.iterations == 1
+    # a product that turns non-finite breaks BiCGSTAB down, and the fallback
+    # raises at its first basis step with the non-finite value
+    with pytest.raises(rm.ConvergenceError, match="^the restarted basis reached a non-finite"
+                       ) as err:
+        solve_left(lambda y: np.full_like(y, np.nan), np.ones(2))
+    assert err.value.iterations == 1 and np.isnan(err.value.residual)
     # the solve refuses a non-finite right-hand side before any product
     with pytest.raises(rm.ConvergenceError, match="^the right-hand side is not finite") as err:
         solve_left(half, nan)
@@ -254,9 +257,11 @@ def test_perron_spreads_a_dangling_row_and_refuses_a_start_without_mass(monkeypa
         assert err.value.iterations == 0
 
 
-def test_solve_falls_back_to_the_walk_on_a_leaky_ring(monkeypatch):
+def test_solve_falls_back_to_restarted_cycles_on_a_leaky_ring(monkeypatch):
     # the ring's spectrum lies on a circle of radius 0.998, where BiCGSTAB
-    # converges slowly; at a small step cap the walk then sums the series
+    # converges slowly; at a small step cap the restarted cycles take over,
+    # each RESTART products and one true residual, in fewer products than
+    # the series takes terms (16,211 in all against 18,621)
     cap = 20
     monkeypatch.setattr(operators, "BICGSTAB_MAX_ITER", cap)
     size = 300
@@ -271,21 +276,50 @@ def test_solve_falls_back_to_the_walk_on_a_leaky_ring(monkeypatch):
         products += 1
         return ring.mul_left(y)
 
+    cycles = []
+    cycle = operators._fom_cycle
+    monkeypatch.setattr(operators, "_fom_cycle", lambda *args: cycles.append(1) or cycle(*args))
     y = solve_left(apply, b)
     expected = np.linalg.solve((np.eye(size) - ring.matrix.toarray()).T, b)
     assert np.abs(y - expected).sum() <= 1e-12 * np.abs(expected).sum()
-    terms = sum(1 for _ in walk(ring.mul_left, b)) - 1
-    assert 2 * cap + terms < products <= 1 + 3 * cap + terms
+    fallback = (operators.RESTART + 1) * len(cycles)
+    assert 2 * cap < products - fallback <= 1 + 3 * cap
+    assert products < helpers.series_terms(ring.mul_left, b)
 
 
-def test_solve_crosses_a_long_chain_by_the_walk():
+def test_solve_crosses_a_long_chain_by_restarted_cycles():
     # a chain of k nodes takes a Krylov method at least k products to cross,
-    # and BiCGSTAB breaks down on this one; the walk crosses it in k terms
+    # and BiCGSTAB breaks down on this one; the restarted cycles cross it in
+    # about k products
     size = 1000
     chain = _square_block(sparse.eye(size, k=1, format="csr"))
     b = np.full(size, 1.0 / size)
     y = solve_left(chain.mul_left, b)
     assert np.abs(y - np.arange(1, size + 1) / size).max() <= 1e-12
+
+
+def test_the_fallback_alone_matches_the_dense_oracles(random_graphs, monkeypatch):
+    # no BiCGSTAB step: every solve is the restarted cycles from y = 0
+    monkeypatch.setattr(operators, "BICGSTAB_MAX_ITER", 0)
+    for g in random_graphs:
+        for c in (0.5, 0.85, 0.99):
+            values = rm.pagerank(g, rm.PageRankConfig(damping=c)).values
+            assert np.abs(values - helpers.dense_pagerank(g, c)).sum() <= 1e-12
+        blocks = rm.block_decomposition(g, rm.bowtie_labeling(g))
+        w = helpers.dense_w(g)
+        t = np.flatnonzero(blocks.block_index < 0)
+        visits = np.zeros(g.n)   # x (I - T) = 1/n
+        visits[t] = np.linalg.solve((np.eye(t.size) - w[np.ix_(t, t)]).T,
+                                    np.full(t.size, 1.0 / g.n))
+        assert rm.expected_visits(g, blocks) == pytest.approx(visits.sum() * g.n / t.size,
+                                                              rel=1e-12)
+        limit, inflow = np.zeros(g.n), visits @ w
+        for k in range(blocks.num_blocks):
+            r = np.flatnonzero(blocks.block_index == k)
+            limit[r] = (r.size / g.n + inflow[r].sum()) * helpers.dense_stationary(w[np.ix_(r, r)])
+        assert np.abs(rm.limit_vector(g, blocks).vector - limit).sum() <= 1e-12
+    # a zero right-hand side is met at y = 0, before a norm of zero divides
+    assert np.array_equal(solve_left(lambda y: 0.5 * y, np.zeros(3)), np.zeros(3))
 
 
 def test_solve_goes_on_from_the_true_residual_when_the_updated_one_drifts():
@@ -322,7 +356,7 @@ def test_c1_solve_below_the_rounding_floor_stops_there(seed1_graph):
     # the limit's absorption solve over the transient block: no iterate meets
     # 1e-17, and the solve stops at a normwise backward error of eps, where
     # it stops at SOLVE_TOL too; with the floor at tol * ||y||_1 alone it
-    # took 500 steps and then the walk, 4518 products in all
+    # took 500 steps and then a series fallback, 4518 products in all
     g = seed1_graph("bowtie-large")
     view = transient_view(g, rm.block_decomposition(g, rm.bowtie_labeling(g)))
     b = np.full(view.shape[0], 1.0 / g.n)
@@ -382,7 +416,7 @@ def test_c1_analyses_take_a_fraction_of_the_walk(near_one, monkeypatch):
     g, _, blocks = near_one
     view = transient_view(g, blocks)
     size = view.rows.size
-    terms = sum(1 for _ in walk(view.mul_left, np.full(size, 1.0 / size))) - 1
+    terms = helpers.series_terms(view.mul_left, np.full(size, 1.0 / size))
     products = 0
     mul_left = SubstochasticBlock.mul_left
 
@@ -399,12 +433,12 @@ def test_c1_analyses_take_a_fraction_of_the_walk(near_one, monkeypatch):
 
 
 def test_grid_analyses_take_fewer_products_than_the_walk(near_one, monkeypatch):
-    # the walk of T to the top grid value 0.95, plus a solve for c = 1, is
+    # the series walk of T to the top grid value 0.95, plus a solve for c = 1, is
     # what the grids cost before they shared one basis that holds c = 1 too
     g, labels, blocks = near_one
     view = transient_view(g, blocks)
     u = np.full(view.rows.size, 1.0 / view.rows.size)
-    terms = sum(1 for _ in walk(lambda y: 0.95 * view.mul_left(y), u)) - 1
+    terms = helpers.series_terms(lambda y: 0.95 * view.mul_left(y), u)
     counts = {"mul_left": 0, "solve_left": 0}
 
     def counting(name, fn):

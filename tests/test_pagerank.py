@@ -102,13 +102,14 @@ def test_nonconvergence_raises_with_residual(bowtie, monkeypatch):
         rm.pagerank(bowtie, cfg)
     assert err.value.residual > cfg.tolerance
     assert str(err.value).count("iterations") == 1
-    # out of steps: BiCGSTAB and then the walk stop at two each
+    # out of steps: BiCGSTAB stops at two, and the fallback refuses a cycle
+    # that would pass two products, with the residual of its start y = 0
     monkeypatch.setattr(operators, "BICGSTAB_MAX_ITER", 2)
     monkeypatch.setattr(operators, "MAX_ITER", 2)
     with pytest.raises(rm.ConvergenceError) as err:
         rm.pagerank(bowtie, rm.PageRankConfig(damping=0.85))
     assert str(err.value) == ("pagerank at c=0.85 did not converge "
-                              "(residual 1.308e-01 after 7 iterations)")
+                              "(residual 3.069e-01 after 5 iterations)")
 
 
 def test_a_tolerance_below_rounding_fails_fast_on_the_bowtie_large_graph(seed1_graph):
@@ -129,7 +130,7 @@ def test_a_tolerance_below_rounding_fails_fast_on_the_bowtie_large_graph(seed1_g
 def test_a_long_chain_matches_the_dense_oracle():
     # a 3-cycle drains into a 1000-node chain and a closing 2-cycle; at
     # c = 0.99 BiCGSTAB does not cross the chain within its step cap, and the
-    # walk fallback does
+    # restarted fallback does
     depth = 1000
     edges = [(0, 1), (1, 2), (2, 0), (2, 3)] + [(i, i + 1) for i in range(3, depth + 3)]
     g = rm.build_graph(depth + 5, edges + [(depth + 3, depth + 4), (depth + 4, depth + 3)])
