@@ -375,20 +375,22 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             p.add_argument("--grid", default=grid_default,
                            help=f"damping grid START:STOP:STEP (default {grid_default})")
 
+    def pagerank_tol(p, bound):
+        p.add_argument("--tol", type=float, default=PageRankConfig.tolerance,
+                       help=f"{bound} (default {PageRankConfig.tolerance:g})")
+
     if p := made.get("decompose"):
         common(p)
 
     if p := made.get("pagerank"):
         common(p)
         p.add_argument("--damping", type=_damping_arg, default=0.85)
-        p.add_argument("--tol", type=float, default=1e-12,
-                       help="bound on the scores' fixed-point residual, and on their L1 "
-                            "error where the solve meets (1 - c) x tol (default 1e-12)")
+        pagerank_tol(p, "bound on the scores' fixed-point residual, and on their L1 "
+                        "error where the solve meets (1 - c) x tol")
 
     if p := made.get("sweep"):
         common(p, grid_default="0:0.95:0.05")
-        p.add_argument("--tol", type=float, default=1e-12,
-                       help="bound on the L1 error of the masses (default 1e-12)")
+        pagerank_tol(p, "bound on the L1 error of the masses")
 
     if p := made.get("limit"):
         common(p)
@@ -419,9 +421,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--source", type=int, required=True, help="node in a recurrent block")
         p.add_argument("--target", type=int, required=True, help="node in the giant SCC")
         p.add_argument("--damping-list", default="0.5,0.85,0.95")
-        p.add_argument("--tol", type=float, default=1e-12,
-                       help="bound on each PageRank vector's fixed-point residual, and on "
-                            "its L1 error where the solve meets (1 - c) x tol (default 1e-12)")
+        pagerank_tol(p, "bound on each PageRank vector's fixed-point residual, and on "
+                        "its L1 error where the solve meets (1 - c) x tol")
         p.add_argument("--clicks", default=None,
                        help="optional CSV node_id,clicks for a click-rank column")
 

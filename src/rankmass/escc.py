@@ -36,7 +36,7 @@ import numpy as np
 from .bowtie import BlockDecomposition, BowtieLabeling, by_smallest_member, closure
 from .errors import ConvergenceError, StructureError
 from .graph import GraphHandle
-from .operators import (EIG_TOL, ShiftedSolve, SubstochasticBlock, block_view,
+from .operators import (SOLVE_TOL, ShiftedSolve, SubstochasticBlock, block_view,
                         check_tolerance, perron_irreducible, shifted_solve, solve_left)
 from .pagerank import mass_breakdown
 
@@ -76,7 +76,7 @@ def _perron_left(view: SubstochasticBlock, ids: np.ndarray) -> tuple[float, np.n
     :func:`perron_irreducible`; the largest wins, the smallest member on ties.
     Below the winner it is one solve ``x_down (lam I - T_down) = x_win T_win,down``;
     a tie, an overflow or a failed solve there raises :class:`ConvergenceError`.  Both run
-    to ``EIG_TOL``.
+    to ``SOLVE_TOL``, and classes whose eigenvalues lie within it count as tied.
     """
     dangling = view.dangling_local
     sizes = np.bincount(ids)
@@ -98,13 +98,13 @@ def _perron_left(view: SubstochasticBlock, ids: np.ndarray) -> tuple[float, np.n
         down = down[below[down] | below[dangling].any()]   # a dangling row reaches all of T
     if down.size:
         rival = float(lams[ids[down]].max())
-        if rival >= lam - 1e-14:
+        if rival >= lam - SOLVE_TOL:
             raise ConvergenceError("tied dominant classes along a feeding path", rival, 0)
         sub = view.cut(down, down)
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 x[down] = solve_left(lambda y: sub.mul_left(y) / lam,
-                                     view.mul_left(x)[down] / lam, tol=EIG_TOL)
+                                     view.mul_left(x)[down] / lam)
             except ConvergenceError as exc:
                 if np.isfinite(exc.residual):
                     raise ConvergenceError("the quasi-stationary vector below the dominant class "

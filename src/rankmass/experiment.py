@@ -33,7 +33,8 @@ class ExperimentReport:
 
 def run_link_experiment(g: GraphHandle, labels: BowtieLabeling,
                         blocks: BlockDecomposition, source: int, target: int,
-                        damping_values, tolerance: float = 1e-12) -> ExperimentReport:
+                        damping_values,
+                        tolerance: float = PageRankConfig.tolerance) -> ExperimentReport:
     """Recompute ranks with and without the edge ``source -> target``.
 
     ``source`` must sit in a recurrent block and ``target`` in the giant SCC.

@@ -29,8 +29,8 @@ import numpy as np
 from .bowtie import BowtieLabeling, Label
 from .errors import AssumptionViolationError, StructureError, _id_list
 from .graph import GraphHandle
-from .operators import (SOLVE_TOL, SubstochasticBlock, block_view, perron_irreducible,
-                        shifted_solve, solve_left)
+from .operators import (SubstochasticBlock, block_view, perron_irreducible, shifted_solve,
+                        solve_left)
 
 FD_STEP_AT_ZERO = 1e-5     # central difference step at c = 0
 FD_NEAR_ONE = 0.999        # where the one-sided difference below c = 1 is taken
@@ -248,7 +248,7 @@ def _internal_stationary(view: ThreeBlockView) -> np.ndarray:
     if not view.p.irreducible():   # a dangling row has no internal link, so none is left
         raise StructureError("internal IN+SCC walk is reducible")
     internal = p.multiply(1.0 / sums[:, None]).tocsr()
-    return perron_irreducible(replace(view.p, matrix=internal), tol=SOLVE_TOL)[1]
+    return perron_irreducible(replace(view.p, matrix=internal))[1]
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,7 @@ import numpy as np
 from .bowtie import BlockDecomposition, strongly_connected_components
 from .errors import StructureError, _id_list
 from .graph import GraphHandle, build_graph
-from .operators import (SOLVE_TOL, block_view, chain_view, dense_stationary, perron_irreducible,
-                        solve_left)
+from .operators import block_view, chain_view, dense_stationary, perron_irreducible, solve_left
 
 LAURENT_MAX_SIZE = 20
 AGGREGATED_MAX_SIZE = 30
@@ -41,7 +40,7 @@ def block_stationary(g: GraphHandle, block) -> np.ndarray:
         raise StructureError(f"block is not closed: nodes {_id_list(view.rows[leaks])} leak mass")
     if not view.irreducible():
         raise StructureError("block is not strongly connected")
-    return perron_irreducible(view, tol=SOLVE_TOL)[1]
+    return perron_irreducible(view)[1]
 
 
 def absorption_weights(g: GraphHandle, blocks: BlockDecomposition) -> np.ndarray:
@@ -84,7 +83,7 @@ def limit_vector(g: GraphHandle, blocks: BlockDecomposition) -> LimitReport:
     drain = absorption_weights(g, blocks)
     masses = fair + drain
     vector = np.zeros(g.n)
-    _, vector[inside] = perron_irreducible(chain_view(g).cut(inside, inside), tol=SOLVE_TOL,
+    _, vector[inside] = perron_irreducible(chain_view(g).cut(inside, inside),
                                            start=(masses / sizes)[blocks.block_index[inside]])
     vector.setflags(write=False)
     return LimitReport(block_masses=masses, fair_shares=fair, drain_weights=drain, vector=vector)

@@ -12,7 +12,8 @@ spectrum, not the largest c.  A single resolvent vector ``b [I - A]^{-1}`` is
 needs.  Dominant and stationary vectors come from :func:`perron_irreducible`:
 power steps while the residual keeps falling, then half-step blends, which
 converge on periodic classes too.  All three stop by one rule: residual at
-most ``tol``, or normwise backward error at most eps.
+most ``SOLVE_TOL`` (or the ``tol`` a caller of the two solves passes), or
+normwise backward error at most eps.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ if TYPE_CHECKING:
 MAX_ITER = 500_000
 BICGSTAB_MAX_ITER = 500
 EPS = np.finfo(np.float64).eps
-SOLVE_TOL = 1e-14  # default L1 residual of the linear solves
-EIG_TOL = 1e-13    # default L1 residual of the Perron pairs
+SOLVE_TOL = 1e-14  # the L1 residual every inner solve and Perron pair runs to
 RESTART = 20       # basis vectors per restarted-FOM cycle (_fom_cycle)
 MAX_CYCLES = 25    # shifted_solve's cycles before a value above its bound takes solve_left
 
@@ -262,25 +262,22 @@ class ShiftedSolve(NamedTuple):
 
 
 def shifted_solve(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, probes,
-                  grid, tol=SOLVE_TOL) -> ShiftedSolve:
+                  grid, tol: float = SOLVE_TOL) -> ShiftedSolve:
     """Probes ``y_c @ probes`` and L1 residuals ``||x0 - y_c (I - cA)||_1`` of
     ``y_c = x0 [I - cA]^{-1}``, ``apply(x) = x A``, for each c in ``grid``
     from one restarted left-Arnoldi basis (:func:`_fom_cycle`; shifted FOM:
     Frommer & Glaessner, SISC 1998; Simoncini, BIT 2003).  All residuals
     stay multiples of the next cycle's start ``v_{k+1}``, so each costs O(1).
-    Once every c meets its ``tol`` (one, or one per c), one product checks
-    the true residual of the largest c: at most its ``tol``, or a normwise
-    backward error ``||r||_1 / (||x0||_1 + ||y||_1 + c ||y A||_1)`` of at
-    most eps.  If it misses, ``y`` goes on as ``y + d`` with
-    ``d (I - cA) = r`` by :func:`solve_left`; any other c still above its
-    ``tol`` after ``MAX_CYCLES`` cycles takes one :func:`solve_left` from
-    x0.  A zero or non-finite start raises :class:`ConvergenceError` before
-    any product.
+    Once every c meets ``tol``, one product checks the true residual of
+    the largest c: at most ``tol``, or a normwise backward error
+    ``||r||_1 / (||x0||_1 + ||y||_1 + c ||y A||_1)`` of at most eps.  If it
+    misses, ``y`` goes on as ``y + d`` with ``d (I - cA) = r`` by
+    :func:`solve_left`; any other c still above ``tol`` after
+    ``MAX_CYCLES`` cycles takes one :func:`solve_left` from x0.  A zero or
+    non-finite start raises :class:`ConvergenceError` before any product.
     """
+    check_tolerance(tol)
     grid = np.asarray(grid, dtype=np.float64)
-    tols = np.broadcast_to(np.asarray(tol, dtype=np.float64), grid.shape)
-    for t in np.unique(tols):
-        check_tolerance(float(t))
     from scipy import sparse
     x0 = np.asarray(x0, dtype=np.float64)
     probes_t = sparse.csr_matrix(probes.T if sparse.issparse(probes)
@@ -299,31 +296,31 @@ def shifted_solve(apply: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, pro
         values = values + z @ cycles[-1][1]
         y_top = y_top + np.einsum("i,ij->j", z[top], basis[:m])
         bounds = np.abs(rho) * cycles[-1][2]
-        if np.all(bounds <= tols):
+        if np.all(bounds <= tol):
             y_a = grid[top] * apply(y_top)
             start = (y_top, x0 - (y_top - y_a))
             bounds[top] = float(np.abs(start[1]).sum())
-            met = _accepts(bounds[top], tols[top], float(np.abs(x0).sum())
+            met = _accepts(bounds[top], tol, float(np.abs(x0).sum())
                            + float(np.abs(y_top).sum()) + float(np.abs(y_a).sum()))
             break
         basis[0] = basis[m]
 
-    def solve(c: float, tol_c: float, y=0.0, r=x0) -> tuple[np.ndarray, float]:
+    def solve(c: float, y=0.0, r=x0) -> tuple[np.ndarray, float]:
         damped = lambda v: c * apply(v)
-        y = y + solve_left(damped, r, tol=tol_c)   # r: the residual of the start y
+        y = y + solve_left(damped, r, tol=tol)   # r: the residual of the start y
         return probes_t @ y, float(np.abs(x0 - (y - damped(y))).sum())
 
-    redo = bounds > tols
+    redo = bounds > tol
     redo[top] &= not met
-    for i in np.flatnonzero(redo):   # only the top point once the cycles met every tol
-        values[i], bounds[i] = solve(float(grid[i]), float(tols[i]), *start)
+    for i in np.flatnonzero(redo):   # only the top point once the cycles met tol
+        values[i], bounds[i] = solve(float(grid[i]), *start)
 
     def at(c: float) -> np.ndarray:
         rho, out = np.array([beta]), 0
         for h, rows, v_norm in cycles:
             z, rho = _project(h, np.array([float(c)]), rho)
             out = out + z[0] @ rows
-        return out if abs(rho[0]) * v_norm <= tols.min() else solve(float(c), tols.min())[0]
+        return out if abs(rho[0]) * v_norm <= tol else solve(float(c))[0]
 
     return ShiftedSolve(values, bounds, cycles, at)
 
@@ -341,43 +338,43 @@ def dense_stationary(p: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
-def perron_irreducible(block: SubstochasticBlock, tol: float = EIG_TOL,
-                       start=None) -> tuple[float, np.ndarray]:
+def perron_irreducible(block: SubstochasticBlock, start=None) -> tuple[float, np.ndarray]:
     """Dominant eigenvalue and probability-normed left eigenvector of an
     irreducible nonnegative block (of a stochastic one, its stationary vector).
 
     Power steps ``y <- y B`` from ``start`` (uniform by default), normalised,
-    until the residual ``z - lam y`` of ``z = y B`` is at most ``tol`` in L1
-    norm, or its normwise backward error ``||z - lam y||_1 / (||z||_1 +
+    until the residual ``z - lam y`` of ``z = y B`` is at most ``SOLVE_TOL``
+    in L1 norm, or its normwise backward error ``||z - lam y||_1 / (||z||_1 +
     |lam| ||y||_1)`` is at most eps; returns that ``lam`` and ``y``, the start
-    itself if it passes.  From the first step whose residual exceeds 0.9
-    times the last (a periodic class, or an eigenvalue near ``-lam``, keeps
-    plain steps from converging) it blends ``y <- (y + y B) / 2``, which
-    shares the eigenvector and makes the class primitive, at half the rate.
-    A single node stops after one step with its self-transition weight.
+    itself if it passes.  From the first step whose residual exceeds 0.9 times
+    the last (a periodic class, or an eigenvalue near ``-lam``, keeps plain
+    steps from converging) it blends ``y <- (y + y B) / 2``, Kahan-summed,
+    which shares the eigenvector and makes the class primitive, at half the
+    rate.  A single node stops after one step with its self-transition weight.
     Unlinked stochastic classes keep their shares of a nonnegative start, so
     the run ends at their stationary vectors mixed in those shares.  Raises
-    ValueError unless ``0 < tol < inf``, and :class:`ConvergenceError` before
-    any product on a start of zero or non-finite sum, at the first non-finite
-    residual, and after ``MAX_ITER`` steps, with the steps taken.
+    :class:`ConvergenceError` before any product on a start of zero or
+    non-finite sum, at the first non-finite residual, and after ``MAX_ITER``
+    steps, with the steps taken.
     """
-    check_tolerance(tol)
     size = block.shape[0]
     y = np.full(size, 1.0 / size) if start is None else np.asarray(start, dtype=np.float64)
     if not 0.0 < (total := float(y.sum())) < np.inf:
         raise ConvergenceError("the start vector sums to zero or is not finite", total, 0)
-    blend, prev = False, np.inf
+    blend, prev, carry = False, np.inf, np.zeros(size)
     for it in range(1, MAX_ITER + 1):
         z = block.mul_left(y)
         lam = float(z.sum())
-        residual = float(np.abs(z - lam * y).sum())
+        residual = float(np.abs(r := z - lam * y).sum())
         if not np.isfinite(residual):
-            raise ConvergenceError("eigenvector iteration reached a non-finite value",
-                                   residual, it)
-        if _accepts(residual, tol, float(np.abs(z).sum()) + abs(lam) * float(np.abs(y).sum())):
+            raise ConvergenceError("eigenvector iteration reached a non-finite value", residual, it)
+        if _accepts(residual, SOLVE_TOL,
+                    float(np.abs(z).sum()) + abs(lam) * float(np.abs(y).sum())):
             return lam, y
         blend = blend or residual > 0.9 * prev
         prev = residual
-        y = 0.5 * (y + z) if blend else z
-        y /= y.sum()
+        if blend:   # y + r / (1 + lam) = (y + z) / (1 + lam), Kahan-summed: on a long
+            step = r / (1 + lam) - carry   # period the blend contracts so slowly that
+            carry = ((z := y + step) - y) - step   # plain sums stall a few eps above the stop
+        y = z / z.sum()
     raise ConvergenceError("eigenvector iteration did not converge", residual, MAX_ITER)

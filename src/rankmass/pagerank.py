@@ -178,15 +178,17 @@ def mass_breakdown(pi, labels: BowtieLabeling,
 
 
 def damping_sweep(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecomposition,
-                  grid, tolerance: float = 1e-12) -> list[tuple[float, MassBreakdown]]:
+                  grid, tolerance: float = PageRankConfig.tolerance
+                  ) -> list[tuple[float, MassBreakdown]]:
     """One mass breakdown per grid value, in grid order.
 
     The PageRank vector at ``c`` is ``(1-c) y_c``, ``y_c (I - cW) = u``, so
     every point reads the component masses of ``y_c`` off one shifted basis
-    (:func:`operators.shifted_solve`), normalised by their label total.  Each
-    point targets a residual of ``(1 - c) tol / 2``; the top point stops
-    there, or at a normwise backward error at most eps where rounding keeps
-    it above.  A residual above ``tol / 2`` raises :class:`ConvergenceError`
+    (:func:`operators.shifted_solve`), normalised by their label total.
+    Every point targets the top point's residual ``(1 - max c) tol / 2``, no
+    looser than its own ``(1 - c) tol / 2``; the top point stops there, or
+    at a normwise backward error at most eps where rounding keeps it
+    above.  A residual above ``tol / 2`` raises :class:`ConvergenceError`
     naming its ``c``, with the basis cycles as the iterations; at or below it,
     as ``||[I - cW]^{-1}||_1 = 1/(1 - c)``, the L1 error of ``(1 - c) y_c`` is
     within ``tol / 2``, and normalising at most doubles it, so ``tol`` bounds
@@ -198,7 +200,7 @@ def damping_sweep(g: GraphHandle, labels: BowtieLabeling, blocks: BlockDecomposi
         return []
     solved = shifted_solve(chain_view(g).mul_left, np.full(g.n, 1.0 / g.n),
                            _component_probes(labels, blocks), grid,
-                           tol=0.5 * (1.0 - grid) * tolerance)
+                           tol=0.5 * (1.0 - grid.max()) * tolerance)
     worst = int(np.argmax(solved.residuals))
     if solved.residuals[worst] > 0.5 * tolerance:
         raise ConvergenceError(f"sweep at c={grid[worst]} missed the tolerance {tolerance}",

@@ -108,13 +108,22 @@ def test_no_module_reads_the_environment():
 
 
 def test_tolerance_defaults_have_one_home():
-    """Only the primitives in ``operators.py`` declare a parameter named
-    ``tol``, each defaulting to ``SOLVE_TOL`` or ``EIG_TOL``, and only
-    ``operators.py`` assigns those two names."""
-    names = ("SOLVE_TOL", "EIG_TOL")
-    stray = []
+    """``SOLVE_TOL`` is the one inner tolerance: ``operators.py`` is the
+    only module that assigns a ``*_TOL`` name, and assigns only it; only its
+    primitives declare a parameter named ``tol``, each defaulting to it; no
+    call elsewhere passes ``tol=`` a name; and ``perron_irreducible`` takes
+    no ``tol`` at all."""
+    names = ("SOLVE_TOL",)
+    stray, assigned = [], []
     for path in sorted(Path(rankmass.__file__).resolve().parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and node.id.endswith("_TOL") \
+                    and isinstance(node.ctx, ast.Store):
+                assigned.append((path.name, node.id))
+            if isinstance(node, ast.Call) and path.name != "operators.py":
+                stray += [f"{path.name}:{node.lineno} passes tol={ast.unparse(kw.value)}"
+                          for kw in node.keywords if kw.arg == "tol"
+                          and isinstance(kw.value, (ast.Name, ast.Attribute))]
             if isinstance(node, (ast.FunctionDef, ast.Lambda)):
                 a = node.args
                 if path.name != "operators.py":
@@ -127,11 +136,10 @@ def test_tolerance_defaults_have_one_home():
                 stray += [f"{path.name}:{node.lineno} tol={ast.unparse(default)}"
                           for arg, default in pairs if arg.arg == "tol"
                           and not (isinstance(default, ast.Name) and default.id in names)]
-            if isinstance(node, ast.Name) and node.id in names and path.name != "operators.py" \
-                    and isinstance(node.ctx, ast.Store):
-                stray.append(f"{path.name}:{node.lineno} assigns {node.id}")
     assert stray == []
-    assert (rankmass.operators.SOLVE_TOL, rankmass.operators.EIG_TOL) == (1e-14, 1e-13)
+    assert assigned == [("operators.py", "SOLVE_TOL")]
+    assert rankmass.operators.SOLVE_TOL == 1e-14
+    assert "tol" not in inspect.signature(rankmass.operators.perron_irreducible).parameters
 
 
 def test_dataclass_annotations_resolve():

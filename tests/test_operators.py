@@ -7,6 +7,7 @@ blend); plus counts of the products that the analyses spend near one."""
 import resource
 import time
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -128,11 +129,29 @@ def test_perron_below_the_rounding_floor_stops_at_a_backward_error_of_eps(monkey
         return mul_left(self, y)
 
     monkeypatch.setattr(SubstochasticBlock, "mul_left", counted)
-    lam, y = perron_irreducible(block, tol=1e-20)
+    monkeypatch.setattr(operators, "SOLVE_TOL", 1e-20)
+    lam, y = perron_irreducible(block)
     z = mul_left(block, y)
     assert lam == 1.0 == z.sum()
     assert _backward_error(z - lam * y, z, lam * y) <= EPS
     assert products < 1_000
+
+
+def test_perron_on_a_period_39_class_meets_the_eps_stop(monkeypatch):
+    # two 39-cycles sharing 38 nodes: the blend contracts its slowest mode by
+    # cos(pi / 39) a step, and plain sums of its steps hold the residual at
+    # 3.6 eps for good; the compensated sum reaches eps
+    monkeypatch.setattr(operators, "MAX_ITER", 20_000)
+    monkeypatch.setattr(operators, "SOLVE_TOL", 1e-20)
+    edges = [(u, u + 1) for u in range(38)] + [(38, 0), (38, 39), (39, 1)]
+    block = block_view(rm.build_graph(40, edges), np.arange(40), np.arange(40))
+    lam, y = perron_irreducible(block)
+    z = block.mul_left(y)
+    assert lam == 1.0
+    assert _backward_error(z - lam * y, z, lam * y) <= EPS
+    expected = np.full(40, 2 / 78)
+    expected[[0, 39]] = 1 / 78
+    assert np.abs(y - expected).sum() <= 1e-13
 
 
 def test_solve_matches_dense_on_transient_blocks(random_graphs):
@@ -172,10 +191,10 @@ def _small_graphs(draw):
 @settings(max_examples=100, deadline=None)
 @given(_small_graphs(), st.sampled_from((1e-14, 1e-20)))
 def test_every_stop_meets_tol_or_a_backward_error_of_eps(g, tol):
-    """Each solve and each Perron pair stops with a residual of at most
-    ``tol`` or a normwise backward error of at most eps, also at a ``tol``
-    no vector meets, and matches the dense oracle to what that residual
-    allows."""
+    """Each solve and each Perron pair (``SOLVE_TOL`` set to ``tol``) stops
+    with a residual of at most ``tol`` or a normwise backward error of at
+    most eps, also at a ``tol`` no vector meets, and matches the dense
+    oracle to what that residual allows."""
     w = helpers.dense_w(g)
     every = np.arange(g.n)
     transient = np.flatnonzero(rm.block_decomposition(g, rm.bowtie_labeling(g)).block_index < 0)
@@ -197,7 +216,8 @@ def test_every_stop_meets_tol_or_a_backward_error_of_eps(g, tol):
     full = helpers.dense_link_pattern(g, uniform_dangling=True)
     for nodes in helpers.dense_reach_components(full):
         block = block_view(g, nodes, nodes)
-        lam, y = perron_irreducible(block, tol=tol)
+        with mock.patch.object(operators, "SOLVE_TOL", tol):
+            lam, y = perron_irreducible(block)
         z = block.mul_left(y)
         assert np.abs(z - lam * y).sum() <= tol or _backward_error(z - lam * y, z, lam * y) <= EPS
         lam_dense, y_dense = helpers.dense_perron_left(w[np.ix_(nodes, nodes)])
@@ -237,8 +257,7 @@ def test_one_run_from_the_class_masses_ends_at_their_mix_of_stationaries(union_m
     classes, masses = union_masses
     sizes = [m.shape[0] for m in classes]
     union = _square_block(sparse.block_diag(classes, format="csr"))
-    lam, y = perron_irreducible(union, tol=operators.SOLVE_TOL,
-                                start=np.repeat(masses / sizes, sizes))
+    lam, y = perron_irreducible(union, start=np.repeat(masses / sizes, sizes))
     expected = np.concatenate([mass * helpers.dense_perron_left(m)[1]
                                for m, mass in zip(classes, masses)])
     assert lam == pytest.approx(1.0, abs=1e-14)
@@ -549,13 +568,14 @@ def _cyclic_class(rng, sizes) -> np.ndarray:
     return adj
 
 
-def _blend_products(block: SubstochasticBlock, tol: float = 1e-13) -> int:
+def _blend_products(block: SubstochasticBlock) -> int:
     """Products that the half-step blend ``y <- (y + y B) / 2`` alone takes
-    to a residual ``||y B - lam y||_1`` of ``tol``."""
+    to a residual ``||y B - lam y||_1`` of ``SOLVE_TOL``, the Perron pair's
+    target."""
     y = np.full(block.shape[0], 1.0 / block.shape[0])
     for products in range(1, 100_000):
         z = block.mul_left(y)
-        if np.abs(z - z.sum() * y).sum() <= tol:
+        if np.abs(z - z.sum() * y).sum() <= operators.SOLVE_TOL:
             return products
         y = 0.5 * (y + z)
         y /= y.sum()

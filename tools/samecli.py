@@ -46,6 +46,10 @@ MATRIX = {
     "escc-bounds-excluded": ("deadend-near1", "escc-bounds", ("--exclude-pureout-transients",)),
     **{f"cstar-{mode}": ("deadend-near1", "cstar", ("--mode", mode))
        for mode in ("quasi", "uniform", "self")},
+    # bowtie-large's T has hundreds of classes, where deadend-near1's has one: the
+    # singleton, closure-below and solve-below path of the Perron pair of T
+    "escc-bounds-many-classes": ("bowtie-large", "escc-bounds", ()),
+    "cstar-quasi-many-classes": ("bowtie-large", "cstar", ("--mode", "quasi")),
     "inscc-curve": ("inscc-grid", "inscc-curve", ()),
     "inscc-curve-merged": ("inscc-grid", "inscc-curve", ("--force-dn-merge",)),
     "inscc-derivatives": ("inscc-grid", "inscc-derivatives", ()),
