@@ -5,6 +5,13 @@ the tool version, the graph file hash, and the parameters, so runs are
 reproducible and self-describing.  ``csvtext`` renders the table rows; its
 docstring gives the cell rules, and a cell reads as ``_fmt`` writes it.
 
+``_COMMANDS`` is the one table of subcommands: each one's help line, handler
+and argument specs, from which ``build_parser`` adds the arguments.  The
+``# params:`` line follows the same specs: ``command``, then every option
+that is not a file path, in CLI order, then the values the command computed
+(``--graph`` has its own comment line; ``--out``, ``--vector-out`` and
+``--clicks`` are not recorded).
+
 Exit codes: 0 success, 1 validation problem, 2 numerical non-convergence.
 A library warning is written to stderr as one ``rankmass: warning:`` line.
 """
@@ -129,6 +136,14 @@ def _damping_arg(value: str) -> float:
     return c
 
 
+def _params(args, **computed) -> dict:
+    """The ``# params:`` fields of ``args.command``: the command, each of its
+    options in CLI order but the file paths, then the values it computed."""
+    _, _, specs = _COMMANDS[args.command]
+    dests = [flag[2:].replace("-", "_") for flag, path, _ in specs if not path]
+    return {"command": args.command, **{d: getattr(args, d) for d in dests}, **computed}
+
+
 def _structures(graph_path: str):
     g = load_path(graph_path)
     labels = bowtie_labeling(g)
@@ -149,7 +164,7 @@ def _components_within(labels, mask: np.ndarray) -> int:
 
 def cmd_decompose(args):
     g, labels, blocks = _structures(args.graph)
-    report = CsvReport(args.graph, {"command": "decompose"})
+    report = CsvReport(args.graph, _params(args))
     report.comment(f"total_nodes={g.n}")
     report.comment(f"nodes_in_scc={np.count_nonzero(labels.labels == Label.SCC)}")
     report.comment(f"nodes_in_in={np.count_nonzero(labels.labels == Label.IN)}")
@@ -170,9 +185,7 @@ def cmd_pagerank(args):
     g = load_path(args.graph)
     cfg = PageRankConfig(damping=args.damping, tolerance=args.tol)
     result = pagerank(g, cfg)
-    report = CsvReport(args.graph, {
-        "command": "pagerank", "damping": cfg.damping, "tol": cfg.tolerance,
-        "iterations_used": result.iterations_used})
+    report = CsvReport(args.graph, _params(args, iterations_used=result.iterations_used))
     report.table(["node_id", "score"], np.arange(g.n), result.values)
     report.save(args.out)
 
@@ -181,7 +194,7 @@ def cmd_sweep(args):
     grid = _parse_grid(args.grid)
     g, labels, blocks = _structures(args.graph)
     curve = damping_sweep(g, labels, blocks, grid, tolerance=args.tol)
-    report = CsvReport(args.graph, {"command": "sweep", "grid": args.grid, "tol": args.tol})
+    report = CsvReport(args.graph, _params(args))
     report.table(["c", "mass_IN", "mass_SCC", "mass_INSCC", "mass_ESCC",
                   "mass_PUREOUT", "mass_DN", "mass_OTHER"],
                  *zip(*[(c, m.by_label["IN"], m.by_label["SCC"], m.in_scc, m.escc,
@@ -192,13 +205,13 @@ def cmd_sweep(args):
 def cmd_limit(args):
     g, labels, blocks = _structures(args.graph)
     result = limit_vector(g, blocks)
-    report = CsvReport(args.graph, {"command": "limit"})
+    report = CsvReport(args.graph, _params(args))
     report.table(["block_id", "size", "fair_share", "absorption_weight", "limit_mass"],
                  range(len(blocks.block_sizes)), blocks.block_sizes,
                  result.fair_shares, result.drain_weights, result.block_masses)
     report.save(args.out)
     if args.vector_out:
-        vec = CsvReport(args.graph, {"command": "limit", "output": "vector"})
+        vec = CsvReport(args.graph, _params(args, output="vector"))
         vec.table(["node_id", "limit_score"], np.arange(g.n), result.vector)
         vec.save(args.vector_out)
 
@@ -213,9 +226,7 @@ def cmd_inscc_curve(args):
     grid = _parse_grid(args.grid)
     view = _three_block(args)
     points = inscc_curve(view, grid)
-    report = CsvReport(args.graph, {
-        "command": "inscc-curve", "grid": args.grid,
-        "force_dn_merge": args.force_dn_merge, "alpha": view.alpha, "beta": view.beta})
+    report = CsvReport(args.graph, _params(args, alpha=view.alpha, beta=view.beta))
     report.table(["c", "mass", "main_term", "correction", "d1_estimate", "d2_estimate"],
                  *zip(*[(p.c, p.mass, p.main_term, p.correction,
                          "" if p.d1_estimate is None else _fmt(p.d1_estimate),
@@ -228,8 +239,7 @@ def cmd_inscc_derivatives(args):
     view = _three_block(args)
     at_zero = derivative_at_zero(view)
     at_one = derivative_at_one(view)
-    report = CsvReport(args.graph, {
-        "command": "inscc-derivatives", "force_dn_merge": args.force_dn_merge})
+    report = CsvReport(args.graph, _params(args))
     report.table(["quantity", "value"],
                  ["alpha", "beta", "retention_p1", "mass_slope_at_zero",
                   "mass_slope_at_one_exact", "mass_slope_at_one_approx", "leakage"],
@@ -242,10 +252,8 @@ def cmd_escc_bounds(args):
     grid = _parse_grid(args.grid)
     g, labels, blocks = _structures(args.graph)
     bounds = prop3_bounds(g, labels, blocks, grid, escc_only=args.exclude_pureout_transients)
-    report = CsvReport(args.graph, {
-        "command": "escc-bounds", "grid": args.grid,
-        "exclude_pureout_transients": args.exclude_pureout_transients,
-        "p1": bounds.p1, "lambda1": bounds.lambda1, "gamma": bounds.gamma})
+    report = CsvReport(args.graph, _params(args, p1=bounds.p1, lambda1=bounds.lambda1,
+                                           gamma=bounds.gamma))
     report.table(["c", "mass", "lower_bound", "upper_bound", "cond_i", "cond_ii"],
                  *zip(*[(row.c, row.mass, row.lower, row.upper,
                          bounds.condition_i, bounds.condition_ii) for row in bounds.rows]))
@@ -271,9 +279,8 @@ def cmd_cstar(args):
     ]
     sys.stdout.write("\n".join(lines) + "\n")
     if args.out:
-        report = CsvReport(args.graph, {
-            "command": "cstar", "mode": result.v_mode,
-            "c1": result.c1, "c2": result.c2, "c_star": result.c_star})
+        report = CsvReport(args.graph, _params(args, c1=result.c1, c2=result.c2,
+                                               c_star=result.c_star))
         report.table(["c", "mass", "target"], *zip(*result.samples))
         report.save(args.out)
 
@@ -289,9 +296,7 @@ def cmd_link_experiment(args):
     result = run_link_experiment(g, labels, blocks, args.source, args.target,
                                  damping_values, tolerance=args.tol)
 
-    report = CsvReport(args.graph, {
-        "command": "link-experiment", "source": args.source, "target": args.target,
-        "damping_list": args.damping_list})
+    report = CsvReport(args.graph, _params(args))
     report.comment(f"block_nodes={list(result.block_nodes)}")
     header = ["c", "rank_without_link", "rank_with_link", "rank_by_clicks",
               "block_mass_without", "block_mass_with"]
@@ -326,18 +331,67 @@ def _read_clicks(path: str) -> dict[int, float]:
 # argument wiring
 # --------------------------------------------------------------------------
 
-# subcommand: (help line, handler); build_parser adds the arguments
+def _arg(flag: str, *, path: bool = False, **kwargs):
+    """An argument spec: the flag, whether it names a file, which ``# params:``
+    leaves out, and the keywords of ``add_argument``."""
+    return flag, path, kwargs
+
+
+def _grid_arg(default: str):
+    return _arg("--grid", default=default,
+                help=f"damping grid START:STOP:STEP (default {default})")
+
+
+def _pagerank_tol_arg(bound: str):
+    return _arg("--tol", type=float, default=PageRankConfig.tolerance,
+                help=f"{bound} (default {PageRankConfig.tolerance:g})")
+
+
+# the specs that several subcommands share, each with its one help string
+_GRAPH = _arg("--graph", path=True, required=True, help="edge-list file")
+_OUT = _arg("--out", path=True, help="output CSV (default: stdout)")
+_FORCE_DN_MERGE = _arg("--force-dn-merge", action="store_true",
+                       help="proceed despite OUT links into dangling nodes")
+_FOLD_OTHER = _arg("--fold-other", action="store_true",
+                   help="treat nodes outside the bow-tie as OUT")
+_EXCLUDE_PUREOUT = _arg("--exclude-pureout-transients", action="store_true",
+                        help="restrict the block to the extended component proper")
+
+# subcommand: (help line, handler, its argument specs in CLI order)
 _COMMANDS = {
-    "decompose": ("bow-tie / block classification CSV", cmd_decompose),
-    "pagerank": ("score vector at one damping value", cmd_pagerank),
-    "sweep": ("component masses across a damping grid", cmd_sweep),
-    "limit": ("damping -> 1 limiting masses per dead-end block", cmd_limit),
-    "inscc-curve": ("IN+SCC mass split along a damping grid", cmd_inscc_curve),
-    "inscc-derivatives": ("IN+SCC mass slopes at both ends", cmd_inscc_derivatives),
-    "escc-bounds": ("mass of the transient block with envelope bounds", cmd_escc_bounds),
-    "cstar": ("damping value balancing mass share and retention", cmd_cstar),
+    "decompose": ("bow-tie / block classification CSV", cmd_decompose, (_GRAPH, _OUT)),
+    "pagerank": ("score vector at one damping value", cmd_pagerank, (
+        _GRAPH, _OUT, _arg("--damping", type=_damping_arg, default=0.85),
+        _pagerank_tol_arg("bound on the scores' fixed-point residual, and on their L1 "
+                          "error where the solve meets (1 - c) x tol"))),
+    "sweep": ("component masses across a damping grid", cmd_sweep, (
+        _GRAPH, _OUT, _grid_arg("0:0.95:0.05"),
+        _pagerank_tol_arg("bound on the L1 error of the masses"))),
+    "limit": ("damping -> 1 limiting masses per dead-end block", cmd_limit, (
+        _GRAPH, _OUT,
+        _arg("--vector-out", path=True, help="also write the full limit vector"))),
+    "inscc-curve": ("IN+SCC mass split along a damping grid", cmd_inscc_curve, (
+        _GRAPH, _OUT, _grid_arg("0:0.99:0.01"), _FORCE_DN_MERGE, _FOLD_OTHER)),
+    "inscc-derivatives": ("IN+SCC mass slopes at both ends", cmd_inscc_derivatives, (
+        _GRAPH, _OUT, _FORCE_DN_MERGE, _FOLD_OTHER)),
+    "escc-bounds": ("mass of the transient block with envelope bounds", cmd_escc_bounds, (
+        _GRAPH, _OUT, _grid_arg("0.05:0.95:0.05"), _EXCLUDE_PUREOUT)),
+    "cstar": ("damping value balancing mass share and retention", cmd_cstar, (
+        _GRAPH, _OUT, _arg("--mode", choices=sorted(V_MODES), default="uniform"),
+        _arg("--tol", type=float, default=1e-6,
+             help="bound max(1e-4 x tol, 1e-12) on the width of the final "
+                  "c* bracket (default 1e-6)"),
+        _EXCLUDE_PUREOUT)),
     "link-experiment": ("rank shift from splicing an escape link out of a dead-end",
-                        cmd_link_experiment),
+                        cmd_link_experiment, (
+        _GRAPH, _OUT,
+        _arg("--source", type=int, required=True, help="node in a recurrent block"),
+        _arg("--target", type=int, required=True, help="node in the giant SCC"),
+        _arg("--damping-list", default="0.5,0.85,0.95"),
+        _pagerank_tol_arg("bound on each PageRank vector's fixed-point residual, and on "
+                          "its L1 error where the solve meets (1 - c) x tol"),
+        _arg("--clicks", path=True,
+             help="optional CSV node_id,clicks for a click-rank column"))),
 }
 
 
@@ -352,80 +406,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     # alone, the command's parser keeps every name in the usage line an error prints
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar=None if command is None else "{%s}" % ",".join(_COMMANDS))
-    made = {}
     for name in _COMMANDS if command is None else (command,):
-        help_line, fn = _COMMANDS[name]
-        made[name] = sub.add_parser(name, help=help_line)
-        made[name].set_defaults(fn=fn)
-
-    def switches(p, *flags):
-        """Flags that several subcommands take, each with its one help string."""
-        for flag in flags:
-            p.add_argument(flag, action="store_true", help={
-                "--force-dn-merge": "proceed despite OUT links into dangling nodes",
-                "--fold-other": "treat nodes outside the bow-tie as OUT",
-                "--exclude-pureout-transients":
-                    "restrict the block to the extended component proper",
-            }[flag])
-
-    def common(p, grid_default=None):
-        p.add_argument("--graph", required=True, help="edge-list file")
-        p.add_argument("--out", default=None, help="output CSV (default: stdout)")
-        if grid_default:
-            p.add_argument("--grid", default=grid_default,
-                           help=f"damping grid START:STOP:STEP (default {grid_default})")
-
-    def pagerank_tol(p, bound):
-        p.add_argument("--tol", type=float, default=PageRankConfig.tolerance,
-                       help=f"{bound} (default {PageRankConfig.tolerance:g})")
-
-    if p := made.get("decompose"):
-        common(p)
-
-    if p := made.get("pagerank"):
-        common(p)
-        p.add_argument("--damping", type=_damping_arg, default=0.85)
-        pagerank_tol(p, "bound on the scores' fixed-point residual, and on their L1 "
-                        "error where the solve meets (1 - c) x tol")
-
-    if p := made.get("sweep"):
-        common(p, grid_default="0:0.95:0.05")
-        pagerank_tol(p, "bound on the L1 error of the masses")
-
-    if p := made.get("limit"):
-        common(p)
-        p.add_argument("--vector-out", default=None, help="also write the full limit vector")
-
-    if p := made.get("inscc-curve"):
-        common(p, grid_default="0:0.99:0.01")
-        switches(p, "--force-dn-merge", "--fold-other")
-
-    if p := made.get("inscc-derivatives"):
-        common(p)
-        switches(p, "--force-dn-merge", "--fold-other")
-
-    if p := made.get("escc-bounds"):
-        common(p, grid_default="0.05:0.95:0.05")
-        switches(p, "--exclude-pureout-transients")
-
-    if p := made.get("cstar"):
-        common(p)
-        p.add_argument("--mode", choices=sorted(V_MODES), default="uniform")
-        p.add_argument("--tol", type=float, default=1e-6,
-                       help="bound max(1e-4 x tol, 1e-12) on the width of the final "
-                            "c* bracket (default 1e-6)")
-        switches(p, "--exclude-pureout-transients")
-
-    if p := made.get("link-experiment"):
-        common(p)
-        p.add_argument("--source", type=int, required=True, help="node in a recurrent block")
-        p.add_argument("--target", type=int, required=True, help="node in the giant SCC")
-        p.add_argument("--damping-list", default="0.5,0.85,0.95")
-        pagerank_tol(p, "bound on each PageRank vector's fixed-point residual, and on "
-                        "its L1 error where the solve meets (1 - c) x tol")
-        p.add_argument("--clicks", default=None,
-                       help="optional CSV node_id,clicks for a click-rank column")
-
+        help_line, fn, specs = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        p.set_defaults(fn=fn)
+        for flag, _, kwargs in specs:
+            p.add_argument(flag, **kwargs)
     return parser
 
 

@@ -40,6 +40,7 @@ class AssumptionViolationError(StructureError):
         self.nodes = tuple(sorted(nodes))
         super().__init__(
             "dangling node(s) %s receive links from the OUT block; "
-            "re-run with force_dn_merge to proceed with an approximate block split"
+            "re-run with force_dn_merge (--force-dn-merge) to proceed with an approximate "
+            "block split"
             % (_id_list(self.nodes),)
         )

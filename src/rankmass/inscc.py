@@ -85,7 +85,7 @@ def three_block_view(g: GraphHandle, labels: BowtieLabeling, *,
     if other.size and not fold_other:
         raise StructureError(
             f"nodes {_id_list(other)} are outside the bow-tie; "
-            "pass fold_other=True to treat them as OUT")
+            "pass fold_other=True (--fold-other) to treat them as OUT")
     inscc_mask = ((lab == Label.IN) | (lab == Label.SCC)) & ~g.dangling_mask
     out_mask = ~inscc_mask & ~g.dangling_mask
     inscc = np.flatnonzero(inscc_mask)

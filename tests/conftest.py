@@ -3,11 +3,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import rankmass as rm
 from rankmass.sample_graphs import bowtie_sample, heavy_dangling_sample, three_block_sample
 
 import helpers
+
+# a falsifying example prints its @reproduce_failure line, so any checkout can
+# replay it; each test's own max_examples and deadline stay as it sets them
+settings.register_profile("replayable", print_blob=True)
+settings.load_profile("replayable")
 
 
 @pytest.fixture(scope="session")

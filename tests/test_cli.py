@@ -190,6 +190,32 @@ def test_shared_flags_print_one_help_text(flag, commands, capsys):
     assert " ".join(first).split()[1:]   # a help text after the flag
 
 
+# options naming a file: the graph has its own comment line, the rest are not results
+PATH_DESTS = {"graph", "out", "vector_out", "clicks"}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_params_record_every_option_but_the_paths_in_cli_order(command, graph_files,
+                                                                tmp_path, capsys):
+    graph, extra = ((graph_files["bowtie"], ["--source", "8", "--target", "1"])
+                    if command == "link-experiment" else (graph_files["threeblock"], []))
+    out = tmp_path / "out.csv"
+    argv = [command, "--graph", graph, "--out", str(out), *extra]
+    assert _outcome(main, argv, capsys)[2] == 0
+    parser = cli.build_parser(command)
+    sub, = (a.choices[command] for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction))
+    dests = [a.dest for a in sub._actions
+             if a.option_strings and a.dest not in PATH_DESTS | {"help"}]
+    args = parser.parse_args(argv)
+    params = next(line for line in out.read_text().splitlines() if line.startswith("# params:"))
+    command_token, *tokens = params.split()[2:]
+    assert command_token == f"command={command}"
+    assert tokens[:len(dests)] == [f"{d}={cli._fmt(getattr(args, d))}" for d in dests]
+    computed = {token.split("=")[0] for token in tokens[len(dests):]}
+    assert not computed & (set(dests) | PATH_DESTS)
+
+
 def test_bad_grid_is_validation_error(graph_files, capsys):
     for grid in ("0:1.2:0.1", "0:0.5:nan", "0:0.5:inf", "0:0.5:1e-9"):
         code, _, err = run_cli(["sweep", "--graph", graph_files["bowtie"],
@@ -665,6 +691,14 @@ def test_inscc_curve_requires_merge_on_bowtie(graph_files, capsys):
                             "--grid", "0:0.9:0.1"], capsys)
     assert code == 1
     assert "force_dn_merge" in err or "force-dn-merge" in err
+
+
+def test_structure_errors_name_the_flag_that_lifts_them(graph_files, tmp_path, capsys):
+    loose = tmp_path / "loose.edges"
+    loose.write_text("0 1\n1 0\n1 2\n3 4\n")   # 3 -> 4 lies outside the bow-tie
+    for graph, flag in ((graph_files["bowtie"], "--force-dn-merge"), (loose, "--fold-other")):
+        code, _, err = run_cli(["inscc-curve", "--graph", str(graph)], capsys)
+        assert code == 1 and f"({flag})" in err
 
 
 def test_inscc_curve_threeblock(graph_files, tmp_path, capsys):

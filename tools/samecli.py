@@ -54,6 +54,11 @@ MATRIX = {
     "inscc-curve-merged": ("inscc-grid", "inscc-curve", ("--force-dn-merge",)),
     "inscc-derivatives": ("inscc-grid", "inscc-derivatives", ()),
     "inscc-derivatives-merged": ("inscc-grid", "inscc-derivatives", ("--force-dn-merge",)),
+    # options no run above sets, away from their defaults
+    "cstar-uniform-excluded": ("deadend-near1", "cstar",
+                               ("--mode", "uniform", "--exclude-pureout-transients")),
+    "inscc-curve-folded": ("inscc-grid", "inscc-curve", ("--fold-other",)),
+    "sweep-tol": ("bowtie-large", "sweep", ("--tol", "1e-10")),
 }
 
 
