@@ -13,8 +13,8 @@ from .graph import (GraphHandle, build_graph, dumps, load_edge_list, load_path, 
                     with_edge)
 from .inscc import (DerivativeAtOne, DerivativeAtZero, InsccCurvePoint, ThreeBlockView,
                     UnimodalityReport, derivative_at_one, derivative_at_zero,
-                    full_rank_vector, inscc_curve, inscc_vector, reconstruct_out_and_dn,
-                    sherman_morrison_split, three_block_view, unimodality_scan)
+                    full_rank_vector, inscc_curve, inscc_vector, sherman_morrison_split,
+                    three_block_view, unimodality_scan)
 from .limits import (LaurentCheck, LimitReport, absorption_weights, aggregated_chain_limit,
                      block_stationary, laurent_check, laurent_example_2state,
                      laurent_example_5state, limit_vector)
@@ -37,7 +37,7 @@ __all__ = [
     "inscc_vector", "laurent_check", "laurent_example_2state", "laurent_example_5state",
     "limit_vector", "load_edge_list", "load_path", "loads", "mass_breakdown", "pagerank",
     "pagerank_via_resolvent", "prop3_bounds", "pure_out_unfairness",
-    "reconstruct_out_and_dn", "run_link_experiment", "sherman_morrison_split",
+    "run_link_experiment", "sherman_morrison_split",
     "spectral_summary", "strongly_connected_components", "three_block_view",
     "unimodality_scan", "with_edge",
 ]

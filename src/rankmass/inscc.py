@@ -14,8 +14,10 @@ rank-one term has a closed form (Sherman-Morrison): with
     u [I - cP - w(c) S1 u]^{-1} = y / (1 - q),
 
 valid while ``q < 1``.  So no solve carries the rank-one term: a vector is
-one solve of ``I - cP``, and masses on a grid come from one shifted basis of
-P from ``u`` probed with ``[1, S1]`` (:func:`operators.shifted_solve`).
+one solve of ``I - cP``, and every mass, on a grid or in a difference check,
+comes from one shifted basis of P from ``u`` probed with ``[1, S1]``
+(:func:`operators.shifted_solve`).  The view keeps P, S1 and R1 (the weight
+toward OUT); only the full vector cuts the blocks into OUT and DN.
 """
 
 from __future__ import annotations
@@ -39,18 +41,18 @@ FD_STEP_AT_ONE = 1e-4      # its step
 
 @dataclass(frozen=True, eq=False)
 class ThreeBlockView:
-    """OUT / IN+SCC / DN node split with the four internal operators."""
+    """OUT / IN+SCC / DN split of ``g`` with what the closed form reads: the
+    internal block P and the row sums S1 (into DN) and R1 (into OUT)."""
 
+    g: GraphHandle
     out_nodes: np.ndarray
     inscc_nodes: np.ndarray
     dn_nodes: np.ndarray
     alpha: float
     beta: float
-    q: SubstochasticBlock   # OUT -> OUT
-    r: SubstochasticBlock   # IN+SCC -> OUT
     p: SubstochasticBlock   # IN+SCC -> IN+SCC
-    s: SubstochasticBlock   # IN+SCC -> DN
-    n: int
+    s_leak: np.ndarray      # S1: IN+SCC -> DN row sums
+    r_leak: np.ndarray      # R1: IN+SCC -> OUT row sums
 
     @property
     def size(self) -> int:
@@ -58,10 +60,6 @@ class ThreeBlockView:
 
     def uniform(self) -> np.ndarray:
         return np.full(self.size, 1.0 / self.size)
-
-    def s_leak(self) -> np.ndarray:
-        """Per IN+SCC node total weight into DN (the vector S 1)."""
-        return self.s.row_sums()
 
     def retention_p1(self) -> float:
         """Chance a uniformly started surfer stays inside IN+SCC for one step."""
@@ -103,12 +101,19 @@ def three_block_view(g: GraphHandle, labels: BowtieLabeling, *,
             f"OUT links into dangling node(s) {_id_list(hit)}; block split kept, "
             "closed-form results are approximate", stacklevel=2)
 
+    rows = g.w[inscc]   # S1 and R1 sum its entries into DN and OUT as a cut block's row_sums()
+
+    def weight_into(mask: np.ndarray) -> np.ndarray:
+        kept = rows.copy()
+        kept.data[~mask[kept.indices]] = 0.0
+        kept.eliminate_zeros()   # each row keeps exactly its entries into mask, in order
+        return np.asarray(kept.sum(axis=1)).ravel()
+
     return ThreeBlockView(
-        out_nodes=out, inscc_nodes=inscc, dn_nodes=g.dangling,
+        g=g, out_nodes=out, inscc_nodes=inscc, dn_nodes=g.dangling,
         alpha=inscc.size / g.n, beta=g.dangling.size / g.n,
-        q=block_view(g, out, out), r=block_view(g, inscc, out),
-        p=block_view(g, inscc, inscc), s=block_view(g, inscc, g.dangling),
-        n=g.n)
+        p=block_view(g, inscc, inscc), s_leak=weight_into(g.dangling_mask),
+        r_leak=weight_into(out_mask))
 
 
 def _rank_one_coeff(view: ThreeBlockView, c: float) -> float:
@@ -139,51 +144,31 @@ def inscc_vector(view: ThreeBlockView, c: float) -> np.ndarray:
     The one solve ``y [I - cP] = u`` (:func:`solve_left`) has an L1
     residual at most ``SOLVE_TOL``, or a normwise backward error at most
     eps."""
-    return _inscc_at(view, _damping(c))
-
-
-def _inscc_at(view: ThreeBlockView, c: float) -> np.ndarray:
-    # interior evaluation; also accepts small negative c for difference stencils
+    c = _damping(c)
     return _restart_coeff(view, c) * _with_rank_one(view, c, _rank_one_coeff(view, c))
 
 
 def _with_rank_one(view: ThreeBlockView, c: float, w: float) -> np.ndarray:
     """``u [I - cP - w S1 u]^{-1}`` as ``y / (1 - w y S1)`` with ``y = u [I - cP]^{-1}``."""
     y = solve_left(lambda v: c * view.p.mul_left(v), view.uniform())
-    q = w * float(y @ view.s_leak())
+    q = w * float(y @ view.s_leak)
     if q >= 1.0:
         raise StructureError("rank-one correction is not contractive")
     return y / (1.0 - q)
 
 
-def reconstruct_out_and_dn(view: ThreeBlockView, c: float,
-                           pi_inscc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Back-substitute the OUT and DN segments from the IN+SCC segment."""
-    n = view.n
-    n_dn = view.dn_nodes.size
-    dn_total = 0.0
-    if n_dn:
-        dn_total = n / (n - c * n_dn) * (
-            c * float(pi_inscc @ view.s_leak()) + (1.0 - c) / n * n_dn)
-    pi_dn = np.zeros(n_dn)
-    if n_dn:
-        pi_dn = c * view.s.mul_left(pi_inscc) + (c / n) * dn_total + (1.0 - c) / n
-
-    pi_out = np.zeros(view.out_nodes.size)
-    if view.out_nodes.size:
-        b = c * view.r.mul_left(pi_inscc) + ((1.0 - c) / n + (c / n) * dn_total)
-        pi_out = solve_left(lambda y: c * view.q.mul_left(y), b)
-    return pi_out, pi_dn
-
-
 def full_rank_vector(view: ThreeBlockView, c: float) -> np.ndarray:
-    """Closed-form rank vector over all nodes, assembled from the three segments."""
+    """Closed-form rank vector over all nodes: the IN+SCC segment, with DN
+    and OUT back-substituted through the blocks into them, cut here."""
+    g, n, inscc, out, dn = view.g, view.g.n, view.inscc_nodes, view.out_nodes, view.dn_nodes
     pi_inscc = inscc_vector(view, c)
-    pi_out, pi_dn = reconstruct_out_and_dn(view, c, pi_inscc)
-    full = np.zeros(view.n)
-    full[view.inscc_nodes] = pi_inscc
-    full[view.out_nodes] = pi_out
-    full[view.dn_nodes] = pi_dn
+    dn_total = n / (n - c * dn.size) * (c * float(pi_inscc @ view.s_leak) + (1.0 - c) / n * dn.size)
+    full = np.zeros(n)
+    full[inscc] = pi_inscc
+    full[dn] = c * block_view(g, inscc, dn).mul_left(pi_inscc) + (c / n) * dn_total + (1.0 - c) / n
+    b = c * block_view(g, inscc, out).mul_left(pi_inscc) + ((1.0 - c) / n + (c / n) * dn_total)
+    q = block_view(g, out, out)
+    full[out] = solve_left(lambda y: c * q.mul_left(y), b)
     return full
 
 
@@ -227,9 +212,9 @@ def derivative_at_one(view: ThreeBlockView) -> DerivativeAtOne:
     at most eps.
     """
     pi_bar = _internal_stationary(view)
-    out_share = view.out_nodes.size / view.n   # exact: 1 - alpha - beta need not round to 0
-    leakage = float(pi_bar @ view.r.row_sums()) \
-        + out_share / (1.0 - view.beta) * float(pi_bar @ view.s_leak())
+    out_share = view.out_nodes.size / view.g.n   # exact: 1 - alpha - beta need not round to 0
+    leakage = float(pi_bar @ view.r_leak) \
+        + out_share / (1.0 - view.beta) * float(pi_bar @ view.s_leak)
     if leakage <= 0.0:
         raise StructureError("IN+SCC never leaks; the slope at c = 1 diverges")
     coeff = view.alpha / (1.0 - view.beta)
@@ -239,15 +224,14 @@ def derivative_at_one(view: ThreeBlockView) -> DerivativeAtOne:
 
 
 def _internal_stationary(view: ThreeBlockView) -> np.ndarray:
-    p = view.p.matrix
-    sums = np.asarray(p.sum(axis=1)).ravel()
+    sums = view.p.row_sums()
     if np.any(sums <= 0.0):
         dead = view.inscc_nodes[np.flatnonzero(sums <= 0.0)].tolist()
         raise StructureError(
             f"IN+SCC nodes {_id_list(dead)} have no internal links; the internal walk is reducible")
     if not view.p.irreducible():   # a dangling row has no internal link, so none is left
         raise StructureError("internal IN+SCC walk is reducible")
-    internal = p.multiply(1.0 / sums[:, None]).tocsr()
+    internal = view.p.matrix.multiply(1.0 / sums[:, None]).tocsr()
     return perron_irreducible(replace(view.p, matrix=internal))[1]
 
 
@@ -265,8 +249,19 @@ class InsccCurvePoint:
 
 def _visits_and_leak(view: ThreeBlockView, grid: np.ndarray) -> np.ndarray:
     """Rows ``(y_c 1, y_c S1)`` of ``y_c = u [I - cP]^{-1}``, one per grid value."""
-    probes = np.column_stack([np.ones(view.size), view.s_leak()])
+    probes = np.column_stack([np.ones(view.size), view.s_leak])
     return shifted_solve(view.p.mul_left, view.uniform(), probes, grid).values
+
+
+def _masses(view: ThreeBlockView, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Main term, rank-one correction and mass at each c of ``grid``."""
+    visits, leak = _visits_and_leak(view, grid).T
+    main = _restart_coeff(view, grid) * visits
+    q = _rank_one_coeff(view, grid) * leak
+    if np.any(q >= 1.0):
+        raise StructureError("rank-one correction is not contractive")
+    correction = q / (1.0 - q) * main
+    return main, correction, main + correction
 
 
 def sherman_morrison_split(view: ThreeBlockView, c: float) -> InsccCurvePoint:
@@ -278,8 +273,7 @@ def sherman_morrison_split(view: ThreeBlockView, c: float) -> InsccCurvePoint:
 def curvature_form(view: ThreeBlockView, c: float) -> float:
     """The quadratic form a(c) driving the single-peak argument; nonnegative
     because the internal block only loses mass."""
-    u = view.uniform()
-    y = solve_left(lambda v: c * view.p.mul_left(v), u)
+    y = solve_left(lambda v: c * view.p.mul_left(v), view.uniform())
     z = solve_left(lambda v: c * view.p.mul_right(v), np.ones(view.size))
     return view.alpha / (1.0 - c * view.beta) * float(y @ (z - view.p.mul_right(z)))
 
@@ -347,13 +341,7 @@ def inscc_curve(view: ThreeBlockView, grid) -> list[InsccCurvePoint]:
     grid = _grid(grid)
     if not grid.size:
         return []
-    visits, leak = _visits_and_leak(view, grid).T
-    main = _restart_coeff(view, grid) * visits
-    q = _rank_one_coeff(view, grid) * leak
-    if np.any(q >= 1.0):
-        raise StructureError("rank-one correction is not contractive")
-    correction = q / (1.0 - q) * main
-    mass = main + correction
+    main, correction, mass = _masses(view, grid)
     d1, d2 = _three_point(grid, mass)
     return [InsccCurvePoint(*map(float, point), d1_estimate=a, d2_estimate=b)
             for point, a, b in zip(zip(grid, mass, main, correction), d1, d2)]
@@ -361,13 +349,11 @@ def inscc_curve(view: ThreeBlockView, grid) -> list[InsccCurvePoint]:
 
 def mass_derivative_fd_at_zero(view: ThreeBlockView) -> float:
     """Central-difference check value for the slope of the total mass at 0."""
-    hi = float(_inscc_at(view, +FD_STEP_AT_ZERO).sum())
-    lo = float(_inscc_at(view, -FD_STEP_AT_ZERO).sum())
+    lo, hi = _masses(view, np.array([-FD_STEP_AT_ZERO, FD_STEP_AT_ZERO]))[2]
     return (hi - lo) / (2.0 * FD_STEP_AT_ZERO)
 
 
 def mass_derivative_fd_near_one(view: ThreeBlockView) -> float:
     """One-sided difference of the total mass just below c = 1."""
-    hi = float(_inscc_at(view, FD_NEAR_ONE).sum())
-    lo = float(_inscc_at(view, FD_NEAR_ONE - FD_STEP_AT_ONE).sum())
+    lo, hi = _masses(view, np.array([FD_NEAR_ONE - FD_STEP_AT_ONE, FD_NEAR_ONE]))[2]
     return (hi - lo) / FD_STEP_AT_ONE

@@ -5,6 +5,7 @@ import pytest
 
 import rankmass as rm
 from rankmass import inscc
+from rankmass.operators import block_view
 
 import helpers
 
@@ -55,9 +56,8 @@ def test_messages_cap_the_node_ids_they_list():
 
 def test_view_row_sums(threeblock_view):
     v = threeblock_view
-    total = v.p.row_sums() + v.r.row_sums() + v.s.row_sums()
-    assert np.allclose(total, 1.0, atol=1e-15)
-    assert np.allclose(v.q.row_sums(), 1.0, atol=1e-15)
+    assert np.allclose(v.p.row_sums() + v.r_leak + v.s_leak, 1.0, atol=1e-15)
+    assert np.allclose(block_view(v.g, v.out_nodes, v.out_nodes).row_sums(), 1.0, atol=1e-15)
 
 
 def test_closed_form_at_zero(threeblock_view):
@@ -104,8 +104,12 @@ def test_closed_form_against_dense_formula(threeblock_view, heavy, heavy_view, r
             k = (1 - c) * v.alpha / (1 - c * v.beta)
             w = c * c * v.alpha / (1 - c * v.beta)
             ref = k * _dense_closed_form(v, p, s1, c, w)
-            got = inscc._inscc_at(v, c) if c < 0 else rm.inscc_vector(v, c)
-            assert np.abs(got - ref).sum() <= 1e-12 * np.abs(ref).sum()
+            if c < 0:   # the difference stencil's point: a mass off the shifted basis
+                mass = inscc._masses(v, np.array([c]))[2][0]
+                assert abs(mass - ref.sum()) <= 1e-12 * np.abs(ref).sum()
+            else:
+                got = rm.inscc_vector(v, c)
+                assert np.abs(got - ref).sum() <= 1e-12 * np.abs(ref).sum()
 
 
 def test_derivative_at_one_against_dense_formula(threeblock_view, heavy, heavy_view,
@@ -124,11 +128,17 @@ def test_derivative_at_one_against_dense_formula(threeblock_view, heavy, heavy_v
     assert checked >= 3
 
 
-def test_reconstruction_matches_power_iteration(threeblock, threeblock_view):
+def test_reconstruction_matches_power_iteration(threeblock, threeblock_view, random_graphs):
     pi = rm.pagerank(threeblock, rm.PageRankConfig(damping=0.85))
     full = rm.full_rank_vector(threeblock_view, 0.85)
     assert abs(full.sum() - 1.0) <= 1e-10
     assert np.abs(full - pi.values).sum() <= 1e-10
+    # the back-substitution's own Q, R and S cuts, on the suite against dense solves
+    for g in random_graphs:
+        view = rm.three_block_view(g, rm.bowtie_labeling(g))
+        for c in (0.0, 0.5, 0.85, 0.99):
+            full = rm.full_rank_vector(view, c)
+            assert np.abs(full - helpers.dense_pagerank(g, c)).sum() <= 1e-12
 
 
 def test_reconstruction_residuals(threeblock, threeblock_view):
@@ -146,11 +156,10 @@ def test_reconstruction_at_zero(threeblock_view):
 def test_reconstruction_without_dangling():
     g = rm.build_graph(4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)])
     view = rm.three_block_view(g, rm.bowtie_labeling(g))
-    pi_inscc = rm.inscc_vector(view, 0.6)
-    pi_out, pi_dn = rm.reconstruct_out_and_dn(view, 0.6, pi_inscc)
-    assert pi_dn.size == 0
+    assert view.dn_nodes.size == 0
+    full = rm.full_rank_vector(view, 0.6)
     ref = helpers.dense_pagerank(g, 0.6)
-    assert np.abs(pi_out - ref[view.out_nodes]).sum() <= 1e-11
+    assert np.abs(full[view.out_nodes] - ref[view.out_nodes]).sum() <= 1e-11
 
 
 def test_derivative_at_zero_matches_finite_difference(threeblock_view, heavy_view):

@@ -5,11 +5,14 @@
 Run from anywhere inside a git checkout.  It extracts REV's ``src/`` with
 ``git archive REV src | tar -x`` into ``.bench_work/samecli/``, generates
 the three benchmark graphs of ``perfbench/workloads.py`` from the seed (1 by
-default), and runs the matrix below as fresh processes, once with REV's
-``src`` and once with this checkout's (uncommitted edits included).  Each
-run's exit code, stdout, stderr and written files are compared byte for
-byte.  It prints one line per differing run, naming what differs and its
-first differing line, and exits 1 on any difference, 0 otherwise.
+default) and the ``COPIES`` of them that an option run needs, and runs the
+matrix below as fresh processes, once with REV's ``src`` and once with this
+checkout's (uncommitted edits included).  Each run's exit code, stdout,
+stderr and written files are compared byte for byte.  It prints one line
+per differing run, naming what differs and its first differing line, then a
+summary that also names each run exiting non-zero under this checkout (one
+failing the same way on both sides compares equal but checks only an error
+path), and exits 1 on any difference, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".bench_work" / "samecli"
@@ -32,7 +37,38 @@ from workloads import WORKLOADS, argv as command_argv  # noqa: E402
 COMMANDS = ("decompose", "pagerank", "sweep", "limit", "inscc-curve", "inscc-derivatives",
             "escc-bounds", "cstar", "link-experiment")
 
-# run name: (workload whose graph it reads, command, extra arguments)
+def _out_dn_link(gen: bowtiegen.Generated) -> tuple[int, list]:
+    """One link from a transient OUT node to a dangling node, an OUT -> DN link;
+    every node outside the core, IN and the dead-end cycles with a link is one
+    of the generator's transient OUT nodes."""
+    sources = np.unique(gen.edges[:, 0])
+    named = np.concatenate((gen.core, gen.in_nodes, *gen.deadend_blocks))
+    return gen.n, [(np.setdiff1d(sources, named)[0], np.setdiff1d(np.arange(gen.n), sources)[0])]
+
+
+def _other_nodes(gen: bowtiegen.Generated) -> tuple[int, list]:
+    """An unreachable 2-cycle and one node feeding it: three OTHER nodes."""
+    n = gen.n
+    return n + 3, [(n, n + 1), (n + 1, n), (n + 2, n)]
+
+
+# graph copies the option runs read: name -> (workload, its node count and added links)
+COPIES = {"inscc-grid-out-dn": ("inscc-grid", _out_dn_link),
+          "inscc-grid-other": ("inscc-grid", _other_nodes)}
+
+
+def graph(name: str, seed: int) -> bowtiegen.Generated:
+    """The graph of a workload, or of one of its ``COPIES``, from ``seed``."""
+    workload, extend = COPIES.get(name, (name, None))
+    gen = bowtiegen.generate(WORKLOADS[workload].profile, seed)
+    if extend is None:
+        return gen
+    n, links = extend(gen)
+    return replace(gen, n=n, edges=np.unique(np.concatenate((gen.edges, links)), axis=0))
+
+
+# run name: (workload or copy whose graph it reads, command, extra arguments); each
+# option run reads a graph its option acts on (tests/test_samecli.py checks it)
 MATRIX = {
     "decompose": ("bowtie-large", "decompose", ()),
     "pagerank-0.85": ("bowtie-large", "pagerank", ("--damping", "0.85")),
@@ -43,7 +79,7 @@ MATRIX = {
                         ("--source", "{source}", "--target", "{target}")),
     "limit": ("deadend-near1", "limit", ("--vector-out", "vector.csv")),
     "escc-bounds": ("deadend-near1", "escc-bounds", ()),
-    "escc-bounds-excluded": ("deadend-near1", "escc-bounds", ("--exclude-pureout-transients",)),
+    "escc-bounds-excluded": ("bowtie-large", "escc-bounds", ("--exclude-pureout-transients",)),
     **{f"cstar-{mode}": ("deadend-near1", "cstar", ("--mode", mode))
        for mode in ("quasi", "uniform", "self")},
     # bowtie-large's T has hundreds of classes, where deadend-near1's has one: the
@@ -51,13 +87,14 @@ MATRIX = {
     "escc-bounds-many-classes": ("bowtie-large", "escc-bounds", ()),
     "cstar-quasi-many-classes": ("bowtie-large", "cstar", ("--mode", "quasi")),
     "inscc-curve": ("inscc-grid", "inscc-curve", ()),
-    "inscc-curve-merged": ("inscc-grid", "inscc-curve", ("--force-dn-merge",)),
+    "inscc-curve-merged": ("inscc-grid-out-dn", "inscc-curve", ("--force-dn-merge",)),
     "inscc-derivatives": ("inscc-grid", "inscc-derivatives", ()),
-    "inscc-derivatives-merged": ("inscc-grid", "inscc-derivatives", ("--force-dn-merge",)),
+    "inscc-derivatives-merged": ("inscc-grid-out-dn", "inscc-derivatives", ("--force-dn-merge",)),
     # options no run above sets, away from their defaults
-    "cstar-uniform-excluded": ("deadend-near1", "cstar",
+    "cstar-uniform-excluded": ("bowtie-large", "cstar",
                                ("--mode", "uniform", "--exclude-pureout-transients")),
-    "inscc-curve-folded": ("inscc-grid", "inscc-curve", ("--fold-other",)),
+    "inscc-curve-folded": ("inscc-grid-other", "inscc-curve", ("--fold-other",)),
+    "inscc-derivatives-folded": ("inscc-grid-other", "inscc-derivatives", ("--fold-other",)),
     "sweep-tol": ("bowtie-large", "sweep", ("--tol", "1e-10")),
 }
 
@@ -131,19 +168,18 @@ def main(argv: list | None = None) -> int:
     for path in (WORK / "graphs", WORK / "runs"):
         shutil.rmtree(path, ignore_errors=True)
     (WORK / "graphs").mkdir()
-    graphs = {}   # workload -> (generated graph, its edge file)
-    for workload in {workload for workload, _, _ in MATRIX.values()}:
-        graphs[workload] = (bowtiegen.generate(WORKLOADS[workload].profile, opts.seed),
-                            WORK / "graphs" / f"{workload}.edges")
-        graphs[workload][0].write(graphs[workload][1])
+    graphs = {}   # workload or copy -> (generated graph, its edge file)
+    for name in {name for name, _, _ in MATRIX.values()}:
+        graphs[name] = (graph(name, opts.seed), WORK / "graphs" / f"{name}.edges")
+        graphs[name][0].write(graphs[name][1])
 
-    runs = {name: command_argv(command, extra, str(graphs[workload][1]), "out.csv",
-                               graphs[workload][0])
-            for name, (workload, command, extra) in MATRIX.items()}
+    runs = {name: command_argv(command, extra, str(graphs[source][1]), "out.csv",
+                               graphs[source][0])
+            for name, (source, command, extra) in MATRIX.items()}
     runs["help"] = ["--help"]
     runs.update({f"{command}-help": [command, "--help"] for command in COMMANDS})
 
-    differing = 0
+    differing, failing = 0, []
     for name, args in runs.items():
         a, b = (run(src, args, WORK / "runs" / side / name)
                 for side, src in zip(("rev", "this"), trees))
@@ -151,7 +187,10 @@ def main(argv: list | None = None) -> int:
         if line:
             differing += 1
             print(line)
-    print(f"{len(runs)} runs under {opts.against} and this checkout: {differing} differ")
+        if b.code:
+            failing.append(name)
+    failed = f"; {len(failing)} exit non-zero here: {', '.join(failing)}" if failing else ""
+    print(f"{len(runs)} runs under {opts.against} and this checkout: {differing} differ{failed}")
     return 1 if differing else 0
 
 
