@@ -10,7 +10,9 @@ and argument specs, from which ``build_parser`` adds the arguments.  The
 ``# params:`` line follows the same specs: ``command``, then every option
 that is not a file path, in CLI order, then the values the command computed
 (``--graph`` has its own comment line; ``--out``, ``--vector-out`` and
-``--clicks`` are not recorded).
+``--clicks`` are not recorded).  An output is written as a new file
+(``_remove_old``), and one naming the same file as an input or as the
+command's other output is refused before the graph is read.
 
 Exit codes: 0 success, 1 validation problem, 2 numerical non-convergence.
 A library warning is written to stderr as one ``rankmass: warning:`` line.
@@ -22,6 +24,8 @@ import argparse
 import csv
 import hashlib
 import io
+import os
+import stat
 import sys
 import warnings
 
@@ -92,12 +96,40 @@ class CsvReport:
         self.buffer.writelines(table_rows(columns))
 
     def save(self, out_path: str | None):
+        """Writes the report to ``out_path`` as a new file (see ``_remove_old``), or to stdout."""
         text = self.buffer.getvalue()
-        if out_path:
-            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        else:
+        if not out_path:
             sys.stdout.write(text)
+            return
+        path, mode = _remove_old(out_path)
+        opener = None if mode is None else lambda p, flags: os.open(p, flags, mode)
+        with open(path, "w", encoding="utf-8", newline="\n", opener=opener) as fh:
+            if mode is not None:   # the umask may have cleared some of the old bits
+                os.fchmod(fh.fileno(), mode)
+            fh.write(text)
+
+
+def _remove_old(out_path: str) -> tuple[str, int | None]:
+    """The path to write ``out_path`` at, and the permission bits to create it with.
+
+    An existing regular file that this user may write, reached through
+    symlinks or not, is removed, so that the output is a new file: truncating
+    a file written a moment ago can wait on its flush to disk (ext4's
+    ``auto_da_alloc``), and on a busy disk that wait dwarfs the analysis.
+    The path is then the file itself and the bits are its old ones.  A new
+    path, a FIFO, a device, a file this process's stdout or stderr writes
+    to, or a file that cannot be removed give ``out_path`` and None: it is
+    written in place."""
+    target = os.path.realpath(out_path)
+    try:
+        st = os.stat(target)
+        if (stat.S_ISREG(st.st_mode) and os.access(target, os.W_OK)
+                and not any(os.path.samestat(st, os.fstat(fd)) for fd in (1, 2))):
+            os.unlink(target)
+            return target, stat.S_IMODE(st.st_mode)
+    except OSError:
+        pass
+    return out_path, None
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -136,12 +168,36 @@ def _damping_arg(value: str) -> float:
     return c
 
 
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
 def _params(args, **computed) -> dict:
     """The ``# params:`` fields of ``args.command``: the command, each of its
     options in CLI order but the file paths, then the values it computed."""
     _, _, specs = _COMMANDS[args.command]
-    dests = [flag[2:].replace("-", "_") for flag, path, _ in specs if not path]
+    dests = [_dest(flag) for flag, path, _ in specs if not path]
     return {"command": args.command, **{d: getattr(args, d) for d in dests}, **computed}
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one regular file, or one path where no file is
+    yet; two names of one device or FIFO (``/dev/stdout`` twice) are not."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.isfile(a) and os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _check_outputs(args):
+    """Refuse an output that names an input of the command or its other output."""
+    _, _, specs = _COMMANDS[args.command]
+    named = [(flag, kind, getattr(args, _dest(flag))) for flag, kind, _ in specs
+             if kind and getattr(args, _dest(flag))]
+    for out, kind, path in named:
+        for other, _, other_path in named:
+            if kind == "write" and other != out and _same_file(path, other_path):
+                raise ValueError(f"{out} {path} names the same file as {other}; "
+                                 "an output may not replace an input or another output")
 
 
 def _structures(graph_path: str):
@@ -331,9 +387,10 @@ def _read_clicks(path: str) -> dict[int, float]:
 # argument wiring
 # --------------------------------------------------------------------------
 
-def _arg(flag: str, *, path: bool = False, **kwargs):
-    """An argument spec: the flag, whether it names a file, which ``# params:``
-    leaves out, and the keywords of ``add_argument``."""
+def _arg(flag: str, *, path: str | None = None, **kwargs):
+    """An argument spec: the flag, ``"read"`` or ``"write"`` if it names a
+    file the command reads or writes, which ``# params:`` leaves out, and the
+    keywords of ``add_argument``."""
     return flag, path, kwargs
 
 
@@ -348,8 +405,8 @@ def _pagerank_tol_arg(bound: str):
 
 
 # the specs that several subcommands share, each with its one help string
-_GRAPH = _arg("--graph", path=True, required=True, help="edge-list file")
-_OUT = _arg("--out", path=True, help="output CSV (default: stdout)")
+_GRAPH = _arg("--graph", path="read", required=True, help="edge-list file")
+_OUT = _arg("--out", path="write", help="output CSV (default: stdout)")
 _FORCE_DN_MERGE = _arg("--force-dn-merge", action="store_true",
                        help="proceed despite OUT links into dangling nodes")
 _FOLD_OTHER = _arg("--fold-other", action="store_true",
@@ -369,7 +426,7 @@ _COMMANDS = {
         _pagerank_tol_arg("bound on the L1 error of the masses"))),
     "limit": ("damping -> 1 limiting masses per dead-end block", cmd_limit, (
         _GRAPH, _OUT,
-        _arg("--vector-out", path=True, help="also write the full limit vector"))),
+        _arg("--vector-out", path="write", help="also write the full limit vector"))),
     "inscc-curve": ("IN+SCC mass split along a damping grid", cmd_inscc_curve, (
         _GRAPH, _OUT, _grid_arg("0:0.99:0.01"), _FORCE_DN_MERGE, _FOLD_OTHER)),
     "inscc-derivatives": ("IN+SCC mass slopes at both ends", cmd_inscc_derivatives, (
@@ -390,7 +447,7 @@ _COMMANDS = {
         _arg("--damping-list", default="0.5,0.85,0.95"),
         _pagerank_tol_arg("bound on each PageRank vector's fixed-point residual, and on "
                           "its L1 error where the solve meets (1 - c) x tol"),
-        _arg("--clicks", path=True,
+        _arg("--clicks", path="read",
              help="optional CSV node_id,clicks for a click-rank column"))),
 }
 
@@ -429,6 +486,7 @@ def main(argv=None) -> int:
         try:
             if "tol" in vars(args):   # a bad tolerance fails before the graph is read
                 check_tolerance(args.tol)
+            _check_outputs(args)
             args.fn(args)
         except ConvergenceError as exc:
             sys.stderr.write(f"rankmass: non-convergence: {exc}\n")

@@ -854,3 +854,153 @@ def test_console_entry_point(graph_files):
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert "node_id,bowtie_label" in proc.stdout
+
+
+# --------------------------------------------------------------------------
+# how an output replaces an existing file
+# --------------------------------------------------------------------------
+
+OLD = b"old output\n"
+
+
+def _limit_outputs(graph_files, tmp_path, capsys, out, vec):
+    """Runs ``limit`` writing ``out`` and ``vec``; returns the bytes a run into
+    new paths writes, so a replaced file can be checked against them."""
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    for paths in ((fresh / "out.csv", fresh / "vec.csv"), (out, vec)):
+        argv = ["limit", "--graph", graph_files["bowtie"],
+                "--out", str(paths[0]), "--vector-out", str(paths[1])]
+        assert _outcome(main, argv, capsys) == ("", "", 0)
+    return (fresh / "out.csv").read_bytes(), (fresh / "vec.csv").read_bytes()
+
+
+def test_a_replaced_output_is_a_new_file(graph_files, tmp_path, capsys):
+    # a hard link to the old files keeps the old bytes: neither inode was truncated
+    out, vec = tmp_path / "out.csv", tmp_path / "vec.csv"
+    for path in (out, vec):
+        path.write_bytes(OLD)
+        os.link(path, f"{path}.old")
+    new = _limit_outputs(graph_files, tmp_path, capsys, out, vec)
+    assert (out.read_bytes(), vec.read_bytes()) == new
+    for path in (out, vec):
+        assert Path(f"{path}.old").read_bytes() == OLD
+        assert os.stat(path).st_nlink == 1
+
+
+def test_a_symlinked_output_keeps_its_link(graph_files, tmp_path, capsys):
+    targets = tmp_path / "out-target.csv", tmp_path / "vec-target.csv"
+    links = tmp_path / "out.csv", tmp_path / "vec.csv"
+    for target, link in zip(targets, links):
+        target.write_bytes(OLD)
+        link.symlink_to(target.name)
+    new = _limit_outputs(graph_files, tmp_path, capsys, *links)
+    assert tuple(target.read_bytes() for target in targets) == new
+    assert all(link.is_symlink() and link.resolve() == target
+               for target, link in zip(targets, links))
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o664], ids=["0600", "0664"])
+def test_a_replaced_output_keeps_its_permission_bits(mode, graph_files, tmp_path, capsys):
+    # 0664 under umask 022: the new file gets the old bits, not the umask's
+    out, vec = tmp_path / "out.csv", tmp_path / "vec.csv"
+    for path in (out, vec):
+        path.write_bytes(OLD)
+        path.chmod(mode)
+    umask = os.umask(0o022)
+    try:
+        _limit_outputs(graph_files, tmp_path, capsys, out, vec)
+    finally:
+        os.umask(umask)
+    assert [os.stat(path).st_mode & 0o7777 for path in (out, vec)] == [mode, mode]
+
+
+def _unlink_refused(path, *args, **kwargs):
+    raise PermissionError(13, "Permission denied", path)
+
+
+# a writable file in a directory this user may not write, and a file it may
+# not write (which the in-place open then refuses, as it always did)
+@pytest.mark.parametrize("name, patched", [("unlink", _unlink_refused),
+                                           ("access", lambda *args, **kwargs: False)],
+                         ids=["unlink-fails", "not-writable"])
+def test_an_output_that_is_not_removed_is_written_in_place(name, patched, graph_files,
+                                                           tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(os, name, patched)
+    out, vec = tmp_path / "out.csv", tmp_path / "vec.csv"
+    for path in (out, vec):
+        path.write_bytes(OLD)
+        os.link(path, f"{path}.old")
+    new = _limit_outputs(graph_files, tmp_path, capsys, out, vec)
+    assert (out.read_bytes(), vec.read_bytes()) == new
+    assert tuple(Path(f"{path}.old").read_bytes() for path in (out, vec)) == new
+
+
+def test_device_outputs_are_written_in_place(graph_files, capsys):
+    argv = ["limit", "--graph", graph_files["bowtie"], "--out", os.devnull,
+            "--vector-out", os.devnull]
+    assert _outcome(main, argv, capsys) == ("", "", 0)
+    assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_dev_stdout_into_a_file_is_written_in_place(graph_files, tmp_path):
+    # /dev/stdout resolves to the regular file the shell redirected stdout to;
+    # removing it would leave the process writing into an unlinked file
+    out = tmp_path / "stdout.csv"
+    with open(out, "wb") as fh:
+        inode = os.fstat(fh.fileno()).st_ino
+        proc = subprocess.run([sys.executable, "-m", "rankmass.cli", "pagerank",
+                               "--graph", graph_files["bowtie"], "--out", "/dev/stdout"],
+                              stdout=fh, stderr=subprocess.PIPE, env=_child_env())
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert os.stat(out).st_ino == inode
+    assert out.read_text().splitlines()[3] == "node_id,score"
+
+
+def _refused(argv, flag, other, monkeypatch, capsys):
+    """``argv`` exits 1 with one error line naming ``flag`` and ``other``,
+    and without reading the graph."""
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the analysis ran before the paths were checked")
+
+    monkeypatch.setattr("rankmass.cli.load_path", not_reached)
+    out, err, code = _outcome(main, argv, capsys)
+    assert (out, code) == ("", 1)
+    assert err.startswith(f"rankmass: error: {flag} ") and err.count("\n") == 1
+    assert f" names the same file as {other};" in err
+
+
+def test_an_output_naming_the_graph_is_refused(tmp_path, monkeypatch, capsys):
+    graph = tmp_path / "g.edges"
+    graph.write_text(rm.dumps(bowtie_sample()))
+    before = graph.read_bytes()
+    os.link(graph, tmp_path / "hard.edges")
+    (tmp_path / "sym.edges").symlink_to("g.edges")
+    (tmp_path / "sub").mkdir()
+    for name in ("g.edges", "hard.edges", "sym.edges", "sub/../g.edges"):
+        _refused(["decompose", "--graph", str(graph), "--out", str(tmp_path / name)],
+                 "--out", "--graph", monkeypatch, capsys)
+    assert graph.read_bytes() == before
+
+
+def test_an_output_naming_the_clicks_file_is_refused(graph_files, tmp_path, monkeypatch,
+                                                     capsys):
+    clicks = tmp_path / "clicks.csv"
+    clicks.write_text("node_id,clicks\n8,3\n")
+    _refused(["link-experiment", "--graph", graph_files["bowtie"], "--source", "8",
+              "--target", "1", "--clicks", str(clicks), "--out", str(clicks)],
+             "--out", "--clicks", monkeypatch, capsys)
+    assert clicks.read_text() == "node_id,clicks\n8,3\n"
+
+
+def test_limit_outputs_naming_one_file_are_refused(graph_files, tmp_path, monkeypatch,
+                                                   capsys):
+    # refused whether or not the file exists yet
+    out = tmp_path / "x.csv"
+    for _ in range(2):
+        _refused(["limit", "--graph", graph_files["bowtie"], "--out", str(out),
+                  "--vector-out", str(tmp_path / "." / "x.csv")],
+                 "--out", "--vector-out", monkeypatch, capsys)
+        assert not out.exists() or out.read_bytes() == OLD
+        out.write_bytes(OLD)

@@ -24,6 +24,7 @@ def test_a_one_cell_difference_is_reported(tmp_path, monkeypatch, capsys):
     # both trees this checkout's src; the "rev" side's last CSV cell changes
     monkeypatch.setattr(samecli, "WORK", tmp_path)
     monkeypatch.setattr(samecli, "MATRIX", {"limit": samecli.MATRIX["limit"]})
+    monkeypatch.setattr(samecli, "RERUNS", ("limit",))
     monkeypatch.setattr(samecli, "COMMANDS", ())
     monkeypatch.setattr(samecli, "extract", lambda rev, into: ROOT / "src")
     run, seen = samecli.run, {}
@@ -44,7 +45,35 @@ def test_a_one_cell_difference_is_reported(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines() == [
         f"limit: out.csv line {len(rows)}: "
         f"{_change_last_cell(csv).splitlines()[-1].decode()!r} against {rows[-1].decode()!r}",
-        "2 runs under HEAD and this checkout: 1 differ"]
+        "3 runs under HEAD and this checkout: 1 differ"]
+
+
+def test_a_rerun_that_writes_other_bytes_is_reported(tmp_path, monkeypatch, capsys):
+    # limit's second run under this checkout, over the files of its first,
+    # returns a changed last CSV cell; the cross-tree comparison stays equal
+    monkeypatch.setattr(samecli, "WORK", tmp_path)
+    monkeypatch.setattr(samecli, "MATRIX", {"limit": samecli.MATRIX["limit"]})
+    monkeypatch.setattr(samecli, "RERUNS", ("limit",))
+    monkeypatch.setattr(samecli, "COMMANDS", ())
+    monkeypatch.setattr(samecli, "extract", lambda rev, into: ROOT / "src")
+    run, found = samecli.run, []
+
+    def changed(src, args, cwd):
+        found.append((cwd.parts[-2], cwd.name, sorted(p.name for p in cwd.glob("*"))))
+        outcome = run(src, args, cwd)
+        if found[-1] == ("this", "limit", ["out.csv", "vector.csv"]):   # the rerun
+            files = {**outcome.files, "out.csv": _change_last_cell(outcome.files["out.csv"])}
+            return replace(outcome, files=files)
+        return outcome
+
+    monkeypatch.setattr(samecli, "run", changed)
+    assert samecli.main(["--against", "HEAD"]) == 1
+    assert [run for run in found if run[1] == "limit"] == [
+        (side, "limit", files) for files in ([], ["out.csv", "vector.csv"])
+        for side in ("rev", "this")]
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("limit-rerun under this: out.csv line ")
+    assert lines[1] == "3 runs under HEAD and this checkout: 1 differ"
 
 
 def _has_out_dn_link(g, labels) -> bool:
@@ -83,6 +112,7 @@ def test_runs_exiting_non_zero_are_named(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(samecli, "MATRIX", {
         "limit-bad-option": ("deadend-near1", "limit", ("--no-such-option",))})
     monkeypatch.setattr(samecli, "COMMANDS", ())
+    monkeypatch.setattr(samecli, "RERUNS", ())
     monkeypatch.setattr(samecli, "extract", lambda rev, into: ROOT / "src")
     assert samecli.main(["--against", "HEAD"]) == 0
     assert capsys.readouterr().out.splitlines() == [

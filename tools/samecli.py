@@ -8,11 +8,13 @@ the three benchmark graphs of ``perfbench/workloads.py`` from the seed (1 by
 default) and the ``COPIES`` of them that an option run needs, and runs the
 matrix below as fresh processes, once with REV's ``src`` and once with this
 checkout's (uncommitted edits included).  Each run's exit code, stdout,
-stderr and written files are compared byte for byte.  It prints one line
-per differing run, naming what differs and its first differing line, then a
-summary that also names each run exiting non-zero under this checkout (one
-failing the same way on both sides compares equal but checks only an error
-path), and exits 1 on any difference, 0 otherwise.
+stderr and written files are compared byte for byte.  Each of the
+``RERUNS`` then runs once more on each side, over the files of its first
+run, and differs if its outcome is not that of the first run.  It prints
+one line per differing run, naming what differs and its first differing
+line, then a summary that also names each run exiting non-zero under this
+checkout (one failing the same way on both sides compares equal but checks
+only an error path), and exits 1 on any difference, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -98,6 +100,10 @@ MATRIX = {
     "sweep-tol": ("bowtie-large", "sweep", ("--tol", "1e-10")),
 }
 
+# runs made a second time over their own files, one per workload: the second
+# replaces an existing output, and its outcome must equal the first's
+RERUNS = ("decompose", "limit", "inscc-curve")
+
 
 @dataclass(frozen=True)
 class Outcome:
@@ -111,8 +117,8 @@ class Outcome:
 
 def run(src: Path, args: list, cwd: Path) -> Outcome:
     """``rankmass ARGS`` as a fresh process with the package from ``src``, in
-    the empty directory ``cwd``, which keeps the files it writes."""
-    cwd.mkdir(parents=True)
+    the directory ``cwd``, made if missing, which keeps the files it writes."""
+    cwd.mkdir(parents=True, exist_ok=True)
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-m", "rankmass.cli", *args], cwd=cwd, env=env,
                           capture_output=True)
@@ -179,18 +185,27 @@ def main(argv: list | None = None) -> int:
     runs["help"] = ["--help"]
     runs.update({f"{command}-help": [command, "--help"] for command in COMMANDS})
 
-    differing, failing = 0, []
+    differing, failing, first = 0, [], {}
     for name, args in runs.items():
-        a, b = (run(src, args, WORK / "runs" / side / name)
-                for side, src in zip(("rev", "this"), trees))
+        for side, src in zip(("rev", "this"), trees):
+            first[side, name] = run(src, args, WORK / "runs" / side / name)
+        a, b = first["rev", name], first["this", name]
         line = differences(name, a, b)
         if line:
             differing += 1
             print(line)
         if b.code:
             failing.append(name)
+    for name in RERUNS:
+        lines = [differences(f"{name}-rerun under {side}", first[side, name],
+                             run(src, runs[name], WORK / "runs" / side / name))
+                 for side, src in zip(("rev", "this"), trees)]
+        if any(lines):
+            differing += 1
+            print("; ".join(filter(None, lines)))
     failed = f"; {len(failing)} exit non-zero here: {', '.join(failing)}" if failing else ""
-    print(f"{len(runs)} runs under {opts.against} and this checkout: {differing} differ{failed}")
+    total = len(runs) + len(RERUNS)
+    print(f"{total} runs under {opts.against} and this checkout: {differing} differ{failed}")
     return 1 if differing else 0
 
 
