@@ -10,9 +10,9 @@ and argument specs, from which ``build_parser`` adds the arguments.  The
 ``# params:`` line follows the same specs: ``command``, then every option
 that is not a file path, in CLI order, then the values the command computed
 (``--graph`` has its own comment line; ``--out``, ``--vector-out`` and
-``--clicks`` are not recorded).  An output is written as a new file
-(``_remove_old``), and one naming the same file as an input or as the
-command's other output is refused before the graph is read.
+``--clicks`` are not recorded).  An output is overwritten without first
+truncating it (``_open_untruncated``), and one naming the same file as an
+input or as the command's other output is refused before the graph is read.
 
 Exit codes: 0 success, 1 validation problem, 2 numerical non-convergence.
 A library warning is written to stderr as one ``rankmass: warning:`` line.
@@ -96,40 +96,27 @@ class CsvReport:
         self.buffer.writelines(table_rows(columns))
 
     def save(self, out_path: str | None):
-        """Writes the report to ``out_path`` as a new file (see ``_remove_old``), or to stdout."""
+        """Writes the report to ``out_path`` (see ``_open_untruncated``), or to stdout."""
         text = self.buffer.getvalue()
         if not out_path:
             sys.stdout.write(text)
             return
-        path, mode = _remove_old(out_path)
-        opener = None if mode is None else lambda p, flags: os.open(p, flags, mode)
-        with open(path, "w", encoding="utf-8", newline="\n", opener=opener) as fh:
-            if mode is not None:   # the umask may have cleared some of the old bits
-                os.fchmod(fh.fileno(), mode)
+        with open(out_path, "w", encoding="utf-8", newline="\n",
+                  opener=_open_untruncated) as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()   # cut what is left of a longer old file
 
 
-def _remove_old(out_path: str) -> tuple[str, int | None]:
-    """The path to write ``out_path`` at, and the permission bits to create it with.
-
-    An existing regular file that this user may write, reached through
-    symlinks or not, is removed, so that the output is a new file: truncating
-    a file written a moment ago can wait on its flush to disk (ext4's
-    ``auto_da_alloc``), and on a busy disk that wait dwarfs the analysis.
-    The path is then the file itself and the bits are its old ones.  A new
-    path, a FIFO, a device, a file this process's stdout or stderr writes
-    to, or a file that cannot be removed give ``out_path`` and None: it is
-    written in place."""
-    target = os.path.realpath(out_path)
-    try:
-        st = os.stat(target)
-        if (stat.S_ISREG(st.st_mode) and os.access(target, os.W_OK)
-                and not any(os.path.samestat(st, os.fstat(fd)) for fd in (1, 2))):
-            os.unlink(target)
-            return target, stat.S_IMODE(st.st_mode)
-    except OSError:
-        pass
-    return out_path, None
+def _open_untruncated(path: str, flags: int) -> int:
+    """``open(path, "w")``'s descriptor, but without ``O_TRUNC``: the new
+    bytes overwrite the old ones, and ``save`` cuts the rest.  On ext4,
+    whose ``auto_da_alloc`` flushes a file truncated to length 0 at close,
+    rewriting an existing output by truncating it first waited tens of
+    milliseconds on a busy disk, however long ago the file was last
+    written; an overwrite does not wait.  The file keeps its inode, owner,
+    mode and hard links."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
 def _parse_grid(text: str) -> list[float]:

@@ -857,7 +857,7 @@ def test_console_entry_point(graph_files):
 
 
 # --------------------------------------------------------------------------
-# how an output replaces an existing file
+# how an output overwrites an existing file
 # --------------------------------------------------------------------------
 
 OLD = b"old output\n"
@@ -865,7 +865,7 @@ OLD = b"old output\n"
 
 def _limit_outputs(graph_files, tmp_path, capsys, out, vec):
     """Runs ``limit`` writing ``out`` and ``vec``; returns the bytes a run into
-    new paths writes, so a replaced file can be checked against them."""
+    new paths writes, so an overwritten file can be checked against them."""
     fresh = tmp_path / "fresh"
     fresh.mkdir()
     for paths in ((fresh / "out.csv", fresh / "vec.csv"), (out, vec)):
@@ -875,17 +875,35 @@ def _limit_outputs(graph_files, tmp_path, capsys, out, vec):
     return (fresh / "out.csv").read_bytes(), (fresh / "vec.csv").read_bytes()
 
 
-def test_a_replaced_output_is_a_new_file(graph_files, tmp_path, capsys):
-    # a hard link to the old files keeps the old bytes: neither inode was truncated
+# an old file shorter than the new output, and one longer, whose tail is cut
+@pytest.mark.parametrize("old", [OLD, OLD * 100_000], ids=["shorter", "longer"])
+def test_an_output_is_overwritten_in_its_own_file(old, graph_files, tmp_path, capsys):
+    # a hard link made to the old file reads the new bytes: the inode is kept
+    out, vec = tmp_path / "out.csv", tmp_path / "vec.csv"
+    for path in (out, vec):
+        path.write_bytes(old)
+        os.link(path, f"{path}.link")
+    inodes = [os.stat(path).st_ino for path in (out, vec)]
+    new = _limit_outputs(graph_files, tmp_path, capsys, out, vec)
+    assert (out.read_bytes(), vec.read_bytes()) == new
+    assert tuple(Path(f"{path}.link").read_bytes() for path in (out, vec)) == new
+    assert [os.stat(path).st_ino for path in (out, vec)] == inodes
+
+
+def test_an_output_is_never_opened_with_o_trunc(graph_files, tmp_path, monkeypatch, capsys):
     out, vec = tmp_path / "out.csv", tmp_path / "vec.csv"
     for path in (out, vec):
         path.write_bytes(OLD)
-        os.link(path, f"{path}.old")
-    new = _limit_outputs(graph_files, tmp_path, capsys, out, vec)
-    assert (out.read_bytes(), vec.read_bytes()) == new
-    for path in (out, vec):
-        assert Path(f"{path}.old").read_bytes() == OLD
-        assert os.stat(path).st_nlink == 1
+    opened, os_open = {}, os.open
+
+    def recording(path, flags, *args, **kwargs):
+        opened[os.fspath(path)] = flags
+        return os_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording)
+    _limit_outputs(graph_files, tmp_path, capsys, out, vec)
+    assert all(str(path) in opened and not opened[str(path)] & os.O_TRUNC
+               for path in (out, vec))
 
 
 def test_a_symlinked_output_keeps_its_link(graph_files, tmp_path, capsys):
@@ -900,43 +918,16 @@ def test_a_symlinked_output_keeps_its_link(graph_files, tmp_path, capsys):
                for target, link in zip(targets, links))
 
 
-@pytest.mark.parametrize("mode", [0o600, 0o664], ids=["0600", "0664"])
-def test_a_replaced_output_keeps_its_permission_bits(mode, graph_files, tmp_path, capsys):
-    # 0664 under umask 022: the new file gets the old bits, not the umask's
+def test_an_output_keeps_its_permission_bits(graph_files, tmp_path, capsys):
     out, vec = tmp_path / "out.csv", tmp_path / "vec.csv"
     for path in (out, vec):
         path.write_bytes(OLD)
-        path.chmod(mode)
-    umask = os.umask(0o022)
-    try:
-        _limit_outputs(graph_files, tmp_path, capsys, out, vec)
-    finally:
-        os.umask(umask)
-    assert [os.stat(path).st_mode & 0o7777 for path in (out, vec)] == [mode, mode]
+        path.chmod(0o600)
+    _limit_outputs(graph_files, tmp_path, capsys, out, vec)
+    assert [os.stat(path).st_mode & 0o7777 for path in (out, vec)] == [0o600, 0o600]
 
 
-def _unlink_refused(path, *args, **kwargs):
-    raise PermissionError(13, "Permission denied", path)
-
-
-# a writable file in a directory this user may not write, and a file it may
-# not write (which the in-place open then refuses, as it always did)
-@pytest.mark.parametrize("name, patched", [("unlink", _unlink_refused),
-                                           ("access", lambda *args, **kwargs: False)],
-                         ids=["unlink-fails", "not-writable"])
-def test_an_output_that_is_not_removed_is_written_in_place(name, patched, graph_files,
-                                                           tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(os, name, patched)
-    out, vec = tmp_path / "out.csv", tmp_path / "vec.csv"
-    for path in (out, vec):
-        path.write_bytes(OLD)
-        os.link(path, f"{path}.old")
-    new = _limit_outputs(graph_files, tmp_path, capsys, out, vec)
-    assert (out.read_bytes(), vec.read_bytes()) == new
-    assert tuple(Path(f"{path}.old").read_bytes() for path in (out, vec)) == new
-
-
-def test_device_outputs_are_written_in_place(graph_files, capsys):
+def test_device_outputs_are_written(graph_files, capsys):
     argv = ["limit", "--graph", graph_files["bowtie"], "--out", os.devnull,
             "--vector-out", os.devnull]
     assert _outcome(main, argv, capsys) == ("", "", 0)
@@ -945,10 +936,11 @@ def test_device_outputs_are_written_in_place(graph_files, capsys):
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
 def test_dev_stdout_into_a_file_is_written_in_place(graph_files, tmp_path):
-    # /dev/stdout resolves to the regular file the shell redirected stdout to;
-    # removing it would leave the process writing into an unlinked file
+    # /dev/stdout opens the regular file the shell redirected stdout to; the
+    # old bytes there, longer than the output, are cut
     out = tmp_path / "stdout.csv"
-    with open(out, "wb") as fh:
+    out.write_bytes(OLD * 100_000)
+    with open(out, "r+b") as fh:
         inode = os.fstat(fh.fileno()).st_ino
         proc = subprocess.run([sys.executable, "-m", "rankmass.cli", "pagerank",
                                "--graph", graph_files["bowtie"], "--out", "/dev/stdout"],
@@ -956,6 +948,7 @@ def test_dev_stdout_into_a_file_is_written_in_place(graph_files, tmp_path):
     assert proc.returncode == 0 and proc.stderr == b""
     assert os.stat(out).st_ino == inode
     assert out.read_text().splitlines()[3] == "node_id,score"
+    assert out.read_bytes().count(OLD) == 0
 
 
 def _refused(argv, flag, other, monkeypatch, capsys):
